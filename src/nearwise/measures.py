@@ -16,13 +16,19 @@ Atoms are stored densely, indexed by bitmask in sorted index space (bit ``j``
 set means sorted event ``j+1`` occurs), which keeps exhaustive enumeration
 trivially addressable.  Dense storage caps ``n`` at 20 (about a million
 atoms).
+
+Every member of the family shares one product-atom table, so it is built
+once per profile (:func:`product_atoms`), as is the subset-product table the
+oracle checks against.  Both are read-only and stay on the profile while it
+lives: 2^n entries of 8 bytes each, 8 MB per table at n = 20.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,11 +37,8 @@ from .numeric import (
     ABS_TOL,
     ENUMERATION_CAP,
     atom_products_dense,
-    close,
     popcount_table,
     prefix_atom,
-    subset_products_dense,
-    superset_sums,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -202,14 +205,48 @@ def s_interval(profile: MarginalProfile) -> SInterval:
     return SInterval(s_min=s_min, s_max=s_max, p=p, m=m)
 
 
+def _profile_table(profile: MarginalProfile, name: str, build: Callable):
+    """The dense table ``build(profile.sorted_values)``, built once per profile.
+
+    Kept read-only (an ``np.ndarray`` that refuses writes, or a tuple of
+    ``Fraction``) in the instance ``__dict__`` under ``name``, as
+    ``functools.cached_property`` does, so it is freed with the profile.
+    A cache keyed on the profile would be wrong: a float and an exact
+    profile with equal values compare and hash equal.
+    """
+    cache = profile.__dict__
+    if name not in cache:
+        table = build(profile.sorted_values)
+        if isinstance(table, np.ndarray):
+            table.setflags(write=False)
+        else:
+            table = tuple(table)
+        cache[name] = table
+    return cache[name]
+
+
+def product_atoms(profile: MarginalProfile):
+    """Product-measure atom table of ``profile`` (see :func:`_profile_table`)."""
+    return _profile_table(profile, "product_atoms", atom_products_dense)
+
+
+@lru_cache(maxsize=32)
+def _odd_parity(n: int) -> np.ndarray:
+    """Whether each mask in ``range(2**n)`` has odd cardinality (read-only)."""
+    odd = (popcount_table(n) & 1).astype(bool)
+    odd.setflags(write=False)
+    return odd
+
+
 def _signed_offsets(n: int, s):
-    """Vector of (-1)^|J| * s over all masks, matching atom storage order."""
+    """Vector of (-1)^|J| * s over all masks, matching atom storage order.
+
+    A fresh list for a ``Fraction`` s, else a fresh float array that the
+    caller may sum into.
+    """
     if isinstance(s, Fraction):
-        pc = popcount_table(n)
-        return [(-s if int(c) & 1 else s) for c in pc]
-    pc = popcount_table(n)
-    signs = 1.0 - 2.0 * (pc & 1).astype(float)
-    return signs * float(s)
+        return [-s if odd else s for odd in _odd_parity(n).tolist()]
+    return np.where(_odd_parity(n), -s, s)
 
 
 def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> AtomicMeasure:
@@ -233,12 +270,12 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
     else:
         s = float(s)
 
-    base = atom_products_dense(profile.sorted_values)
-    offsets = _signed_offsets(n, s)
+    base = product_atoms(profile)
+    atoms = _signed_offsets(n, s)
     if exact:
-        atoms = [b + o for b, o in zip(base, offsets)]
+        atoms = [b + o for b, o in zip(base, atoms)]
     else:
-        atoms = base + offsets
+        np.add(base, atoms, out=atoms)
 
     if validate:
         iv = s_interval(profile)
@@ -300,36 +337,18 @@ def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
     return float(np.sum(measure.atom_probs[sel]))
 
 
-def _order_from_joints(joints, products, n: int, exact: bool) -> int:
-    """Largest l such that every subset of size <= l obeys the product rule."""
-    pc = popcount_table(n)
-    if not exact:
-        joints = np.asarray(joints)
-        products = np.asarray(products)
-    for level in range(1, n + 1):
-        masks = np.flatnonzero(pc == level)
-        for mask in masks:
-            mask = int(mask)
-            if not close(joints[mask], products[mask], exact=exact):
-                return level - 1
-    return n
-
-
 def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
     """Largest l for which all l-subsets satisfy the product rule.
 
     Checks ``P(intersection of J) == prod_{j in J} a_j`` for every subset J,
     by increasing cardinality, stopping at the first failure; returns n for
     mutual independence.  A marginal mismatch reports order 0 rather than
-    raising.  Comparison tolerance follows the arithmetic mode.
+    raising.  Comparison tolerance follows the arithmetic mode.  Read off
+    the residuals of :func:`nearwise.oracle.verify_measure`.
     """
-    n = measure.n
-    _check_cap(n)
-    if profile.n != n:
-        raise ValueError(f"profile has n = {profile.n} but measure has n = {n}")
-    joints = superset_sums(measure.atom_probs, n)
-    products = subset_products_dense(profile.sorted_values)
-    return _order_from_joints(joints, products, n, measure.exact)
+    from .oracle import verify_measure  # the oracle module imports this one
+
+    return verify_measure(measure, profile).independence_order
 
 
 def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:

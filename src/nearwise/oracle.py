@@ -36,15 +36,17 @@ from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
     _check_cap,
+    _profile_table,
+    _signed_offsets,
     build_measure,
     invariant_m,
     invariant_p,
     mask_indices,
+    product_atoms,
     s_interval,
 )
 from .numeric import (
     ABS_TOL,
-    atom_products_dense,
     close,
     popcount_table,
     prefix_atom,
@@ -55,6 +57,15 @@ from .numeric import (
 #: Seed used when none is supplied; any fixed value works, it just has to be
 #: recorded so runs are reproducible.
 DEFAULT_SEED = 271828
+
+
+def subset_products(profile: MarginalProfile):
+    """Subset-product table of ``profile``, built once and read-only.
+
+    Entry J is ``prod_{j in J} a_j`` over the sorted values: what the product
+    rule requires of P(all events in J occur).
+    """
+    return _profile_table(profile, "subset_products", subset_products_dense)
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,7 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
 
     atoms = measure.atom_probs
     sums = superset_sums(atoms, n)
-    products = subset_products_dense(profile.sorted_values)
+    products = subset_products(profile)
     pc = popcount_table(n)
 
     violations = []
@@ -209,10 +220,13 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
         if first_bad_level <= n:
             order = first_bad_level - 1
     else:
-        residuals = np.abs(np.asarray(sums) - products)
-        proper = pc <= n - 1
-        worst_product = float(np.max(residuals[proper])) if n >= 1 else 0.0
-        bad_masks = np.flatnonzero(residuals > tol)
+        # In place: ``sums`` is a fresh copy whose entries 0 and 1 << j were
+        # read above.  Only the full set, the last mask, has |J| = n.
+        residuals = np.abs(np.subtract(sums, products, out=sums), out=sums)
+        worst_product = float(np.max(residuals[:-1]))
+        # the empty set's residual is the normalization defect, already
+        # reported; the product rule starts at |J| = 1, as in exact mode
+        bad_masks = np.flatnonzero(residuals[1:] > tol) + 1
         if bad_masks.size:
             bad_levels = pc[bad_masks]
             first_bad_level = int(bad_levels.min())
@@ -256,13 +270,9 @@ def verify_kernel(n: int, s) -> bool:
     Exact for int/Fraction s; within tolerance for floats.
     """
     _check_cap(n)
-    pc = popcount_table(n)
     if isinstance(s, (Fraction, int)) and not isinstance(s, bool):
-        s = Fraction(s)
-        offsets = [-s if int(c) & 1 else s for c in pc]
-        return kernel_residual(offsets, n) == 0
-    signs = 1.0 - 2.0 * (pc & 1).astype(np.float64)
-    worst = kernel_residual(signs * float(s), n)
+        return kernel_residual(_signed_offsets(n, Fraction(s)), n) == 0
+    worst = kernel_residual(_signed_offsets(n, float(s)), n)
     return worst <= ABS_TOL * max(1.0, abs(float(s)))
 
 
@@ -281,7 +291,7 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     exact = profile.exact
     tol = 0 if exact else ABS_TOL
 
-    atoms = atom_products_dense(values)
+    atoms = product_atoms(profile)
     pc = popcount_table(n)
     prefixes = [prefix_atom(values, t) for t in range(n + 1)]
 

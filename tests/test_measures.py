@@ -24,8 +24,10 @@ from nearwise import (
     s_interval,
     subset_mask,
 )
-from nearwise.measures import AtomicMeasure
-from nearwise.numeric import atom_products_dense
+from nearwise import measures
+from nearwise.measures import AtomicMeasure, product_atoms
+from nearwise.numeric import atom_products_dense, subset_products_dense
+from nearwise.oracle import subset_products, verify_measure
 
 
 def test_subset_mask_round_trip():
@@ -118,6 +120,75 @@ def test_build_measure_endpoint_has_exact_zero_atom():
     measure = build_measure(profile, iv.s_max)
     assert measure.atom_probs[(1 << (2 * iv.p + 1)) - 1] == 0.0
     assert float(np.min(measure.atom_probs)) == 0.0
+
+
+def _reference_atoms(profile, s):
+    """A fresh product table plus (-1)^|J| s, signs taken mask by mask."""
+    table = atom_products_dense(profile.sorted_values)
+    signs = [1 - 2 * (bin(mask).count("1") % 2) for mask in range(1 << profile.n)]
+    if profile.exact:
+        return [b + sign * s for b, sign in zip(table, signs)]
+    return table + np.asarray(signs, dtype=float) * s
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_build_measure_matches_fresh_table_plus_offsets(exact):
+    profile = from_raw([0.15, 0.3, 0.45, 0.5, 0.8, 0.9], exact=exact)
+    iv = s_interval(profile)
+    zero = Fraction(0) if exact else 0.0
+    for s in (iv.s_min, zero, (iv.s_min + iv.s_max) / 2, iv.s_max):
+        atoms = build_measure(profile, s).atom_probs
+        expected = _reference_atoms(profile, s)
+        if exact:
+            assert list(atoms) == expected
+        else:
+            assert atoms.tobytes() == expected.tobytes()
+
+
+def test_build_measure_builds_the_product_table_once(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return atom_products_dense(values)
+
+    monkeypatch.setattr(measures, "atom_products_dense", counting)
+    profile = from_raw([0.2, 0.4, 0.7])
+    iv = s_interval(profile)
+    for s in (iv.s_min, 0.0, iv.s_max):
+        build_measure(profile, s)
+    assert product_atoms(profile) is product_atoms(profile)
+    assert calls == [3]
+    build_measure(from_raw([0.2, 0.4, 0.7]), 0.0)  # a new profile builds its own
+    assert calls == [3, 3]
+
+
+def test_profile_tables_are_read_only():
+    profile = from_raw([0.25, 0.5, 0.6])
+    for table in (product_atoms(profile), subset_products(profile)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
+    exact = from_raw([Fraction(1, 4), Fraction(1, 2)], exact=True)
+    for table in (product_atoms(exact), subset_products(exact)):
+        with pytest.raises(TypeError):
+            table[0] = Fraction(1, 2)
+    # a built measure owns its atoms; the shared table stays untouched
+    assert not np.shares_memory(build_measure(profile, 0.0).atom_probs, product_atoms(profile))
+
+
+def test_equal_float_and_exact_profiles_keep_their_own_tables():
+    values = [0.5, 0.25]
+    floating = from_raw(values)
+    exact = from_raw([Fraction(1, 2), Fraction(1, 4)], exact=True)
+    assert floating == exact and hash(floating) == hash(exact)
+    # build the float tables first: an equality-keyed cache would hand them on
+    assert product_atoms(floating).dtype == np.float64
+    assert subset_products(floating).dtype == np.float64
+    for table in (product_atoms(exact), subset_products(exact)):
+        assert isinstance(table, tuple)
+        assert all(type(v) is Fraction for v in table)
+    assert list(product_atoms(exact)) == atom_products_dense(exact.sorted_values)
+    assert list(subset_products(exact)) == subset_products_dense(exact.sorted_values)
 
 
 def test_build_measure_rejects_infeasible_s():
@@ -224,6 +295,17 @@ def test_independence_order_detects_low_order_breakage():
     atoms = np.array([0.3, 0.2, 0.2, 0.3])  # marginals ok, pair joint 0.3 != 0.25
     measure = AtomicMeasure(n=2, atom_probs=atoms)
     assert independence_order(measure, profile) == 1
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_independence_order_reads_verify_measure(exact):
+    profile = from_raw([0.2, 0.4, 0.5, 0.9], exact=exact)
+    iv = s_interval(profile)
+    for s in (iv.s_min, 0 if exact else 0.0, iv.s_max):
+        measure = build_measure(profile, s)
+        order = independence_order(measure, profile)
+        assert order == verify_measure(measure, profile).independence_order
+        assert order == (4 if s == 0 else 3)
 
 
 def test_measure_to_dict_schema():

@@ -120,6 +120,19 @@ def test_verify_measure_exact_mode_is_strict():
     assert not report.passed
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_measure_total_mass_defect_is_only_normalization(exact):
+    """Mass added to the empty-set atom changes no joint of a nonempty J."""
+    profile = from_raw([0.2, Fraction(1, 3), 0.5], exact=exact)
+    atoms = list(build_measure(profile, 0).atom_probs)
+    atoms[0] += Fraction(1, 1000) if exact else 1e-3
+    measure = AtomicMeasure(n=3, atom_probs=tuple(atoms) if exact else np.array(atoms))
+    report = verify_measure(measure, profile)
+    assert [v[0] for v in report.lemma_violations] == ["normalization"]
+    assert report.independence_order == 3
+    assert close(report.worst_product_residual, 1e-3, exact=False)
+
+
 def test_verify_measure_n_mismatch():
     measure = build_measure(from_raw([0.5, 0.5]), 0.0)
     with pytest.raises(ValueError, match="profile has n"):
