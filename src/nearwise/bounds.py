@@ -29,14 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .marginals import MarginalProfile
-from .measures import FeasibilityError, SInterval, s_interval
+from .measures import FeasibilityError, _coerce_s, s_interval
 from .numeric import (
     ABS_TOL,
     binom_or_zero,
-    is_exact,
+    cumulative_sums,
     poisson_binomial_pmf,
     prefix_atom,
-    tail_from_pmf,
+    suffix_sums,
 )
 
 
@@ -139,53 +139,49 @@ def _check_k(k: int, n: int, *, high: int) -> None:
         raise ValueError(f"k out of range: expected 0 <= k <= {high} for n = {n}, got {k}")
 
 
-def tail_probability_dp(profile: MarginalProfile, k: int):
-    """P(at least k of n events occur) under mutual independence.
-
-    O(n^2) dynamic program over the sorted marginals; ``k = 0`` gives 1 and
-    ``k = n + 1`` gives 0.  All mass terms are nonnegative, so the suffix
-    sum is numerically benign even deep in the tail.
-    """
-    _check_k(k, profile.n, high=profile.n + 1)
-    pmf = poisson_binomial_pmf(profile.sorted_values)
-    return tail_from_pmf(pmf, k)
-
-
 def tail_probabilities(profile: MarginalProfile):
     """All tails P(at least k occur) for k = 0..n from one O(n^2) pass.
 
-    Returns a vector indexed by k.  This is the right entry point for a full
-    k-sweep at large n, where calling :func:`tail_probability_dp` per k
-    would repeat the convolution n times.
+    Returns a vector indexed by k: the suffix sums of the Poisson-binomial
+    mass vector of the sorted marginals, added from k = n down.  Every tail
+    in the package is read from here, so a bound and the mutual tail it
+    shifts agree to the last bit.
     """
-    pmf = poisson_binomial_pmf(profile.sorted_values)
-    if isinstance(pmf, np.ndarray):
-        return np.cumsum(pmf[::-1])[::-1]
-    zero = Fraction(0)
-    out = [zero] * len(pmf)
-    acc = zero
-    for t in range(len(pmf) - 1, -1, -1):
-        acc += pmf[t]
-        out[t] = acc
-    return out
+    return suffix_sums(poisson_binomial_pmf(profile.sorted_values))
 
 
-def _validated_s(profile: MarginalProfile, s, iv: SInterval):
-    if profile.exact:
-        if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
-            raise TypeError("exact profiles require an exact s (int or Fraction)")
-        s = Fraction(s)
-        if s < iv.s_min or s > iv.s_max:
-            raise FeasibilityError(
-                f"s = {s} lies outside the feasible interval [{iv.s_min}, {iv.s_max}]"
-            )
-        return s
-    s = float(s)
-    if s < iv.s_min - ABS_TOL or s > iv.s_max + ABS_TOL:
-        raise FeasibilityError(
-            f"s = {s} lies outside the feasible interval [{iv.s_min}, {iv.s_max}]"
-        )
-    return s
+def tail_probability_dp(profile: MarginalProfile, k: int):
+    """P(at least k of n events occur) under mutual independence.
+
+    Entry k of :func:`tail_probabilities`; ``k = 0`` gives the total mass
+    and ``k = n + 1`` gives 0.
+    """
+    n = profile.n
+    _check_k(k, n, high=n + 1)
+    if k == n + 1:
+        return Fraction(0) if profile.exact else 0.0
+    tail = tail_probabilities(profile)[k]
+    return tail if profile.exact else float(tail)
+
+
+def _shifted(profile: MarginalProfile, k: int, mutual, s):
+    """``mutual + (-1)^k * C(n-1, k-1) * s``: the family tail at ``s``.
+
+    ``mutual`` is the mutual-independence tail ``P_0(k)``.  ``k = 0``
+    returns exactly 1 and ignores ``mutual``.
+    """
+    if k == 0:
+        return Fraction(1) if profile.exact else 1.0
+    coeff = binom_or_zero(profile.n - 1, k - 1)
+    if profile.exact or coeff.bit_length() <= 53:
+        term = coeff * s
+    elif s == 0.0:
+        term = 0.0
+    else:
+        # the slope can exceed float range at large n while the product
+        # stays a probability difference; multiply exactly, convert once
+        term = float(Fraction(coeff) * Fraction(s))
+    return mutual + term if k % 2 == 0 else mutual - term
 
 
 def probability_at_s(profile: MarginalProfile, k: int, s):
@@ -195,22 +191,16 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     convention C(n-1, -1) = 0 makes ``k = 0`` return exactly 1 for every
     feasible s.
     """
-    n = profile.n
-    _check_k(k, n, high=n)
-    s = _validated_s(profile, s, s_interval(profile))
-    if k == 0:
-        return Fraction(1) if profile.exact else 1.0
-    base = tail_probability_dp(profile, k)
-    coeff = binom_or_zero(n - 1, k - 1)
-    if profile.exact or coeff.bit_length() <= 53:
-        term = coeff * s
-    elif s == 0.0:
-        term = 0.0
-    else:
-        # the slope can exceed float range at large n while the product
-        # stays a probability difference; multiply exactly, convert once
-        term = float(Fraction(coeff) * Fraction(s))
-    return base + term if k % 2 == 0 else base - term
+    _check_k(k, profile.n, high=profile.n)
+    s = _coerce_s(profile, s)
+    iv = s_interval(profile)
+    slack = 0 if profile.exact else ABS_TOL
+    if s < iv.s_min - slack or s > iv.s_max + slack:
+        raise FeasibilityError(
+            f"s = {s} lies outside the feasible interval [{iv.s_min}, {iv.s_max}]"
+        )
+    # at k = 0 the answer is 1 without a tail, so skip the convolution
+    return _shifted(profile, k, tail_probability_dp(profile, k) if k else None, s)
 
 
 def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
@@ -228,11 +218,12 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
         s_lo, s_hi = iv.s_max, iv.s_min
     else:
         s_lo, s_hi = iv.s_min, iv.s_max
+    mutual = tail_probability_dp(profile, k)
     return BoundReport(
         k=k,
-        exact_mutual=tail_probability_dp(profile, k),
-        sharp_lower=probability_at_s(profile, k, s_lo),
-        sharp_upper=probability_at_s(profile, k, s_hi),
+        exact_mutual=mutual,
+        sharp_lower=_shifted(profile, k, mutual, s_lo),
+        sharp_upper=_shifted(profile, k, mutual, s_hi),
         s_at_lower=s_lo,
         s_at_upper=s_hi,
         coefficient=binom_or_zero(n - 1, k - 1),
@@ -331,17 +322,10 @@ def poisson_binomial_cdf(values: Sequence, *, exact: bool | None = None) -> Tail
         if not 0 <= x <= 1:
             raise ValueError(f"value out of [0,1] at index {i + 1}")
         coerced.append(x)
-    pmf = poisson_binomial_pmf(coerced)
-    if isinstance(pmf, np.ndarray):
-        cdf = tuple(float(x) for x in np.cumsum(pmf))
-    else:
-        acc = Fraction(0)
-        cdf = []
-        for x in pmf:
-            acc += x
-            cdf.append(acc)
-        cdf = tuple(cdf)
-    return TailCdf(values=cdf, exact=exact)
+    cdf = cumulative_sums(poisson_binomial_pmf(coerced))
+    if isinstance(cdf, np.ndarray):
+        cdf = cdf.tolist()
+    return TailCdf(values=tuple(cdf), exact=exact)
 
 
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:

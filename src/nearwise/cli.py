@@ -334,77 +334,57 @@ def cmd_table(args, parser) -> int:
     return 0
 
 
-def _verify_lines_text(summary: dict, fmt) -> list:
-    lines = []
-    for key in (
-        "measures_checked",
-        "worst_normalization",
-        "worst_marginal",
-        "worst_product",
-        "min_atom_seen",
-        "tail_match_gap",
-        "sharpness_gap",
-    ):
-        value = summary[key]
-        shown = str(value) if isinstance(value, int) else fmt(value)
-        lines.append(f"{key.replace('_', ' '):<22}{shown}")
-    return lines
-
-
 def cmd_verify(args, parser) -> int:
     profile = _profile_from_args(args)
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
+    mode = "rational" if args.rational else "float"
     if profile is not None:
-        check = check_profile(profile, s_points=args.grid, scan_points=args.grid)
-        payload = check.to_dict()
-        status = "PASS" if check.passed else "FAIL"
-        if args.format == "json":
-            payload["n"] = profile.n
-            payload["mode"] = "rational" if profile.exact else "float"
-            _emit([json.dumps(payload, indent=2)])
-        elif args.format == "csv":
-            lines = ["key,value"] + [
-                f"{k},{v}" for k, v in payload.items() if not isinstance(v, list)
-            ]
-            _emit(lines)
-        else:
-            iv = s_interval(profile)
-            lines = [
-                f"n = {profile.n}  mode: {'rational' if profile.exact else 'float'}",
-                f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]",
-            ]
-            lines += _verify_lines_text(payload, fmt)
-            lines += [f"failure: {f}" for f in check.failures]
-            lines.append(f"result: {status}")
-            _emit(lines)
-        return 0 if check.passed else 1
-
-    exact = args.rational
-    suite = run_random_suite(
-        count=40 if exact else 200,
-        max_n=10 if exact else 12,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        exact=exact,
-    )
-    payload = suite.to_dict()
-    status = "PASS" if suite.passed else "FAIL"
+        report = check_profile(profile, s_points=args.grid, scan_points=args.grid)
+        json_extra = {"n": profile.n, "mode": mode}
+        iv = s_interval(profile)
+        heading = [
+            f"n = {profile.n}  mode: {mode}",
+            f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]",
+        ]
+    else:
+        exact = args.rational
+        report = run_random_suite(
+            count=40 if exact else 200,
+            max_n=10 if exact else 12,
+            seed=args.seed if args.seed is not None else DEFAULT_SEED,
+            exact=exact,
+        )
+        json_extra = {}
+        heading = [
+            f"random suite  seed = {report.seed}  profiles = {report.count}  "
+            f"max n = {report.max_n}  mode: {mode}",
+        ]
+    payload = report.to_dict()
     if args.format == "json":
-        _emit([json.dumps(payload, indent=2)])
+        _emit([json.dumps({**payload, **json_extra}, indent=2)])
     elif args.format == "csv":
         lines = ["key,value"] + [
             f"{k},{v}" for k, v in payload.items() if not isinstance(v, list)
         ]
         _emit(lines)
     else:
-        lines = [
-            f"random suite  seed = {suite.seed}  profiles = {suite.count}  "
-            f"max n = {suite.max_n}  mode: {'rational' if suite.exact else 'float'}",
-        ]
-        lines += _verify_lines_text(payload, fmt)
-        lines += [f"failure: {f}" for f in suite.failures]
-        lines.append(f"result: {status}")
+        lines = heading
+        for key in (
+            "measures_checked",
+            "worst_normalization",
+            "worst_marginal",
+            "worst_product",
+            "min_atom_seen",
+            "tail_match_gap",
+            "sharpness_gap",
+        ):
+            value = payload[key]
+            shown = str(value) if isinstance(value, int) else fmt(value)
+            lines.append(f"{key.replace('_', ' '):<22}{shown}")
+        lines += [f"failure: {f}" for f in report.failures]
+        lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
         _emit(lines)
-    return 0 if suite.passed else 1
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

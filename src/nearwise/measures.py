@@ -61,6 +61,15 @@ def _check_cap(n: int) -> None:
         )
 
 
+def _coerce_s(profile: MarginalProfile, s):
+    """``s`` in the profile's arithmetic: a ``Fraction`` or a float."""
+    if not profile.exact:
+        return float(s)
+    if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
+        raise TypeError("exact profiles require an exact s (int or Fraction)")
+    return Fraction(s)
+
+
 def subset_mask(indices: Iterable[int]) -> SubsetMask:
     """Mask for a subset given by 1-based sorted-space event indices."""
     mask = 0
@@ -263,12 +272,7 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
     n = profile.n
     _check_cap(n)
     exact = profile.exact
-    if exact:
-        if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
-            raise TypeError("exact profiles require an exact s (int or Fraction)")
-        s = Fraction(s)
-    else:
-        s = float(s)
+    s = _coerce_s(profile, s)
 
     base = product_atoms(profile)
     atoms = _signed_offsets(n, s)
@@ -292,13 +296,13 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
                 f"{endpoint[0]} = {endpoint[1]}; atom {set(mask_indices(first_bad)) or '{}'} "
                 f"would be negative"
             )
-        if not exact:
+        # the mask costs three 2^n temporaries, so skip it when no atom is negative
+        if not exact and atoms.min() < 0.0:
             atoms[(atoms > -slack) & (atoms < 0.0)] = 0.0
-            atoms.setflags(write=False)
 
     if exact:
         atoms = tuple(atoms)
-    elif atoms.flags.writeable:
+    else:
         atoms.setflags(write=False)
     return AtomicMeasure(n=n, atom_probs=atoms, s=s)
 

@@ -21,6 +21,7 @@ import decimal
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -170,18 +171,25 @@ def poisson_binomial_pmf(values: Sequence):
     return pmf
 
 
-def tail_from_pmf(pmf, k: int):
-    """P(count >= k) from a mass vector: a suffix sum of nonnegative terms."""
-    if isinstance(pmf, np.ndarray):
-        if k <= 0:
-            return float(np.sum(pmf))
-        if k >= len(pmf):
-            return 0.0
-        return float(np.sum(pmf[k:]))
-    zero = Fraction(0)
-    if k >= len(pmf):
-        return zero
-    return sum(pmf[max(k, 0):], zero)
+def cumulative_sums(vec):
+    """Running sums ``vec[0], vec[0] + vec[1], ...``, added left to right.
+
+    ``np.cumsum`` for an array, ``itertools.accumulate`` for a list of
+    ``Fraction``.  Both add in the same order, so the same values give
+    bit-identical sums in either container.
+    """
+    if isinstance(vec, np.ndarray):
+        return np.cumsum(vec)
+    return list(accumulate(vec))
+
+
+def suffix_sums(vec):
+    """Entry ``t`` is ``vec[t] + ... + vec[-1]``, added from the last entry down.
+
+    Applied to a mass vector this gives every tail P(count >= t); the terms
+    are nonnegative, so the sum is numerically benign even deep in the tail.
+    """
+    return cumulative_sums(vec[::-1])[::-1]
 
 
 def format_scientific(value, sig_digits: int = 5) -> str:

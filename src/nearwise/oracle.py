@@ -25,13 +25,13 @@ shortcuts.  The checks:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import probability_at_s, sharp_bounds, tail_probability_dp
+from .bounds import _check_k, probability_at_s, sharp_bounds
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -51,6 +51,7 @@ from .numeric import (
     popcount_table,
     prefix_atom,
     subset_products_dense,
+    suffix_sums,
     superset_sums,
 )
 
@@ -123,10 +124,7 @@ def enumerate_tail(measure: AtomicMeasure, k: int):
     """
     n = measure.n
     _check_cap(n)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0 or k > n + 1:
-        raise ValueError(f"k out of range: expected 0 <= k <= {n + 1} for n = {n}, got {k}")
+    _check_k(k, n, high=n + 1)
     pc = popcount_table(n)
     if measure.exact:
         return sum(
@@ -144,14 +142,9 @@ def _tail_vector(measure: AtomicMeasure):
         by_count = [Fraction(0)] * (n + 1)
         for v, c in zip(measure.atom_probs, pc):
             by_count[c] += v
-        out = [Fraction(0)] * (n + 1)
-        acc = Fraction(0)
-        for c in range(n, -1, -1):
-            acc += by_count[c]
-            out[c] = acc
-        return out
-    by_count = np.bincount(pc, weights=measure.atom_probs, minlength=n + 1)
-    return np.cumsum(by_count[::-1])[::-1]
+    else:
+        by_count = np.bincount(pc, weights=measure.atom_probs, minlength=n + 1)
+    return suffix_sums(by_count)
 
 
 def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> VerificationReport:
@@ -378,8 +371,30 @@ def random_profiles(count: int, max_n: int, seed: int, *, exact: bool = False):
     return profiles
 
 
+class _OracleReport:
+    """What :class:`ProfileCheck` and :class:`SuiteReport` share: a verdict
+    read from ``failures`` and one JSON-ready form."""
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_dict(self) -> dict:
+        """``passed``, then every field in declaration order: tuples become
+        lists, floats and Fractions become floats."""
+        out = {"passed": self.passed}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, (float, Fraction)):
+                value = float(value)
+            out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class ProfileCheck:
+class ProfileCheck(_OracleReport):
     """Every oracle check applied to one profile, aggregated.
 
     Gap fields are the worst absolute discrepancies seen: ``tail_match_gap``
@@ -396,24 +411,6 @@ class ProfileCheck:
     sharpness_gap: float
     scanned_ks: tuple
     failures: tuple = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "measures_checked": self.measures_checked,
-            "worst_normalization": float(self.worst_normalization),
-            "worst_marginal": float(self.worst_marginal),
-            "worst_product": float(self.worst_product),
-            "min_atom_seen": float(self.min_atom_seen),
-            "tail_match_gap": float(self.tail_match_gap),
-            "sharpness_gap": float(self.sharpness_gap),
-            "scanned_ks": list(self.scanned_ks),
-            "failures": list(self.failures),
-        }
 
 
 def check_profile(
@@ -505,7 +502,7 @@ def check_profile(
 
 
 @dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(_OracleReport):
     """Aggregate result of the randomized verification suite."""
 
     seed: int
@@ -520,27 +517,6 @@ class SuiteReport:
     tail_match_gap: float
     sharpness_gap: float
     failures: tuple = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "seed": self.seed,
-            "count": self.count,
-            "max_n": self.max_n,
-            "exact": self.exact,
-            "measures_checked": self.measures_checked,
-            "worst_normalization": float(self.worst_normalization),
-            "worst_marginal": float(self.worst_marginal),
-            "worst_product": float(self.worst_product),
-            "min_atom_seen": float(self.min_atom_seen),
-            "tail_match_gap": float(self.tail_match_gap),
-            "sharpness_gap": float(self.sharpness_gap),
-            "failures": list(self.failures),
-        }
 
 
 def run_random_suite(
@@ -557,40 +533,28 @@ def run_random_suite(
     See :func:`check_profile` for what is checked per profile.  The seed is
     recorded in the report so any failure is reproducible.
     """
-    profiles = random_profiles(count, max_n, seed, exact=exact)
-    failures = []
-    zero = Fraction(0) if exact else 0.0
-    worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
-    min_atom_seen = Fraction(1) if exact else 1.0
-    measures_checked = 0
-
-    for idx, profile in enumerate(profiles):
-        check = check_profile(
-            profile,
-            s_points=s_points,
-            scan_points=scan_points,
-            label=f"profile {idx}",
+    checks = [
+        check_profile(profile, s_points=s_points, scan_points=scan_points, label=f"profile {idx}")
+        for idx, profile in enumerate(random_profiles(count, max_n, seed, exact=exact))
+    ]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    worst = {
+        name: max([zero, *(getattr(check, name) for check in checks)])
+        for name in (
+            "worst_normalization",
+            "worst_marginal",
+            "worst_product",
+            "tail_match_gap",
+            "sharpness_gap",
         )
-        failures.extend(check.failures)
-        measures_checked += check.measures_checked
-        worst_norm = max(worst_norm, check.worst_normalization)
-        worst_marg = max(worst_marg, check.worst_marginal)
-        worst_prod = max(worst_prod, check.worst_product)
-        min_atom_seen = min(min_atom_seen, check.min_atom_seen)
-        tail_gap = max(tail_gap, check.tail_match_gap)
-        sharp_gap = max(sharp_gap, check.sharpness_gap)
-
+    }
     return SuiteReport(
         seed=seed,
         count=count,
         max_n=max_n,
         exact=exact,
-        measures_checked=measures_checked,
-        worst_normalization=worst_norm,
-        worst_marginal=worst_marg,
-        worst_product=worst_prod,
-        min_atom_seen=min_atom_seen,
-        tail_match_gap=tail_gap,
-        sharpness_gap=sharp_gap,
-        failures=tuple(failures),
+        measures_checked=sum(check.measures_checked for check in checks),
+        min_atom_seen=min([one, *(check.min_atom_seen for check in checks)]),
+        failures=tuple(f for check in checks for f in check.failures),
+        **worst,
     )

@@ -29,6 +29,7 @@ from nearwise import (
     tail_probability_dp,
     union_bounds,
 )
+from nearwise import bounds
 from nearwise.numeric import close, format_scientific, prefix_atom
 
 
@@ -79,6 +80,33 @@ def test_tail_probabilities_nonincreasing():
     sweep = tail_probabilities(from_raw([0.2, 0.5, 0.7, 0.9]))
     assert all(sweep[k] >= sweep[k + 1] for k in range(len(sweep) - 1))
     assert sweep[0] == 1.0
+
+
+def test_every_tail_route_agrees_bit_for_bit():
+    rng = np.random.default_rng(20221103)
+    profile = from_raw(rng.random(100).tolist())
+    sweep = tail_probabilities(profile)
+    for k in range(profile.n + 1):
+        mutual = tail_probability_dp(profile, k)
+        assert mutual == sharp_bounds(profile, k).exact_mutual == sweep[k]
+
+
+def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
+    calls = {"poisson_binomial_pmf": 0, "s_interval": 0}
+
+    def counting(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counting(name))
+    sharp_bounds(from_raw([0.1, 0.3, 0.5, 0.7, 0.9]), 3)
+    assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1}
 
 
 def test_probability_at_s_linear_in_s():

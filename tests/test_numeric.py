@@ -10,14 +10,15 @@ from nearwise.numeric import (
     atom_products_dense,
     binom_or_zero,
     close,
+    cumulative_sums,
     format_scientific,
     is_exact,
     poisson_binomial_pmf,
     popcount_table,
     prefix_atom,
     subset_products_dense,
+    suffix_sums,
     superset_sums,
-    tail_from_pmf,
 )
 
 
@@ -135,15 +136,21 @@ def test_poisson_binomial_pmf_edge_entries_are_ascending_products():
     assert pmf[3] == prefix_atom(values, 3)
 
 
-def test_tail_from_pmf():
+def test_suffix_sums():
     pmf = poisson_binomial_pmf([0.5, 0.5])
-    assert tail_from_pmf(pmf, 0) == 1.0
-    assert math.isclose(tail_from_pmf(pmf, 1), 0.75)
-    assert tail_from_pmf(pmf, 3) == 0.0
+    tails = suffix_sums(pmf)
+    assert tails[0] == 1.0
+    assert math.isclose(tails[1], 0.75)
     exact = poisson_binomial_pmf([Fraction(1, 2)] * 2)
-    assert tail_from_pmf(exact, 2) == Fraction(1, 4)
-    assert tail_from_pmf(exact, 5) == 0
-    assert tail_from_pmf(exact, -1) == 1
+    assert suffix_sums(exact) == [1, Fraction(3, 4), Fraction(1, 4)]
+
+
+def test_cumulative_sums_same_order_for_arrays_and_lists():
+    values = [0.1, 0.2, 0.3, 1e-17, 0.7, 1e16, -1e16]
+    as_list = cumulative_sums(values)
+    assert isinstance(as_list, list)
+    assert as_list == cumulative_sums(np.array(values)).tolist()
+    assert suffix_sums(values) == suffix_sums(np.array(values)).tolist()
 
 
 def test_format_scientific():
