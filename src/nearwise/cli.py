@@ -339,7 +339,7 @@ def cmd_verify(args, parser) -> int:
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
     mode = "rational" if args.rational else "float"
     if profile is not None:
-        report = check_profile(profile, s_points=args.grid, scan_points=args.grid)
+        report = check_profile(profile, s_points=101 if args.grid is None else args.grid)
         json_extra = {"n": profile.n, "mode": mode}
         iv = s_interval(profile)
         heading = [
@@ -348,11 +348,13 @@ def cmd_verify(args, parser) -> int:
         ]
     else:
         exact = args.rational
+        grid = {} if args.grid is None else {"s_points": args.grid}
         report = run_random_suite(
             count=40 if exact else 200,
             max_n=10 if exact else 12,
             seed=args.seed if args.seed is not None else DEFAULT_SEED,
             exact=exact,
+            **grid,
         )
         json_extra = {}
         heading = [
@@ -478,8 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--grid",
         type=int,
-        default=101,
-        help="number of s values (and scan points) per profile, endpoints included",
+        help=(
+            "number of s values per profile, endpoints included "
+            "(default 101 for one profile, 11 for the random suite)"
+        ),
     )
     p_verify.add_argument(
         "--seed", type=int, help="random-suite seed (default %d)" % DEFAULT_SEED

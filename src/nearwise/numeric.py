@@ -130,8 +130,15 @@ def superset_sums(atoms, n: int):
     """
     if isinstance(atoms, np.ndarray):
         out = atoms.copy()
+        paired = out.dtype == np.float64
         for b in range(n):
-            view = out.reshape(-1, 2, 1 << b)
+            if paired and b >= 1:
+                # each complex128 holds two neighbouring float64 lanes, and
+                # complex addition adds each lane as its own IEEE add, so
+                # the sums are bit-identical with half as many elements
+                view = out.view(np.complex128).reshape(-1, 2, 1 << (b - 1))
+            else:
+                view = out.reshape(-1, 2, 1 << b)
             view[:, 0, :] += view[:, 1, :]
         return out
     out = list(atoms)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _check_k, probability_at_s, sharp_bounds
+from .bounds import _check_k, _shifted, sharp_bounds, tail_probabilities
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -417,27 +417,34 @@ def check_profile(
     profile: MarginalProfile,
     *,
     s_points: int = 11,
-    scan_points: int = 11,
     scan_ks=None,
     label: str = "profile",
 ) -> ProfileCheck:
     """Run the full oracle battery against one profile.
 
     Builds the measure at ``s_points`` evenly spaced parameter values
-    including both endpoints and verifies each; compares the enumerated
-    tail against the linear-in-s formula for every k at every grid point;
-    checks the extremal-atom claims; and scans sharpness at each k in
-    ``scan_ks`` (default: 1, a middle k, and n), requiring the empirical
-    extremes to match the closed-form bounds — exactly in rational mode,
-    to tolerance in float.
+    including both endpoints, once each, and reads three checks from it and
+    its enumerated tails: verification; the tail against the linear-in-s
+    formula for every k; and, for each k in ``scan_ks`` (default: 1, a
+    middle k, and n), the running extremes of the tail over the grid, which
+    must match the closed-form bounds — exactly in rational mode, to
+    tolerance in float.  Also checks the extremal-atom claims.
     """
     n = profile.n
     exact = profile.exact
+    if s_points < 2:
+        raise ValueError(f"s_points must be >= 2, got {s_points}")
+    scan_ks = tuple(sorted({1, (n + 1) // 2, n}) if scan_ks is None else scan_ks)
+    for k in scan_ks:
+        _check_k(k, n, high=n)
     failures = []
     zero = Fraction(0) if exact else 0.0
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
     min_atom_seen = Fraction(1) if exact else 1.0
     measures_checked = 0
+    mutual = tail_probabilities(profile)
+    # running extremes of the tail at each scan k over the grid
+    lows = highs = None
 
     for s in _s_grid(profile, s_points):
         measure = build_measure(profile, s)
@@ -461,8 +468,9 @@ def check_profile(
                 f"< {expected_order} at s = {s}"
             )
         tails = _tail_vector(measure)
+        del measure  # free the 2^n atoms before the next build
         for k in range(n + 1):
-            linear = probability_at_s(profile, k, s)
+            linear = _shifted(profile, k, mutual[k], s)
             tail_gap = max(tail_gap, abs(tails[k] - linear))
             if not close(tails[k], linear, exact=exact):
                 failures.append(
@@ -470,21 +478,21 @@ def check_profile(
                     f"at k = {k}, s = {s}"
                 )
                 break
+        values = [tails[k] for k in scan_ks]
+        lows = values if lows is None else list(map(min, lows, values))
+        highs = values if highs is None else list(map(max, highs, values))
 
     if not verify_extremal_atoms(profile):
         failures.append(f"{label}: extremal-atom check failed")
 
-    if scan_ks is None:
-        scan_ks = sorted({1, (n + 1) // 2, n})
-    for k in scan_ks:
-        scan = scan_sharpness(profile, k, scan_points)
+    for k, empirical_min, empirical_max in zip(scan_ks, lows, highs):
         report = sharp_bounds(profile, k)
-        lo_gap = abs(scan.empirical_min - report.sharp_lower)
-        hi_gap = abs(scan.empirical_max - report.sharp_upper)
+        lo_gap = abs(empirical_min - report.sharp_lower)
+        hi_gap = abs(empirical_max - report.sharp_upper)
         sharp_gap = max(sharp_gap, lo_gap, hi_gap)
         if not (
-            close(scan.empirical_min, report.sharp_lower, exact=exact)
-            and close(scan.empirical_max, report.sharp_upper, exact=exact)
+            close(empirical_min, report.sharp_lower, exact=exact)
+            and close(empirical_max, report.sharp_upper, exact=exact)
         ):
             failures.append(f"{label}: sharpness scan extremes off at k = {k}")
 
@@ -496,7 +504,7 @@ def check_profile(
         min_atom_seen=min_atom_seen,
         tail_match_gap=tail_gap,
         sharpness_gap=sharp_gap,
-        scanned_ks=tuple(scan_ks),
+        scanned_ks=scan_ks,
         failures=tuple(failures),
     )
 
@@ -526,7 +534,6 @@ def run_random_suite(
     *,
     exact: bool = False,
     s_points: int = 11,
-    scan_points: int = 11,
 ) -> SuiteReport:
     """Drive the full oracle battery over a seeded cohort of random profiles.
 
@@ -534,7 +541,7 @@ def run_random_suite(
     recorded in the report so any failure is reproducible.
     """
     checks = [
-        check_profile(profile, s_points=s_points, scan_points=scan_points, label=f"profile {idx}")
+        check_profile(profile, s_points=s_points, label=f"profile {idx}")
         for idx, profile in enumerate(random_profiles(count, max_n, seed, exact=exact))
     ]
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)

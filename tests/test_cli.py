@@ -337,6 +337,25 @@ def test_verify_suite_json(capsys):
     assert payload["failures"] == []
 
 
+def test_verify_grid_sets_the_suite_grid(capsys):
+    for grid, checked in (("3", 200 * 3), (None, 200 * 11)):
+        argv = ["verify", "--seed", "3", "--format", "json"]
+        if grid is not None:
+            argv += ["--grid", grid]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["measures_checked"] == checked
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_verify_grid_below_two_is_bad_usage(capsys, rational):
+    argv = ["verify", "--marginals", "1/2,1/3" if rational else "0.5,0.3", "--grid", "1"]
+    code, out, err = run(capsys, *argv, *(["--rational"] if rational else []))
+    assert code == 2
+    assert out == ""
+    assert "error: s_points must be >= 2, got 1" in err
+
+
 def test_verify_profile_csv(capsys):
     code, out, _ = run(
         capsys, "verify", "--marginals", "0.2,0.5", "--format", "csv", "--grid", "11"

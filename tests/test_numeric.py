@@ -105,6 +105,33 @@ def test_superset_sums_against_direct_enumeration(n):
         assert math.isclose(sums[j], direct, rel_tol=1e-12)
 
 
+def _superset_sums_per_bit(atoms, n):
+    """Reference: one plain float64 pass per bit, no paired lanes."""
+    out = atoms.copy()
+    for b in range(n):
+        view = out.reshape(-1, 2, 1 << b)
+        view[:, 0, :] += view[:, 1, :]
+    return out
+
+
+def test_superset_sums_paired_lanes_bit_identical():
+    rng = np.random.default_rng(41)
+    for n in range(15):
+        atoms = rng.random(1 << n) - 0.25
+        sums = superset_sums(atoms, n)
+        assert sums.dtype == np.float64
+        assert sums.tobytes() == _superset_sums_per_bit(atoms, n).tobytes()
+
+
+def test_superset_sums_object_array_stays_exact():
+    atoms = np.array([Fraction(i + 1, 13) for i in range(16)], dtype=object)
+    sums = superset_sums(atoms, 4)
+    assert sums.dtype == object
+    for j in range(16):
+        direct = sum((atoms[i] for i in range(16) if i & j == j), Fraction(0))
+        assert isinstance(sums[j], Fraction) and sums[j] == direct
+
+
 def test_superset_sums_exact_and_inclusive():
     atoms = [Fraction(i, 7) for i in range(8)]
     sums = superset_sums(atoms, 3)

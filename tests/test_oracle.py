@@ -245,6 +245,64 @@ def test_check_profile_exact():
     assert check.sharpness_gap == 0
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_check_profile_validates_inputs_before_building(monkeypatch, exact):
+    from nearwise import oracle
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a measure was built before the inputs were checked")
+
+    monkeypatch.setattr(oracle, "build_measure", no_build)
+    profile = from_raw([Fraction(1, 2), Fraction(1, 3)], exact=exact)
+    for points in (1, 0, -3):
+        with pytest.raises(ValueError, match="s_points"):
+            check_profile(profile, s_points=points)
+    for ks in ([-1], [profile.n + 1], [1, 3]):
+        with pytest.raises(ValueError, match="k out of range"):
+            check_profile(profile, scan_ks=ks)
+
+
+def test_check_profile_builds_each_measure_once(monkeypatch):
+    from nearwise import bounds, oracle
+
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(oracle, "build_measure")
+    counting(oracle, "scan_sharpness")
+    counting(bounds, "poisson_binomial_pmf")
+    counting(bounds, "probability_at_s")
+    check = check_profile(from_raw([0.15, 0.3, 0.45, 0.6, 0.75]), s_points=9, scan_ks=[1, 2, 5, 4])
+    assert check.passed, check.failures
+    assert check.measures_checked == 9
+    assert calls == {"build_measure": 9, "poisson_binomial_pmf": 1 + 4}
+
+
+def test_check_profile_sharpness_extremes_match_scan_sharpness_exact():
+    profile = from_raw(
+        [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(5, 6)],
+        exact=True,
+    )
+    check = check_profile(profile, s_points=6, scan_ks=range(profile.n + 1))
+    assert check.passed, check.failures
+    assert check.sharpness_gap == 0
+    for k in range(profile.n + 1):
+        scan = scan_sharpness(profile, k, 6)
+        report = sharp_bounds(profile, k)
+        assert (scan.empirical_min, scan.empirical_max) == (
+            report.sharp_lower,
+            report.sharp_upper,
+        )
+
+
 def test_run_random_suite_small():
     suite = run_random_suite(count=12, max_n=8, seed=1234)
     assert suite.passed, suite.failures
