@@ -22,6 +22,7 @@ largest marginal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,6 +35,7 @@ from .numeric import (
     ABS_TOL,
     binom_or_zero,
     cumulative_sums,
+    mode_scalar,
     poisson_binomial_pmf,
     prefix_atom,
     suffix_sums,
@@ -72,12 +74,10 @@ class TailCdf:
     exact: bool = False
 
     def __call__(self, j: int):
-        one = Fraction(1) if self.exact else 1.0
-        zero = Fraction(0) if self.exact else 0.0
         if j < 0:
-            return zero
+            return mode_scalar(0, self.values)
         if j >= len(self.values) - 1:
-            return one
+            return mode_scalar(1, self.values)
         return self.values[j]
 
     @property
@@ -159,9 +159,8 @@ def tail_probability_dp(profile: MarginalProfile, k: int):
     n = profile.n
     _check_k(k, n, high=n + 1)
     if k == n + 1:
-        return Fraction(0) if profile.exact else 0.0
-    tail = tail_probabilities(profile)[k]
-    return tail if profile.exact else float(tail)
+        return mode_scalar(0, profile.sorted_values)
+    return tail_probabilities(profile).item(k)
 
 
 def _shifted(profile: MarginalProfile, k: int, mutual, s):
@@ -171,7 +170,7 @@ def _shifted(profile: MarginalProfile, k: int, mutual, s):
     returns exactly 1 and ignores ``mutual``.
     """
     if k == 0:
-        return Fraction(1) if profile.exact else 1.0
+        return mode_scalar(1, profile.sorted_values)
     coeff = binom_or_zero(profile.n - 1, k - 1)
     if profile.exact or coeff.bit_length() <= 53:
         term = coeff * s
@@ -270,13 +269,12 @@ def bonferroni_applicable(profile: MarginalProfile) -> BonferroniStatus:
     if n < 2:
         raise ValueError(f"need at least two events, got n = {n}")
     a = profile.sorted_values
-    one = Fraction(1) if profile.exact else 1.0
     if a[-2] + a[-1] <= 1:
         none_occur = prefix_atom(a, 0)
         all_occur = prefix_atom(a, n)
         if n % 2 == 0:
-            return BonferroniStatus("upper-coincides", one - none_occur + all_occur)
-        return BonferroniStatus("lower-coincides", one - none_occur - all_occur)
+            return BonferroniStatus("upper-coincides", 1 - none_occur + all_occur)
+        return BonferroniStatus("lower-coincides", 1 - none_occur - all_occur)
     return BonferroniStatus("neither")
 
 
@@ -293,14 +291,10 @@ def lll_comparison(profile: MarginalProfile) -> LllComparison:
     if n < 2:
         raise ValueError(f"need at least two events, got n = {n}")
     a = profile.sorted_values
-    one = Fraction(1) if profile.exact else 1.0
-    sharp = one - union_bounds(profile).sharp_upper
-    prod = one
-    for ai in a:
-        prod = prod * (one - 2 * ai)
     return LllComparison(
-        sharp_no_bad_event=sharp,
-        product_bound=prod,
+        sharp_no_bad_event=1 - union_bounds(profile).sharp_upper,
+        # left to right, as a loop from 1 would multiply; n >= 2 factors
+        product_bound=math.prod(1 - 2 * ai for ai in a),
         positivity=bool(a[-1] < 1 and a[0] + a[1] < 1),
     )
 
@@ -316,16 +310,15 @@ def poisson_binomial_cdf(values: Sequence, *, exact: bool | None = None) -> Tail
     vals = list(values)
     if exact is None:
         exact = bool(vals) and all(isinstance(v, Fraction) for v in vals)
-    coerced = []
+    # an array, so that an empty exact vector keeps its mode
+    coerced = np.empty(len(vals), dtype=object if exact else np.float64)
     for i, v in enumerate(vals):
         x = Fraction(str(v)) if exact and isinstance(v, float) else (Fraction(v) if exact else float(v))
         if not 0 <= x <= 1:
             raise ValueError(f"value out of [0,1] at index {i + 1}")
-        coerced.append(x)
+        coerced[i] = x
     cdf = cumulative_sums(poisson_binomial_pmf(coerced))
-    if isinstance(cdf, np.ndarray):
-        cdf = cdf.tolist()
-    return TailCdf(values=tuple(cdf), exact=exact)
+    return TailCdf(values=tuple(cdf.tolist()), exact=exact)
 
 
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
@@ -347,13 +340,12 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     """
     n = profile.n
     _check_k(k, n, high=n)
-    exact = profile.exact
-    one = Fraction(1) if exact else 1.0
+    a = profile.sorted_values
+    one = mode_scalar(1, a)
     if k == 0:
         return MakarovBounds(one, one, one, one)
-    a = profile.sorted_values
     a_n = a[-1]
-    f1 = poisson_binomial_cdf(a[:-1], exact=exact)
+    f1 = poisson_binomial_cdf(a[:-1], exact=profile.exact)
     two = one + one
     upper = min(two - max(f1(k - 1) + a_n, f1(k - 2) + one), one)
     lower = max(one - min(f1(k), f1(k - 1) + a_n), one - one)

@@ -62,6 +62,17 @@ TABLE_PRESETS = {
 }
 
 
+def _positive_int(token: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {token!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _parse_value(token: str, rational: bool):
     try:
         return Fraction(token) if rational else float(token)
@@ -190,7 +201,7 @@ def cmd_measure(args, parser) -> int:
         elif endpoint == "max":
             s = iv.s_max
         else:
-            s = Fraction(0) if profile.exact else 0.0
+            s = 0  # build_measure reads it in the profile's arithmetic
     measure = build_measure(profile, s)
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
     if args.format == "json":
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     output_args.add_argument(
         "--precision",
-        type=int,
+        type=_positive_int,
         default=5,
         help="significant digits for text/csv output (default 5)",
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numeric import MAX_DENOMINATOR
+from .numeric import MAX_DENOMINATOR, mode_dtype
 
 
 class MarginalError(ValueError):
@@ -48,7 +48,7 @@ class MarginalProfile:
     @property
     def exact(self) -> bool:
         """True when the profile carries exact rationals rather than floats."""
-        return bool(self.sorted_values) and isinstance(self.sorted_values[0], Fraction)
+        return mode_dtype(self.sorted_values) == object
 
     def to_input_order(self) -> tuple:
         """The values as originally supplied, before sorting."""

@@ -19,12 +19,14 @@ atoms).
 
 Every member of the family shares one product-atom table, so it is built
 once per profile (:func:`product_atoms`), as is the subset-product table the
-oracle checks against.  Both are read-only and stay on the profile while it
-lives: 2^n entries of 8 bytes each, 8 MB per table at n = 20.
+oracle checks against.  Both are read-only arrays and stay on the profile
+while it lives: 2^n entries of 8 bytes each, 8 MB per table at n = 20, plus
+one ``Fraction`` per entry in exact mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,8 +39,12 @@ from .numeric import (
     ABS_TOL,
     ENUMERATION_CAP,
     atom_products_dense,
+    mode_dtype,
+    mode_scalar,
+    mode_sum,
     popcount_table,
     prefix_atom,
+    subset_atom,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -62,9 +68,12 @@ def _check_cap(n: int) -> None:
 
 
 def _coerce_s(profile: MarginalProfile, s):
-    """``s`` in the profile's arithmetic: a ``Fraction`` or a float."""
+    """``s`` in the profile's arithmetic: a ``Fraction`` or a finite float."""
     if not profile.exact:
-        return float(s)
+        s = float(s)
+        if not math.isfinite(s):
+            raise ValueError(f"s must be finite, got {s}")
+        return s
     if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
         raise TypeError("exact profiles require an exact s (int or Fraction)")
     return Fraction(s)
@@ -102,25 +111,32 @@ class AtomicMeasure:
     """A probability assignment to all 2^n atoms.
 
     ``atom_probs[mask]`` is the probability that exactly the events in
-    ``mask`` occur.  ``s`` records the family parameter that generated the
-    measure; it is ``None`` for externally supplied measures.
+    ``mask`` occur: a read-only array, ``float64`` or, in exact mode,
+    ``object`` holding ``Fraction``s.  A tuple, list or writable array given
+    here is copied into one.  ``s`` records the family parameter that
+    generated the measure; it is ``None`` for externally supplied measures.
     """
 
     n: int
-    atom_probs: object  # np.ndarray (floating) or tuple[Fraction, ...] (exact)
+    atom_probs: np.ndarray
     s: object = None
+
+    def __post_init__(self):
+        atoms = self.atom_probs
+        if not isinstance(atoms, np.ndarray) or atoms.flags.writeable:
+            atoms = np.array(atoms, dtype=mode_dtype(atoms))
+            atoms.setflags(write=False)
+            object.__setattr__(self, "atom_probs", atoms)
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.atom_probs, np.ndarray)
+        return self.atom_probs.dtype == object
 
     def atom(self, mask: SubsetMask):
-        return self.atom_probs[mask]
+        return self.atom_probs.item(mask)
 
     def total(self):
-        if self.exact:
-            return sum(self.atom_probs, Fraction(0))
-        return float(np.sum(self.atom_probs))
+        return mode_sum(self.atom_probs)
 
 
 @dataclass(frozen=True)
@@ -153,11 +169,7 @@ def atom_product(profile: MarginalProfile, mask: SubsetMask):
     values = profile.sorted_values
     if mask < 0 or mask >> len(values):
         raise ValueError(f"mask {mask:#x} is not an {len(values)}-bit subset mask")
-    one = Fraction(1) if profile.exact else 1.0
-    out = one
-    for j, a in enumerate(values):
-        out = out * (a if (mask >> j) & 1 else one - a)
-    return out
+    return subset_atom(values, mask)
 
 
 def invariant_p(profile: MarginalProfile) -> int:
@@ -204,7 +216,7 @@ def s_interval(profile: MarginalProfile) -> SInterval:
     p = invariant_p(profile)
     m = invariant_m(profile)
     values = profile.sorted_values
-    zero = Fraction(0) if profile.exact else 0.0
+    zero = mode_scalar(0, values)
     if profile.n == 1:
         return SInterval(s_min=zero, s_max=zero, p=p, m=m)
     s_min = -prefix_atom(values, 2 * m)
@@ -217,19 +229,15 @@ def s_interval(profile: MarginalProfile) -> SInterval:
 def _profile_table(profile: MarginalProfile, name: str, build: Callable):
     """The dense table ``build(profile.sorted_values)``, built once per profile.
 
-    Kept read-only (an ``np.ndarray`` that refuses writes, or a tuple of
-    ``Fraction``) in the instance ``__dict__`` under ``name``, as
-    ``functools.cached_property`` does, so it is freed with the profile.
+    Kept as a read-only array in the instance ``__dict__`` under ``name``,
+    as ``functools.cached_property`` does, so it is freed with the profile.
     A cache keyed on the profile would be wrong: a float and an exact
     profile with equal values compare and hash equal.
     """
     cache = profile.__dict__
     if name not in cache:
         table = build(profile.sorted_values)
-        if isinstance(table, np.ndarray):
-            table.setflags(write=False)
-        else:
-            table = tuple(table)
+        table.setflags(write=False)
         cache[name] = table
     return cache[name]
 
@@ -247,14 +255,12 @@ def _odd_parity(n: int) -> np.ndarray:
     return odd
 
 
-def _signed_offsets(n: int, s):
+def _signed_offsets(n: int, s) -> np.ndarray:
     """Vector of (-1)^|J| * s over all masks, matching atom storage order.
 
-    A fresh list for a ``Fraction`` s, else a fresh float array that the
-    caller may sum into.
+    A fresh array that the caller may sum into: ``object`` holding
+    ``Fraction``s for a ``Fraction`` s, else ``float64``.
     """
-    if isinstance(s, Fraction):
-        return [-s if odd else s for odd in _odd_parity(n).tolist()]
     return np.where(_odd_parity(n), -s, s)
 
 
@@ -271,39 +277,29 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
     """
     n = profile.n
     _check_cap(n)
-    exact = profile.exact
     s = _coerce_s(profile, s)
 
-    base = product_atoms(profile)
     atoms = _signed_offsets(n, s)
-    if exact:
-        atoms = [b + o for b, o in zip(base, atoms)]
-    else:
-        np.add(base, atoms, out=atoms)
+    np.add(product_atoms(profile), atoms, out=atoms)
 
     if validate:
         iv = s_interval(profile)
-        slack = 0 if exact else ABS_TOL
+        slack = 0 if profile.exact else ABS_TOL
         if s < iv.s_min - slack or s > iv.s_max + slack:
             endpoint = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
-            if exact:
-                first_bad = min(mask for mask, v in enumerate(atoms) if v < 0)
-            else:
-                bad = np.flatnonzero(atoms < -slack)
-                first_bad = int(bad[0]) if bad.size else int(np.argmin(atoms))
+            bad = np.flatnonzero(atoms < -slack)
+            first_bad = int(bad[0]) if bad.size else int(np.argmin(atoms))
             raise FeasibilityError(
                 f"s = {s} lies outside the feasible interval: violates "
                 f"{endpoint[0]} = {endpoint[1]}; atom {set(mask_indices(first_bad)) or '{}'} "
                 f"would be negative"
             )
-        # the mask costs three 2^n temporaries, so skip it when no atom is negative
-        if not exact and atoms.min() < 0.0:
+        # the mask costs three 2^n temporaries, so skip it when no atom is
+        # negative; with no slack (exact mode) there is no dust to clamp
+        if slack and atoms.min() < 0.0:
             atoms[(atoms > -slack) & (atoms < 0.0)] = 0.0
 
-    if exact:
-        atoms = tuple(atoms)
-    else:
-        atoms.setflags(write=False)
+    atoms.setflags(write=False)
     return AtomicMeasure(n=n, atom_probs=atoms, s=s)
 
 
@@ -332,13 +328,8 @@ def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
     n = measure.n
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} is not an {n}-bit subset mask")
-    if measure.exact:
-        return sum(
-            (v for m, v in enumerate(measure.atom_probs) if m & mask == mask),
-            Fraction(0),
-        )
     sel = (np.arange(1 << n) & mask) == mask
-    return float(np.sum(measure.atom_probs[sel]))
+    return mode_sum(measure.atom_probs[sel])
 
 
 def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
@@ -363,7 +354,7 @@ def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:
         "atoms": [
             {
                 "subset": list(original_subset(profile, mask)),
-                "prob": float(measure.atom_probs[mask]),
+                "prob": float(measure.atom_probs.item(mask)),
             }
             for mask in range(1 << measure.n)
         ],

@@ -36,6 +36,7 @@ from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
     _check_cap,
+    _odd_parity,
     _profile_table,
     _signed_offsets,
     build_measure,
@@ -48,6 +49,8 @@ from .measures import (
 from .numeric import (
     ABS_TOL,
     close,
+    mode_scalar,
+    mode_sum,
     popcount_table,
     prefix_atom,
     subset_products_dense,
@@ -125,25 +128,16 @@ def enumerate_tail(measure: AtomicMeasure, k: int):
     n = measure.n
     _check_cap(n)
     _check_k(k, n, high=n + 1)
-    pc = popcount_table(n)
-    if measure.exact:
-        return sum(
-            (v for v, c in zip(measure.atom_probs, pc) if c >= k),
-            Fraction(0),
-        )
-    return float(np.sum(measure.atom_probs[pc >= k]))
+    return mode_sum(measure.atom_probs[popcount_table(n) >= k])
 
 
 def _tail_vector(measure: AtomicMeasure):
     """All tails P(at least k occur), k = 0..n, from one pass over atoms."""
-    n = measure.n
-    pc = popcount_table(n)
-    if measure.exact:
-        by_count = [Fraction(0)] * (n + 1)
-        for v, c in zip(measure.atom_probs, pc):
-            by_count[c] += v
-    else:
-        by_count = np.bincount(pc, weights=measure.atom_probs, minlength=n + 1)
+    atoms = measure.atom_probs
+    by_count = np.zeros(measure.n + 1, dtype=atoms.dtype)
+    # adds in mask order, as ``np.bincount`` would; every count has an atom,
+    # so no exact entry stays the int 0 it starts as
+    np.add.at(by_count, popcount_table(measure.n), atoms)
     return suffix_sums(by_count)
 
 
@@ -159,8 +153,7 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     _check_cap(n)
     if profile.n != n:
         raise ValueError(f"profile has n = {profile.n} but measure has n = {n}")
-    exact = measure.exact
-    tol = 0 if exact else ABS_TOL
+    tol = 0 if measure.exact else ABS_TOL
 
     atoms = measure.atom_probs
     sums = superset_sums(atoms, n)
@@ -170,23 +163,19 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     violations = []
 
     # Normalization: total mass is the superset sum at the empty subset.
-    norm_residual = sums[0] - 1
+    norm_residual = sums.item(0) - 1
     if abs(norm_residual) > tol:
         violations.append(("normalization", tuple(range(1, n + 1))))
 
-    # Nonnegativity.
-    if exact:
-        min_atom = min(atoms)
-        argmin_mask = min(m for m, v in enumerate(atoms) if v == min_atom)
-    else:
-        argmin_mask = int(np.argmin(atoms))
-        min_atom = float(atoms[argmin_mask])
+    # Nonnegativity; ``argmin`` reports the first minimal mask.
+    argmin_mask = int(np.argmin(atoms))
+    min_atom = atoms.item(argmin_mask)
     if min_atom < -tol:
         violations.append(("nonnegativity", tuple(mask_indices(argmin_mask))))
 
     # Marginals, reported in the caller's input order.
     sorted_residuals = [
-        sums[1 << j] - profile.sorted_values[j] for j in range(n)
+        sums.item(1 << j) - profile.sorted_values[j] for j in range(n)
     ]
     marginal_residuals = [None] * n
     for j in range(n):
@@ -199,43 +188,29 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     # measure, but the full subset decides whether the order reaches n.
     first_bad_mask = None
     order = n
-    if exact:
-        worst_product = abs(norm_residual)
-        first_bad_level = n + 1
-        for m in range(1, 1 << n):
-            level = int(pc[m])
-            r = abs(sums[m] - products[m])
-            if level <= n - 1 and r > worst_product:
-                worst_product = r
-            if r > tol and level < first_bad_level:
-                first_bad_level = level
-                first_bad_mask = m if level <= n - 1 else None
-        if first_bad_level <= n:
-            order = first_bad_level - 1
-    else:
-        # In place: ``sums`` is a fresh copy whose entries 0 and 1 << j were
-        # read above.  Only the full set, the last mask, has |J| = n.
-        residuals = np.abs(np.subtract(sums, products, out=sums), out=sums)
-        worst_product = float(np.max(residuals[:-1]))
-        # the empty set's residual is the normalization defect, already
-        # reported; the product rule starts at |J| = 1, as in exact mode
-        bad_masks = np.flatnonzero(residuals[1:] > tol) + 1
-        if bad_masks.size:
-            bad_levels = pc[bad_masks]
-            first_bad_level = int(bad_levels.min())
-            order = first_bad_level - 1
-            if first_bad_level <= n - 1:
-                at_level = bad_masks[bad_levels == first_bad_level]
-                first_bad_mask = int(at_level.min())
+    # In place: ``sums`` is a fresh copy whose entries 0 and 1 << j were
+    # read above.  Only the full set, the last mask, has |J| = n.
+    residuals = np.abs(np.subtract(sums, products, out=sums), out=sums)
+    worst_product = residuals.item(int(np.argmax(residuals[:-1])))
+    # the empty set's residual is the normalization defect, already
+    # reported; the product rule starts at |J| = 1
+    bad_masks = np.flatnonzero(residuals[1:] > tol) + 1
+    if bad_masks.size:
+        bad_levels = pc[bad_masks]
+        first_bad_level = int(bad_levels.min())
+        order = first_bad_level - 1
+        if first_bad_level <= n - 1:
+            at_level = bad_masks[bad_levels == first_bad_level]
+            first_bad_mask = int(at_level.min())
     if first_bad_mask is not None:
         violations.append(("product-rule", tuple(mask_indices(first_bad_mask))))
 
     return VerificationReport(
-        normalization_residual=norm_residual if exact else float(norm_residual),
+        normalization_residual=norm_residual,
         min_atom=min_atom,
         marginal_residuals=tuple(marginal_residuals),
         independence_order=order,
-        worst_product_residual=worst_product if exact else float(worst_product),
+        worst_product_residual=worst_product,
         lemma_violations=tuple(violations),
     )
 
@@ -248,10 +223,8 @@ def kernel_residual(offsets: Sequence, n: int):
     to any valid measure changes no P(all of J occur) for proper J.
     """
     _check_cap(n)
-    sums = superset_sums(offsets, n)
-    if isinstance(sums, np.ndarray):
-        return float(np.max(np.abs(sums[:-1]))) if n >= 1 else 0.0
-    return max((abs(v) for v in sums[:-1]), default=Fraction(0))
+    sums = np.abs(superset_sums(offsets, n)[:-1])
+    return np.max(sums, initial=mode_scalar(0, sums), keepdims=True).item()
 
 
 def verify_kernel(n: int, s) -> bool:
@@ -287,34 +260,19 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     atoms = product_atoms(profile)
     pc = popcount_table(n)
     prefixes = [prefix_atom(values, t) for t in range(n + 1)]
-
-    if exact:
-        odd_min = None
-        even_min = None
-        for m, v in enumerate(atoms):
-            c = int(pc[m])
-            if v < prefixes[c]:
-                return False
-            if c & 1:
-                odd_min = v if odd_min is None or v < odd_min else odd_min
-            else:
-                even_min = v if even_min is None or v < even_min else even_min
-    else:
-        floors = np.asarray(prefixes, dtype=np.float64)[pc]
-        if np.any(atoms < floors - tol):
-            return False
-        odd_mask = (pc & 1).astype(bool)
-        odd_min = float(np.min(atoms[odd_mask])) if odd_mask.any() else None
-        even_min = float(np.min(atoms[~odd_mask]))
+    floors = np.array([f - tol for f in prefixes], dtype=atoms.dtype)
+    if np.any(atoms < floors[pc]):
+        return False
+    odd = _odd_parity(n)
+    # n >= 1, so both parities have atoms
+    odd_min = atoms[odd].min()
+    even_min = atoms[~odd].min()
 
     p = invariant_p(profile)
     m = invariant_m(profile)
-    if odd_min is not None:
-        if not close(odd_min, prefixes[2 * p + 1], exact=exact):
-            return False
-    if not close(even_min, prefixes[2 * m], exact=exact):
-        return False
-    return True
+    return close(odd_min, prefixes[2 * p + 1], exact=exact) and close(
+        even_min, prefixes[2 * m], exact=exact
+    )
 
 
 def _s_grid(profile: MarginalProfile, points: int):
@@ -438,11 +396,11 @@ def check_profile(
     for k in scan_ks:
         _check_k(k, n, high=n)
     failures = []
-    zero = Fraction(0) if exact else 0.0
+    zero = mode_scalar(0, profile.sorted_values)
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
-    min_atom_seen = Fraction(1) if exact else 1.0
+    min_atom_seen = mode_scalar(1, profile.sorted_values)
     measures_checked = 0
-    mutual = tail_probabilities(profile)
+    mutual = tail_probabilities(profile).tolist()
     # running extremes of the tail at each scan k over the grid
     lows = highs = None
 
@@ -467,7 +425,7 @@ def check_profile(
                 f"{label}: independence order {report.independence_order} "
                 f"< {expected_order} at s = {s}"
             )
-        tails = _tail_vector(measure)
+        tails = _tail_vector(measure).tolist()
         del measure  # free the 2^n atoms before the next build
         for k in range(n + 1):
             linear = _shifted(profile, k, mutual[k], s)

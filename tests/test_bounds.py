@@ -71,7 +71,7 @@ def test_tail_probabilities_matches_per_k_dp():
     for k in range(profile.n + 1):
         assert math.isclose(sweep[k], tail_probability_dp(profile, k), rel_tol=1e-14)
     exact = from_raw([Fraction(1, 3)] * 3, exact=True)
-    assert tail_probabilities(exact) == [
+    assert list(tail_probabilities(exact)) == [
         tail_probability_dp(exact, k) for k in range(4)
     ]
 
@@ -441,3 +441,32 @@ def test_prefix_atom_consistency_with_interval():
     a = profile.sorted_values
     assert iv.s_max == prefix_atom(a, 2 * iv.p + 1)
     assert iv.s_min == -prefix_atom(a, 2 * iv.m)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_probability_at_s_rejects_non_finite_s(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        probability_at_s(from_raw([0.5, 0.5]), 1, s)
+
+
+def test_makarov_single_event_exact_stays_exact():
+    # n = 1 hands an empty vector to the CDF; it must stay exact
+    profile = from_raw([Fraction(1, 3)], exact=True)
+    for k in (0, 1):
+        mk = makarov_bounds(profile, k)
+        for value in (mk.lower, mk.upper, mk.conv_lower, mk.conv_upper):
+            assert type(value) is Fraction
+    exact, floating = makarov_bounds(profile, 1), makarov_bounds(from_raw([1 / 3]), 1)
+    for field in ("lower", "upper", "conv_lower", "conv_upper"):
+        assert float(getattr(exact, field)) == pytest.approx(getattr(floating, field))
+    empty = poisson_binomial_cdf([], exact=True)
+    assert empty.values == (1,) and type(empty.values[0]) is Fraction
+    assert type(empty(-1)) is Fraction and type(empty(3)) is Fraction
+
+
+def test_lll_product_bound_multiplies_left_to_right():
+    values = [0.11, 0.23, 0.37, 0.41]
+    expected = 1.0
+    for a in values:
+        expected = expected * (1.0 - 2 * a)
+    assert lll_comparison(from_raw(values)).product_bound == expected

@@ -409,3 +409,25 @@ def test_rational_fraction_tokens(capsys):
     )
     assert code == 0
     assert "[-1.2500e-01, 1.2500e-01]" in out
+
+
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_measure_non_finite_s_is_bad_usage(capsys, s):
+    code, out, err = run(capsys, "measure", "--marginals", "0.5,0.5", "--s", s)
+    assert code == 2
+    assert out == ""
+    assert f"error: s must be finite, got {s}" in err
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("precision", ["0", "-2", "x"])
+def test_precision_must_be_a_positive_integer(capsys, rational, precision):
+    marginals = "1/2,1/3" if rational else "0.5,0.3"
+    argv = ["bound", "--marginals", marginals, "--k", "1", "--precision", precision]
+    code, out, err = run_exit(capsys, *argv, *(["--rational"] if rational else []))
+    assert code == 2
+    assert out == ""
+    assert "argument --precision: expected an integer >= 1" in err
+    code, out, _ = run(capsys, *argv[:-1], "1", *(["--rational"] if rational else []))
+    assert code == 0
+    assert "sharp lower  " in out

@@ -170,7 +170,7 @@ def test_profile_tables_are_read_only():
             table[0] = 0.5
     exact = from_raw([Fraction(1, 4), Fraction(1, 2)], exact=True)
     for table in (product_atoms(exact), subset_products(exact)):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="read-only"):
             table[0] = Fraction(1, 2)
     # a built measure owns its atoms; the shared table stays untouched
     assert not np.shares_memory(build_measure(profile, 0.0).atom_probs, product_atoms(profile))
@@ -185,10 +185,10 @@ def test_equal_float_and_exact_profiles_keep_their_own_tables():
     assert product_atoms(floating).dtype == np.float64
     assert subset_products(floating).dtype == np.float64
     for table in (product_atoms(exact), subset_products(exact)):
-        assert isinstance(table, tuple)
+        assert table.dtype == object and not table.flags.writeable
         assert all(type(v) is Fraction for v in table)
-    assert list(product_atoms(exact)) == atom_products_dense(exact.sorted_values)
-    assert list(subset_products(exact)) == subset_products_dense(exact.sorted_values)
+    assert list(product_atoms(exact)) == list(atom_products_dense(exact.sorted_values))
+    assert list(subset_products(exact)) == list(subset_products_dense(exact.sorted_values))
 
 
 def test_build_measure_rejects_infeasible_s():
@@ -218,7 +218,37 @@ def test_build_measure_exact_requires_exact_s():
         build_measure(profile, 0.1)
     measure = build_measure(profile, Fraction(1, 4))
     assert measure.exact
-    assert measure.atom_probs == (Fraction(1, 2), 0, 0, Fraction(1, 2))
+    assert list(measure.atom_probs) == [Fraction(1, 2), 0, 0, Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+def test_build_measure_rejects_non_finite_s(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        build_measure(from_raw([0.5, 0.5]), s)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_atomic_measure_takes_any_container_as_a_read_only_array(exact):
+    if exact:
+        profile = from_raw([Fraction(1, 3), Fraction(1, 2)], exact=True)
+        atoms = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 3), Fraction(1, 6)]
+    else:
+        profile = from_raw([1 / 3, 0.5])
+        atoms = [1 / 3, 1 / 6, 1 / 3, 1 / 6]
+    reports = []
+    for given in (tuple(atoms), list(atoms), np.array(atoms)):
+        measure = AtomicMeasure(n=2, atom_probs=given)
+        assert isinstance(measure.atom_probs, np.ndarray)
+        assert not measure.atom_probs.flags.writeable
+        assert measure.exact == exact
+        assert list(measure.atom_probs) == atoms
+        reports.append(verify_measure(measure, profile))
+    assert reports[0] == reports[1] == reports[2]
+    # a writable array is copied, so the caller can neither see nor make a change
+    given = np.array(atoms)
+    measure = AtomicMeasure(n=2, atom_probs=given)
+    given[0] = given[1]
+    assert list(measure.atom_probs) == atoms
 
 
 def test_build_measure_enumeration_cap():

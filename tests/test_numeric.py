@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from nearwise.numeric import (
     close,
     cumulative_sums,
     format_scientific,
-    is_exact,
     poisson_binomial_pmf,
     popcount_table,
     prefix_atom,
@@ -37,12 +37,6 @@ def test_close_modes():
     assert close(0.0, 5e-13, exact=False)  # absolute floor near zero
     assert close(Fraction(1, 3), Fraction(1, 3), exact=True)
     assert not close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30), exact=True)
-
-
-def test_is_exact():
-    assert is_exact(Fraction(1, 2))
-    assert not is_exact(0.5)
-    assert not is_exact(1)
 
 
 def test_prefix_atom_float():
@@ -73,7 +67,7 @@ def test_atom_products_dense_matches_prefix_atoms_bitwise():
 def test_atom_products_dense_exact_normalizes():
     values = [Fraction(1, 3), Fraction(2, 7)]
     atoms = atom_products_dense(values)
-    assert isinstance(atoms, list)
+    assert atoms.dtype == object
     assert sum(atoms, Fraction(0)) == 1
     assert atoms[0b11] == Fraction(1, 3) * Fraction(2, 7)
 
@@ -145,7 +139,7 @@ def test_poisson_binomial_pmf_known_values():
     pmf = poisson_binomial_pmf([0.5, 0.5])
     assert np.allclose(pmf, [0.25, 0.5, 0.25])
     exact = poisson_binomial_pmf([Fraction(1, 2)] * 3)
-    assert exact == [Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)]
+    assert list(exact) == [Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)]
 
 
 def test_poisson_binomial_pmf_heterogeneous():
@@ -169,15 +163,15 @@ def test_suffix_sums():
     assert tails[0] == 1.0
     assert math.isclose(tails[1], 0.75)
     exact = poisson_binomial_pmf([Fraction(1, 2)] * 2)
-    assert suffix_sums(exact) == [1, Fraction(3, 4), Fraction(1, 4)]
+    assert list(suffix_sums(exact)) == [1, Fraction(3, 4), Fraction(1, 4)]
 
 
 def test_cumulative_sums_same_order_for_arrays_and_lists():
     values = [0.1, 0.2, 0.3, 1e-17, 0.7, 1e16, -1e16]
-    as_list = cumulative_sums(values)
-    assert isinstance(as_list, list)
-    assert as_list == cumulative_sums(np.array(values)).tolist()
-    assert suffix_sums(values) == suffix_sums(np.array(values)).tolist()
+    from_list = cumulative_sums(values)
+    assert from_list.tolist() == list(accumulate(values))
+    assert from_list.tolist() == cumulative_sums(np.array(values)).tolist()
+    assert suffix_sums(values).tolist() == suffix_sums(np.array(values)).tolist()
 
 
 def test_format_scientific():
@@ -202,3 +196,47 @@ def test_format_scientific_half_way_rationals():
     # the float formatter keeps its own convention (ties to even on the
     # binary value); 1/256 is exactly representable, so the two paths split
     assert format_scientific(1 / 256) == "3.9062e-03"
+
+
+def _pmf_by_enumeration(values):
+    """Reference: the mass of each count, summed over all 2^n outcomes."""
+    n = len(values)
+    pmf = [Fraction(0)] * (n + 1)
+    for mask in range(1 << n):
+        atom = Fraction(1)
+        for j, a in enumerate(values):
+            atom *= a if mask >> j & 1 else 1 - a
+        pmf[bin(mask).count("1")] += atom
+    return pmf
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [Fraction(1, 3), Fraction(2, 7), Fraction(999999, 10**6)],
+        [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2, 7)],
+        [Fraction(1), Fraction(1)],
+        [Fraction(3, 8)],
+        [Fraction(0)],
+    ],
+)
+def test_poisson_binomial_pmf_exact_matches_enumeration(values):
+    pmf = poisson_binomial_pmf(values)
+    assert pmf.dtype == object
+    assert all(type(v) is Fraction for v in pmf)
+    assert list(pmf) == _pmf_by_enumeration(values)
+
+
+def test_poisson_binomial_pmf_empty_keeps_its_mode():
+    exact = poisson_binomial_pmf(np.array([], dtype=object))
+    assert exact.dtype == object and list(exact) == [1] and type(exact[0]) is Fraction
+    floating = poisson_binomial_pmf([])
+    assert floating.dtype == np.float64 and floating.tolist() == [1.0]
+
+
+def test_format_scientific_rejects_no_digits():
+    for digits in (0, -2):
+        with pytest.raises(ValueError, match="sig_digits must be >= 1"):
+            format_scientific(0.5, digits)
+        with pytest.raises(ValueError, match="sig_digits must be >= 1"):
+            format_scientific(Fraction(1, 3), digits)

@@ -344,3 +344,45 @@ def test_enumerate_tail_agrees_with_dp_at_product_measure():
     measure = build_measure(profile, 0)
     for k in range(profile.n + 2):
         assert enumerate_tail(measure, k) == tail_probability_dp(profile, k)
+
+
+def test_exact_mode_scalars_are_fractions():
+    """Empty object-array sums hold int 0; every exact result must not."""
+    profile = from_raw([Fraction(1, 3), Fraction(2, 7), Fraction(999999, 10**6)], exact=True)
+    n = profile.n
+    iv = s_interval(profile)
+    measure = build_measure(profile, iv.s_max)
+    scalars = [
+        iv.s_min,
+        iv.s_max,
+        enumerate_tail(measure, n + 1),
+        enumerate_tail(measure, 0),
+        tail_probability_dp(profile, n + 1),
+        tail_probability_dp(profile, 0),
+        measure.total(),
+        measure.atom(0),
+    ]
+    report = verify_measure(measure, profile)
+    scalars += [
+        report.normalization_residual,
+        report.min_atom,
+        report.worst_product_residual,
+        *report.marginal_residuals,
+    ]
+    for k in range(n + 1):
+        bound = sharp_bounds(profile, k)
+        scalars += [bound.exact_mutual, bound.sharp_lower, bound.sharp_upper]
+        scalars.append(probability_at_s(profile, k, iv.s_min))
+    check = check_profile(profile, s_points=3)
+    assert check.passed
+    scalars += [
+        check.worst_normalization,
+        check.worst_marginal,
+        check.worst_product,
+        check.min_atom_seen,
+        check.tail_match_gap,
+        check.sharpness_gap,
+    ]
+    assert enumerate_tail(measure, n + 1) == 0
+    for value in scalars:
+        assert type(value) is Fraction, value
