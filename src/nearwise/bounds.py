@@ -30,9 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .marginals import MarginalProfile
-from .measures import FeasibilityError, _coerce_s, s_interval
+from .measures import _coerce_s, check_feasible, s_interval
 from .numeric import (
-    ABS_TOL,
     binom_or_zero,
     cumulative_sums,
     mode_scalar,
@@ -192,12 +191,7 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     """
     _check_k(k, profile.n, high=profile.n)
     s = _coerce_s(profile, s)
-    iv = s_interval(profile)
-    slack = 0 if profile.exact else ABS_TOL
-    if s < iv.s_min - slack or s > iv.s_max + slack:
-        raise FeasibilityError(
-            f"s = {s} lies outside the feasible interval [{iv.s_min}, {iv.s_max}]"
-        )
+    check_feasible(profile, s)
     # at k = 0 the answer is 1 without a tail, so skip the convolution
     return _shifted(profile, k, tail_probability_dp(profile, k) if k else None, s)
 

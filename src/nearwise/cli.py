@@ -11,39 +11,28 @@ Subcommands::
 Profiles come from ``--marginals`` (comma-separated values) or ``--input``
 (JSON or CSV file); ``--rational`` switches to exact Fraction arithmetic
 and accepts fraction syntax such as ``1/3``.  Output formats are text
-(default), json, and csv.  Exit codes: 0 success, 2 bad usage or invalid
-input, 1 internal error or verification failure.
+(default), json (floats, also under ``--rational``), and csv.  Exit codes:
+0 success, 2 bad usage or invalid input, 1 internal error or verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import Callable
 
 from .bounds import makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, from_raw, load_profile
-from .measures import (
-    build_measure,
-    invariant_m,
-    invariant_p,
-    measure_to_dict,
-    original_subset,
-    s_interval,
-)
+from .measures import build_measure, measure_to_dict, original_subset, s_interval
 from .numeric import format_scientific
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
 from .reference import ROW_KINDS, reference_cell
-
-_KIND_LABELS = {
-    "makarov_lower": "makarov lower",
-    "sharp_lower": "sharp lower",
-    "exact": "exact",
-    "sharp_upper": "sharp upper",
-    "makarov_upper": "makarov upper",
-}
 
 
 @dataclass(frozen=True)
@@ -60,6 +49,43 @@ TABLE_PRESETS = {
     "paper-table-1": TableSpec(8, ("0.1", "0.2", "0.3", "0.4", "0.5"), 1, 4),
     "paper-table-2": TableSpec(8, ("0.1", "0.2", "0.3", "0.4", "0.5"), 5, 8),
 }
+
+
+@dataclass(frozen=True)
+class Output:
+    """One subcommand's result in every output format.
+
+    ``payload()`` builds the JSON document, ``rows()`` the CSV rows of raw
+    values under the header ``columns``, and ``text()`` the text lines.
+    :func:`main` calls only the one its ``--format`` asks for, so a large
+    form is never built for nothing; ``code`` is the exit code.
+    """
+
+    payload: Callable[[], object]
+    columns: tuple
+    rows: Callable[[], list]
+    text: Callable[[], list]
+    code: int = 0
+
+
+def _cell(value, precision: int) -> str:
+    """Ints (and bools) and strings as they are; other numbers at ``precision`` digits."""
+    return str(value) if isinstance(value, (int, str)) else format_scientific(value, precision)
+
+
+def _write_lines(lines) -> None:
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _write_json(payload) -> None:
+    """``json.dumps(payload, indent=2)`` and a newline, never held as one string.
+
+    Chunks are joined 16k at a time: one write per chunk to a pipe costs more than encoding.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 16384)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _positive_int(token: str) -> int:
@@ -99,34 +125,7 @@ def _require_profile(args, parser):
     return profile
 
 
-def _emit(lines):
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _bound_lines_text(profile, reports, precision):
-    fmt = lambda v: format_scientific(v, precision)  # noqa: E731
-    if len(reports) == 1:
-        r = reports[0]
-        return [
-            f"n = {profile.n}  k = {r.k}",
-            f"sharp lower  {fmt(r.sharp_lower)}  (at s = {fmt(r.s_at_lower)})",
-            f"exact        {fmt(r.exact_mutual)}",
-            f"sharp upper  {fmt(r.sharp_upper)}  (at s = {fmt(r.s_at_upper)})",
-            f"coefficient  {r.coefficient}",
-        ]
-    width = precision + 6
-    lines = [f"n = {profile.n}"]
-    header = f"{'k':>4}  {'exact':>{width}}  {'lower':>{width}}  {'upper':>{width}}"
-    lines.append(header)
-    for r in reports:
-        lines.append(
-            f"{r.k:>4}  {fmt(r.exact_mutual):>{width}}  "
-            f"{fmt(r.sharp_lower):>{width}}  {fmt(r.sharp_upper):>{width}}"
-        )
-    return lines
-
-
-def cmd_bound(args, parser) -> int:
+def cmd_bound(args, parser) -> Output:
     profile = _require_profile(args, parser)
     if args.all_k:
         ks = range(1, profile.n + 1)
@@ -135,94 +134,84 @@ def cmd_bound(args, parser) -> int:
     else:
         parser.error("one of --k or --all-k is required")
     reports = [sharp_bounds(profile, k) for k in ks]
-    if args.format == "json":
-        if len(reports) == 1:
-            payload = {"n": profile.n, **report_to_dict(reports[0])}
-        else:
-            payload = {"n": profile.n, "reports": [report_to_dict(r) for r in reports]}
-        _emit([json.dumps(payload, indent=2)])
-    elif args.format == "csv":
-        fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
-        lines = ["k,exact,lower,upper"]
-        for r in reports:
-            lines.append(
-                f"{r.k},{fmt(r.exact_mutual)},{fmt(r.sharp_lower)},{fmt(r.sharp_upper)}"
-            )
-        _emit(lines)
+    rows = [(r.k, r.exact_mutual, r.sharp_lower, r.sharp_upper) for r in reports]
+    fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
+
+    if len(reports) == 1:
+        (r,) = reports
+        payload = lambda: {"n": profile.n, **report_to_dict(r)}  # noqa: E731
+        text = lambda: [  # noqa: E731
+            f"n = {profile.n}  k = {r.k}",
+            f"sharp lower  {fmt(r.sharp_lower)}  (at s = {fmt(r.s_at_lower)})",
+            f"exact        {fmt(r.exact_mutual)}",
+            f"sharp upper  {fmt(r.sharp_upper)}  (at s = {fmt(r.s_at_upper)})",
+            f"coefficient  {r.coefficient}",
+        ]
     else:
-        _emit(_bound_lines_text(profile, reports, args.precision))
-    return 0
+        payload = lambda: {  # noqa: E731
+            "n": profile.n, "reports": [report_to_dict(r) for r in reports]
+        }
+
+        def text():
+            width = args.precision + 6
+            header = f"{'k':>4}  {'exact':>{width}}  {'lower':>{width}}  {'upper':>{width}}"
+            return [f"n = {profile.n}", header] + [
+                f"{k:>4}" + "".join(f"  {fmt(v):>{width}}" for v in values)
+                for k, *values in rows
+            ]
+
+    return Output(payload, ("k", "exact", "lower", "upper"), lambda: rows, text)
 
 
-def cmd_interval(args, parser) -> int:
+def cmd_interval(args, parser) -> Output:
     profile = _require_profile(args, parser)
     iv = s_interval(profile)
-    p = invariant_p(profile)
-    m = invariant_m(profile)
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
-    if args.format == "json":
-        payload = {
-            "n": profile.n,
-            "s_min": float(iv.s_min),
-            "s_max": float(iv.s_max),
-            "p": p,
-            "m": m,
-            "collapsed": iv.is_collapsed,
-        }
-        _emit([json.dumps(payload, indent=2)])
-    elif args.format == "csv":
-        _emit(["s_min,s_max,p,m", f"{fmt(iv.s_min)},{fmt(iv.s_max)},{p},{m}"])
-    else:
-        _emit(
-            [
-                f"n = {profile.n}",
-                f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]",
-                f"p = {p}  m = {m}",
-            ]
-        )
-    return 0
+    return Output(
+        payload=lambda: {
+            "n": profile.n, "s_min": float(iv.s_min), "s_max": float(iv.s_max),
+            "p": iv.p, "m": iv.m, "collapsed": iv.is_collapsed,
+        },
+        columns=("s_min", "s_max", "p", "m"),
+        rows=lambda: [(iv.s_min, iv.s_max, iv.p, iv.m)],
+        text=lambda: [
+            f"n = {profile.n}",
+            f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]",
+            f"p = {iv.p}  m = {iv.m}",
+        ],
+    )
 
 
-def _subset_label(indices) -> str:
-    return "{" + ",".join(str(i) for i in indices) + "}" if indices else "(none)"
-
-
-def cmd_measure(args, parser) -> int:
+def cmd_measure(args, parser) -> Output:
     profile = _require_profile(args, parser)
-    if args.s is not None and args.s_endpoint is not None:
-        parser.error("--s and --s-endpoint are mutually exclusive")
     if args.s is not None:
         s = _parse_value(args.s, args.rational)
-    else:
-        endpoint = args.s_endpoint or "zero"
+    elif args.s_endpoint in ("min", "max"):
         iv = s_interval(profile)
-        if endpoint == "min":
-            s = iv.s_min
-        elif endpoint == "max":
-            s = iv.s_max
-        else:
-            s = 0  # build_measure reads it in the profile's arithmetic
+        s = iv.s_min if args.s_endpoint == "min" else iv.s_max
+    else:
+        s = 0  # build_measure reads it in the profile's arithmetic
     measure = build_measure(profile, s)
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
-    if args.format == "json":
-        _emit([json.dumps(measure_to_dict(measure, profile), indent=2)])
-        return 0
-    rows = []
-    for mask in range(1 << measure.n):
-        subset = original_subset(profile, mask)
-        rows.append((subset, measure.atom_probs[mask]))
-    if args.format == "csv":
-        lines = ["subset,prob"]
-        for subset, prob in rows:
-            lines.append(f"{';'.join(str(i) for i in subset)},{fmt(prob)}")
-        _emit(lines)
-    else:
-        lines = [f"n = {measure.n}  s = {fmt(measure.s)}"]
-        label_width = max(len(_subset_label(r[0])) for r in rows)
-        for subset, prob in rows:
-            lines.append(f"{_subset_label(subset):<{label_width}}  {fmt(prob)}")
-        _emit(lines)
-    return 0
+
+    def rows():
+        """(subset in input indices joined by ';', probability) in mask order."""
+        return [
+            (";".join(map(str, original_subset(profile, mask))), prob)
+            for mask, prob in enumerate(measure.atom_probs.tolist())
+        ]
+
+    def text():
+        table = rows()
+        labels = [
+            "{" + subset.replace(";", ",") + "}" if subset else "(none)" for subset, _ in table
+        ]
+        width = max(map(len, labels))
+        return [f"n = {measure.n}  s = {fmt(measure.s)}"] + [
+            f"{label:<{width}}  {fmt(prob)}" for label, (_, prob) in zip(labels, table)
+        ]
+
+    return Output(lambda: measure_to_dict(measure, profile), ("subset", "prob"), rows, text)
 
 
 def _table_spec_from_args(args, parser) -> TableSpec:
@@ -252,100 +241,67 @@ def _level_profile(label: str, n: int):
         return from_raw([float(label)] * n)
 
 
-def _table_rows(spec: TableSpec, precision: int, with_reference: bool):
-    """Rendered cells plus reference deviations for the two standard rows."""
-    ks = list(range(spec.k_lo, spec.k_hi + 1))
-    rows = {}
-    deviations = []
+def cmd_table(args, parser) -> Output:
+    spec = _table_spec_from_args(args, parser)
+    ks = range(spec.k_lo, spec.k_hi + 1)
+    rows = []  # (level, kind, k, value), grouped by level, then kind in ROW_KINDS order
     for label in spec.level_labels:
         profile = _level_profile(label, spec.n)
-        sharp = {k: sharp_bounds(profile, k) for k in ks}
-        makarov = {k: makarov_bounds(profile, k) for k in ks}
-        by_kind = {}
-        for kind in ROW_KINDS:
-            cells = []
-            for k in ks:
-                if kind == "makarov_lower":
-                    value = makarov[k].lower
-                elif kind == "sharp_lower":
-                    value = sharp[k].sharp_lower
-                elif kind == "exact":
-                    value = sharp[k].exact_mutual
-                elif kind == "sharp_upper":
-                    value = sharp[k].sharp_upper
-                else:
-                    value = makarov[k].upper
-                rendered = format_scientific(value, precision)
-                flagged = False
-                if with_reference and kind in ("makarov_lower", "makarov_upper"):
-                    ref = reference_cell(label, kind, k)
-                    if ref is not None and format_scientific(value, 5) != ref:
-                        flagged = True
-                        deviations.append(
-                            {
-                                "level": label,
-                                "kind": kind,
-                                "k": k,
-                                "computed": format_scientific(value, 5),
-                                "reference": ref,
-                            }
-                        )
-                cells.append((rendered, flagged))
-            by_kind[kind] = cells
-        rows[label] = by_kind
-    return ks, rows, deviations
+        per_k = [
+            (m.lower, r.sharp_lower, r.exact_mutual, r.sharp_upper, m.upper)  # ROW_KINDS
+            for r, m in ((sharp_bounds(profile, k), makarov_bounds(profile, k)) for k in ks)
+        ]
+        for kind, values in zip(ROW_KINDS, zip(*per_k)):
+            rows += [(label, kind, k, value) for k, value in zip(ks, values)]
 
+    deviations = []  # with a preset: standard-bound cells that differ from the bundled ones
+    for label, kind, k, value in rows:
+        ref = args.preset and kind.startswith("makarov") and reference_cell(label, kind, k)
+        if ref and (computed := format_scientific(value, 5)) != ref:
+            deviations.append(
+                {"level": label, "kind": kind, "k": k, "computed": computed, "reference": ref}
+            )
+    flagged = {(d["level"], d["kind"], d["k"]) for d in deviations}
+    fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
 
-def cmd_table(args, parser) -> int:
-    spec = _table_spec_from_args(args, parser)
-    with_reference = bool(args.preset)
-    ks, rows, deviations = _table_rows(spec, args.precision, with_reference)
-    if args.format == "json":
-        payload = {
+    def payload():
+        by_level = itertools.groupby(rows, key=itemgetter(0))
+        return {
             "preset": args.preset,
             "n": spec.n,
             "levels": list(spec.level_labels),
             "k_range": [spec.k_lo, spec.k_hi],
             "rows": {
-                label: {kind: [c[0] for c in cells] for kind, cells in by_kind.items()}
-                for label, by_kind in rows.items()
+                label: {
+                    kind: [fmt(cell[3]) for cell in cells]
+                    for kind, cells in itertools.groupby(level_rows, key=itemgetter(1))
+                }
+                for label, level_rows in by_level
             },
             "deviations": deviations,
         }
-        _emit([json.dumps(payload, indent=2)])
-        return 0
-    if args.format == "csv":
-        lines = ["level,kind,k,value"]
-        for label in spec.level_labels:
-            for kind in ROW_KINDS:
-                for k, (rendered, _) in zip(ks, rows[label][kind]):
-                    lines.append(f"{label},{kind},{k},{rendered}")
-        _emit(lines)
-        return 0
-    width = args.precision + 8
-    label_width = max(len(v) for v in _KIND_LABELS.values()) + 2
-    header = " " * label_width + "".join(f"{f'k = {k}':>{width - 1}} " for k in ks)
-    lines = [header.rstrip()]
-    any_flag = False
-    for label in spec.level_labels:
-        lines.append(f"a = {label}")
-        for kind in ROW_KINDS:
-            cells = []
-            for rendered, flagged in rows[label][kind]:
-                any_flag = any_flag or flagged
-                cells.append(f"{rendered:>{width - 1}}" + ("*" if flagged else " "))
-            line = f"  {_KIND_LABELS[kind]:<{label_width - 2}}" + "".join(cells)
+
+    def text():
+        width = args.precision + 8
+        label_width = max(map(len, ROW_KINDS)) + 2
+        header = " " * label_width + "".join(f"{f'k = {k}':>{width - 1}} " for k in ks)
+        lines = [header.rstrip()]
+        for (label, kind), cells in itertools.groupby(rows, key=itemgetter(0, 1)):
+            if kind == ROW_KINDS[0]:
+                lines.append(f"a = {label}")
+            line = f"  {kind.replace('_', ' '):<{label_width - 2}}" + "".join(
+                f"{fmt(value):>{width - 1}}" + ("*" if (label, kind, k) in flagged else " ")
+                for _, _, k, value in cells
+            )
             lines.append(line.rstrip())
-    if any_flag:
-        lines.append("")
-        lines.append(
-            "* printed closed form; deviates from the bundled reference cell"
-        )
-    _emit(lines)
-    return 0
+        if flagged:
+            lines += ["", "* printed closed form; deviates from the bundled reference cell"]
+        return lines
+
+    return Output(payload, ("level", "kind", "k", "value"), lambda: rows, text)
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args, parser) -> Output:
     profile = _profile_from_args(args)
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
     mode = "rational" if args.rational else "float"
@@ -354,18 +310,15 @@ def cmd_verify(args, parser) -> int:
         json_extra = {"n": profile.n, "mode": mode}
         iv = s_interval(profile)
         heading = [
-            f"n = {profile.n}  mode: {mode}",
-            f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]",
+            f"n = {profile.n}  mode: {mode}", f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]"
         ]
     else:
-        exact = args.rational
-        grid = {} if args.grid is None else {"s_points": args.grid}
         report = run_random_suite(
-            count=40 if exact else 200,
-            max_n=10 if exact else 12,
+            count=40 if args.rational else 200,
+            max_n=10 if args.rational else 12,
             seed=args.seed if args.seed is not None else DEFAULT_SEED,
-            exact=exact,
-            **grid,
+            exact=args.rational,
+            **({} if args.grid is None else {"s_points": args.grid}),
         )
         json_extra = {}
         heading = [
@@ -373,31 +326,19 @@ def cmd_verify(args, parser) -> int:
             f"max n = {report.max_n}  mode: {mode}",
         ]
     payload = report.to_dict()
-    if args.format == "json":
-        _emit([json.dumps({**payload, **json_extra}, indent=2)])
-    elif args.format == "csv":
-        lines = ["key,value"] + [
-            f"{k},{v}" for k, v in payload.items() if not isinstance(v, list)
-        ]
-        _emit(lines)
-    else:
-        lines = heading
-        for key in (
-            "measures_checked",
-            "worst_normalization",
-            "worst_marginal",
-            "worst_product",
-            "min_atom_seen",
-            "tail_match_gap",
-            "sharpness_gap",
-        ):
-            value = payload[key]
-            shown = str(value) if isinstance(value, int) else fmt(value)
-            lines.append(f"{key.replace('_', ' '):<22}{shown}")
-        lines += [f"failure: {f}" for f in report.failures]
-        lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-        _emit(lines)
-    return 0 if report.passed else 1
+    keys = ("measures_checked", "worst_normalization", "worst_marginal", "worst_product",
+            "min_atom_seen", "tail_match_gap", "sharpness_gap")
+    return Output(
+        payload=lambda: {**payload, **json_extra},
+        columns=("key", "value"),
+        # the key-value table gives every scalar in full, not at --precision
+        rows=lambda: [(k, str(v)) for k, v in payload.items() if not isinstance(v, list)],
+        text=lambda: heading
+        + [f"{key.replace('_', ' '):<22}{_cell(payload[key], args.precision)}" for key in keys]
+        + [f"failure: {f}" for f in report.failures]
+        + [f"result: {'PASS' if report.passed else 'FAIL'}"],
+        code=0 if report.passed else 1,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,104 +352,89 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     profile_args = argparse.ArgumentParser(add_help=False)
-    profile_args.add_argument(
-        "--marginals", help="comma-separated marginal probabilities"
-    )
+    profile_args.add_argument("--marginals", help="comma-separated marginal probabilities")
     profile_args.add_argument(
         "--input", help="profile file (.json with a 'marginals' key, or one value per CSV line)"
     )
     profile_args.add_argument(
-        "--rational",
-        action="store_true",
+        "--rational", action="store_true",
         help="exact Fraction arithmetic; values may use fraction syntax like 1/3",
     )
 
     output_args = argparse.ArgumentParser(add_help=False)
+    output_args.add_argument("--format", choices=("text", "json", "csv"), default="text")
     output_args.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
-    )
-    output_args.add_argument(
-        "--precision",
-        type=_positive_int,
-        default=5,
+        "--precision", type=_positive_int, default=5,
         help="significant digits for text/csv output (default 5)",
     )
 
-    p_bound = sub.add_parser(
-        "bound",
-        parents=[profile_args, output_args],
-        help="sharp bounds on P(at least k events occur)",
-    )
+    def command(handler, summary, parents=(profile_args, output_args)):
+        """The subcommand that ``handler`` serves, named after it: ``cmd_bound`` is ``bound``."""
+        name = handler.__name__.removeprefix("cmd_")
+        command_parser = sub.add_parser(name, parents=list(parents), help=summary)
+        command_parser.set_defaults(handler=handler)
+        return command_parser
+
+    p_bound = command(cmd_bound, "sharp bounds on P(at least k events occur)")
     group = p_bound.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, help="threshold k")
     group.add_argument("--all-k", action="store_true", help="report every k from 1 to n")
-    p_bound.set_defaults(handler=cmd_bound)
 
-    p_interval = sub.add_parser(
-        "interval",
-        parents=[profile_args, output_args],
-        help="feasible interval of the family parameter s",
-    )
-    p_interval.set_defaults(handler=cmd_interval)
+    command(cmd_interval, "feasible interval of the family parameter s")
 
-    p_measure = sub.add_parser(
-        "measure",
-        parents=[profile_args, output_args],
-        help="atom probabilities of the family measure at a chosen s",
-    )
-    p_measure.add_argument("--s", help="family parameter value")
-    p_measure.add_argument(
-        "--s-endpoint",
-        choices=("min", "max", "zero"),
+    p_measure = command(cmd_measure, "atom probabilities of the family measure at a chosen s")
+    group = p_measure.add_mutually_exclusive_group()
+    group.add_argument("--s", help="family parameter value; may be negative, as in -1/8")
+    group.add_argument(
+        "--s-endpoint", choices=("min", "max", "zero"),
         help="use an interval endpoint or 0 instead of an explicit --s (default zero)",
     )
-    p_measure.set_defaults(handler=cmd_measure)
 
-    p_table = sub.add_parser(
-        "table",
-        parents=[output_args],
-        help="summary table: five rows per marginal level",
-    )
+    p_table = command(cmd_table, "summary table: five rows per marginal level", [output_args])
     p_table.add_argument("--preset", choices=sorted(TABLE_PRESETS))
     p_table.add_argument("--n", type=int, help="number of events (custom table)")
+    p_table.add_argument("--levels", help="comma-separated uniform marginal levels (custom table)")
     p_table.add_argument(
-        "--levels", help="comma-separated uniform marginal levels (custom table)"
-    )
-    p_table.add_argument(
-        "--k-range",
-        type=int,
-        nargs=2,
-        metavar=("LO", "HI"),
+        "--k-range", type=int, nargs=2, metavar=("LO", "HI"),
         help="inclusive k range (custom table)",
     )
-    p_table.set_defaults(handler=cmd_table)
 
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[profile_args, output_args],
-        help="brute-force oracle; omit the profile to run the random suite",
-    )
-    p_verify.add_argument(
-        "--grid",
-        type=int,
-        help=(
-            "number of s values per profile, endpoints included "
-            "(default 101 for one profile, 11 for the random suite)"
-        ),
-    )
-    p_verify.add_argument(
-        "--seed", type=int, help="random-suite seed (default %d)" % DEFAULT_SEED
-    )
-    p_verify.set_defaults(handler=cmd_verify)
-
+    p_verify = command(cmd_verify, "brute-force oracle; omit the profile to run the random suite")
+    p_verify.add_argument("--grid", type=int, help=(
+        "number of s values per profile, endpoints included "
+        "(default 101 for one profile, 11 for the random suite)"
+    ))
+    p_verify.add_argument("--seed", type=int, help=f"random-suite seed (default {DEFAULT_SEED})")
     return parser
+
+
+def _join_s_value(argv):
+    """Rewrite ``--s VALUE`` as ``--s=VALUE``: argparse would take a value
+    such as ``-1/8`` or ``-inf``, which is not a plain decimal, for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--s" and not token.startswith("--"):
+            out[-1] = f"--s={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_s_value(sys.argv[1:] if argv is None else argv))
     try:
-        return args.handler(args, parser)
+        result = args.handler(args, parser)
+        if args.format == "json":
+            _write_json(result.payload())
+        elif args.format == "csv":
+            _write_lines(
+                [",".join(result.columns)]
+                + [",".join(_cell(v, args.precision) for v in row) for row in result.rows()]
+            )
+        else:
+            _write_lines(result.text())
+        return result.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

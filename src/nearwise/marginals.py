@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .numeric import MAX_DENOMINATOR, mode_dtype
 
 
@@ -59,7 +61,15 @@ class MarginalProfile:
 
 
 def _coerce(value, index: int, exact: bool):
-    """Validate one raw entry (1-based ``index`` for error messages)."""
+    """Validate one raw entry (1-based ``index`` for error messages).
+
+    numpy integer and floating scalars become Python ``int`` and ``float``,
+    so no numpy scalar reaches a result; bools, numpy's included, are rejected.
+    """
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise MarginalError(f"non-numeric value at index {index}")
     if isinstance(value, float):

@@ -264,6 +264,26 @@ def _signed_offsets(n: int, s) -> np.ndarray:
     return np.where(_odd_parity(n), -s, s)
 
 
+def check_feasible(profile: MarginalProfile, s, atoms=None):
+    """Raise :class:`FeasibilityError` unless ``s`` lies in the feasible interval.
+
+    The slack is 1e-12 in floating mode and 0 in exact mode; it is returned
+    so that a caller can clamp rounding dust.  Given the atoms of the family
+    measure at ``s``, the message also names one that would be negative.
+    """
+    iv = s_interval(profile)
+    slack = 0 if profile.exact else ABS_TOL
+    if s < iv.s_min - slack or s > iv.s_max + slack:
+        name, end = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
+        detail = f"violates {name} = {end}"
+        if atoms is not None:
+            bad = np.flatnonzero(atoms < -slack)
+            first_bad = int(bad[0]) if bad.size else int(np.argmin(atoms))
+            detail += f"; atom {set(mask_indices(first_bad)) or '{}'} would be negative"
+        raise FeasibilityError(f"s = {s} lies outside the feasible interval: {detail}")
+    return slack
+
+
 def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> AtomicMeasure:
     """Construct the family measure with parameter ``s``.
 
@@ -283,17 +303,7 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
     np.add(product_atoms(profile), atoms, out=atoms)
 
     if validate:
-        iv = s_interval(profile)
-        slack = 0 if profile.exact else ABS_TOL
-        if s < iv.s_min - slack or s > iv.s_max + slack:
-            endpoint = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
-            bad = np.flatnonzero(atoms < -slack)
-            first_bad = int(bad[0]) if bad.size else int(np.argmin(atoms))
-            raise FeasibilityError(
-                f"s = {s} lies outside the feasible interval: violates "
-                f"{endpoint[0]} = {endpoint[1]}; atom {set(mask_indices(first_bad)) or '{}'} "
-                f"would be negative"
-            )
+        slack = check_feasible(profile, s, atoms)
         # the mask costs three 2^n temporaries, so skip it when no atom is
         # negative; with no slack (exact mode) there is no dust to clamp
         if slack and atoms.min() < 0.0:

@@ -158,7 +158,12 @@ def test_probability_at_s_validates_s():
     profile = from_raw([0.5, 0.5, 0.5])
     with pytest.raises(FeasibilityError, match="outside the feasible interval"):
         probability_at_s(profile, 1, 0.5)
+    # the check build_measure makes, with the violated endpoint named
+    with pytest.raises(FeasibilityError, match=r"violates s_min = -0\.125$"):
+        probability_at_s(profile, 1, -0.5)
     exact = from_raw([Fraction(1, 2)] * 3, exact=True)
+    with pytest.raises(FeasibilityError, match=r"violates s_max = 1/8$"):
+        probability_at_s(exact, 1, Fraction(1, 8) + Fraction(1, 10**30))
     with pytest.raises(TypeError, match="exact s"):
         probability_at_s(exact, 1, 0.1)
 

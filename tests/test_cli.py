@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,15 @@ def test_measure_csv_and_json(capsys):
     assert payload["atoms"][1]["prob"] == pytest.approx(0.2 * 0.4)
 
 
+def test_measure_negative_rational_s_needs_no_equals_sign(capsys):
+    argv = ["measure", "--marginals", "1/2,1/2,1/2", "--rational"]
+    code, out, err = run(capsys, *argv, "--s", "-1/8")
+    assert (code, err) == (0, "")
+    assert out.startswith("n = 3  s = -1.2500e-01\n")
+    assert run(capsys, *argv, "--s=-1/8") == (code, out, err)
+    assert run(capsys, *argv, "--s-endpoint", "min") == (code, out, err)
+
+
 def test_measure_rational_s(capsys):
     code, out, _ = run(
         capsys, "measure", "--marginals", "1/2,1/2,1/2", "--rational", "--s", "1/8"
@@ -411,7 +424,7 @@ def test_rational_fraction_tokens(capsys):
     assert "[-1.2500e-01, 1.2500e-01]" in out
 
 
-@pytest.mark.parametrize("s", ["nan", "inf"])
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 def test_measure_non_finite_s_is_bad_usage(capsys, s):
     code, out, err = run(capsys, "measure", "--marginals", "0.5,0.5", "--s", s)
     assert code == 2
@@ -431,3 +444,30 @@ def test_precision_must_be_a_positive_integer(capsys, rational, precision):
     code, out, _ = run(capsys, *argv[:-1], "1", *(["--rational"] if rational else []))
     assert code == 0
     assert "sharp lower  " in out
+
+
+def test_module_entry_point_in_a_subprocess(capsys):
+    """``python -m nearwise.cli`` on a real stdout: 2^12 atoms cross several write batches."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "nearwise.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    marginals = ",".join(str(round(0.05 + 0.07 * i, 2)) for i in range(12))
+    argv = ["measure", "--marginals", marginals, "--s-endpoint", "max", "--format", "json"]
+    done = child(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(json.loads(done.stdout)["atoms"]) == 1 << 12
+    assert json.loads(done.stdout) == json.loads(out)
+    assert done.stdout == out
+
+    bad = child("bound", "--marginals", "0.1,1.5", "--k", "1", "--format", "json")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert "error: value out of [0,1] at index 2" in bad.stderr

@@ -3,11 +3,19 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearwise import MarginalError, from_raw, load_profile, profile_to_dict
+from nearwise import (
+    MarginalError,
+    from_raw,
+    load_profile,
+    profile_to_dict,
+    s_interval,
+    sharp_bounds,
+)
 
 
 def test_from_raw_sorts_and_remembers_order():
@@ -44,6 +52,22 @@ def test_from_raw_rejects_non_finite_and_non_numeric():
         from_raw(["0.5"])
     with pytest.raises(MarginalError, match="non-numeric"):
         from_raw([True])
+    with pytest.raises(MarginalError, match="non-numeric"):
+        from_raw(np.array([False, True]))
+
+
+def test_from_raw_turns_numpy_scalars_into_python_numbers():
+    floats = from_raw(np.array([0.4, 0.2, 0.3]))
+    assert floats.sorted_values == (0.2, 0.3, 0.4)
+    iv, report = s_interval(floats), sharp_bounds(floats, 2)
+    results = (iv.s_min, iv.s_max, report.sharp_lower, report.exact_mutual, report.sharp_upper)
+    assert all(type(v) is float for v in floats.sorted_values + results)
+    ints = from_raw(np.array([0, 1, 1]))
+    assert ints.sorted_values == (0.0, 1.0, 1.0)
+    assert all(type(v) is float for v in ints.sorted_values)
+    exact = from_raw(np.array([1, 0, 1]), exact=True)
+    assert exact.sorted_values == (0, 1, 1) and exact.permutation == (1, 0, 2)
+    assert all(type(v) is Fraction for v in exact.sorted_values)
 
 
 def test_exact_mode_converts_floats_via_decimal_repr():
