@@ -57,6 +57,7 @@ from .measures import (
     original_subset,
     parity_construction,
     s_interval,
+    subset_labels,
     subset_mask,
 )
 from .oracle import (
@@ -121,6 +122,7 @@ __all__ = [
     "report_to_dict",
     "run_random_suite",
     "s_interval",
+    "subset_labels",
     "scan_sharpness",
     "sharp_bounds",
     "subset_mask",

@@ -25,11 +25,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bounds import makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, from_raw, load_profile
-from .measures import build_measure, measure_to_dict, original_subset, s_interval
+from .measures import build_measure, s_interval, subset_labels
 from .numeric import format_scientific
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
 from .reference import ROW_KINDS, reference_cell
@@ -77,15 +77,41 @@ def _write_lines(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _write_json(payload) -> None:
+@dataclass(frozen=True)
+class EncodedArray:
+    """A JSON array in a payload whose items arrive already encoded.
+
+    Only a value of the payload's top-level object may be one.  Each item
+    is the text ``json.dumps(payload, indent=2)`` gives that item there,
+    four spaces in, without its separator; ``items`` is read once.
+    """
+
+    items: Iterable[str]
+
+
+def _write_json(payload: dict) -> None:
     """``json.dumps(payload, indent=2)`` and a newline, never held as one string.
 
-    Chunks are joined 16k at a time: one write per chunk to a pipe costs more than encoding.
+    Each top-level value goes through ``json.JSONEncoder(indent=2)``, except
+    an :class:`EncodedArray`, whose items are joined 2048 at a time: one write
+    per item to a pipe costs more than encoding it.
     """
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 16384)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    encode = json.JSONEncoder(indent=2).encode
+    write = sys.stdout.write
+    opening = "{"
+    for key, value in payload.items():
+        write(f"{opening}\n  {encode(key)}: ")
+        opening = ","
+        if not isinstance(value, EncodedArray):
+            write(encode(value).replace("\n", "\n  "))
+            continue
+        items, bracket = iter(value.items), "["
+        while batch := ",\n".join(itertools.islice(items, 2048)):
+            write(bracket + "\n")
+            write(batch)
+            bracket = ","
+        write("[]" if bracket == "[" else "\n  ]")
+    write("{}\n" if opening == "{" else "\n}\n")
 
 
 def _positive_int(token: str) -> int:
@@ -182,6 +208,11 @@ def cmd_interval(args, parser) -> Output:
     )
 
 
+#: One atom of ``measure``'s JSON at ``indent=2``: its subset's items, then
+#: its probability, which ``json`` writes as ``repr(float(p))``.
+_JSON_ATOM = '    {\n      "subset": [%s],\n      "prob": %r\n    }'
+
+
 def cmd_measure(args, parser) -> Output:
     profile = _require_profile(args, parser)
     if args.s is not None:
@@ -194,24 +225,29 @@ def cmd_measure(args, parser) -> Output:
     measure = build_measure(profile, s)
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
 
+    def payload():
+        """``measure_to_dict``'s document, each atom encoded from one template."""
+        labels = subset_labels(profile, ",", "\n        {}".format)
+        atoms = (
+            _JSON_ATOM % (f"{label}\n      " if label else "", float(prob))
+            for label, prob in zip(labels, measure.atom_probs)
+        )
+        return {"n": measure.n, "s": float(measure.s), "atoms": EncodedArray(atoms)}
+
     def rows():
         """(subset in input indices joined by ';', probability) in mask order."""
-        return [
-            (";".join(map(str, original_subset(profile, mask))), prob)
-            for mask, prob in enumerate(measure.atom_probs.tolist())
-        ]
+        return list(zip(subset_labels(profile, ";"), measure.atom_probs.tolist()))
 
     def text():
-        table = rows()
-        labels = [
-            "{" + subset.replace(";", ",") + "}" if subset else "(none)" for subset, _ in table
-        ]
+        labels = ["{" + label + "}" if label else "(none)" for label in subset_labels(profile)]
         width = max(map(len, labels))
         return [f"n = {measure.n}  s = {fmt(measure.s)}"] + [
-            f"{label:<{width}}  {fmt(prob)}" for label, (_, prob) in zip(labels, table)
+            f"{label:<{width}}  {fmt(prob)}"
+            for label, prob in zip(labels, measure.atom_probs.tolist())
         ]
 
-    return Output(lambda: measure_to_dict(measure, profile), ("subset", "prob"), rows, text)
+    return Output(payload, ("subset", "prob"), rows, text)
+
 
 
 def _table_spec_from_args(args, parser) -> TableSpec:
@@ -408,13 +444,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_s_value(argv):
-    """Rewrite ``--s VALUE`` as ``--s=VALUE``: argparse would take a value
-    such as ``-1/8`` or ``-inf``, which is not a plain decimal, for an option."""
+#: Options whose value may start with ``-``, as in ``--s -1/8`` or ``--marginals -0.5,0.2``.
+_SIGNED_OPTIONS = ("--s", "--marginals")
+
+
+def _join_signed_values(argv):
+    """Rewrite ``--s VALUE`` as ``--s=VALUE``, and the same for each of
+    :data:`_SIGNED_OPTIONS`: argparse would take a value such as ``-1/8``,
+    ``-inf`` or ``-0.5,0.2``, which is not a plain decimal, for an option."""
     out = []
     for token in argv:
-        if out and out[-1] == "--s" and not token.startswith("--"):
-            out[-1] = f"--s={token}"
+        if out and out[-1] in _SIGNED_OPTIONS and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -422,7 +463,7 @@ def _join_s_value(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_s_value(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         result = args.handler(args, parser)
         if args.format == "json":

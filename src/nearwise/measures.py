@@ -18,10 +18,11 @@ trivially addressable.  Dense storage caps ``n`` at 20 (about a million
 atoms).
 
 Every member of the family shares one product-atom table, so it is built
-once per profile (:func:`product_atoms`), as is the subset-product table the
-oracle checks against.  Both are read-only arrays and stay on the profile
-while it lives: 2^n entries of 8 bytes each, 8 MB per table at n = 20, plus
-one ``Fraction`` per entry in exact mode.
+once per profile (:func:`product_atoms`), as are the feasible interval and
+the subset-product table the oracle checks against.  The tables are
+read-only arrays and stay on the profile while it lives: 2^n entries of 8
+bytes each, 8 MB per table at n = 20, plus one ``Fraction`` per entry in
+exact mode.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -104,6 +105,47 @@ def mask_indices(mask: SubsetMask) -> tuple[int, ...]:
 def original_subset(profile: MarginalProfile, mask: SubsetMask) -> tuple[int, ...]:
     """Translate a sorted-space mask to 1-based indices in the input order."""
     return tuple(sorted(profile.permutation[i - 1] + 1 for i in mask_indices(mask)))
+
+
+#: Masks labelled per numpy pass in :func:`subset_labels`.
+_LABEL_BATCH = 1 << 14
+
+
+def _half_labels(indices: range, sep, item) -> list:
+    """Labels of the subsets of ``indices``, by bit over them, each index led by ``sep``."""
+    table = [sep[:0]]
+    for i in indices:  # i exceeds every index already in the table: ascending order
+        piece = sep + item(i)
+        table += [label + piece for label in table]
+    return table
+
+
+def subset_labels(profile: MarginalProfile, sep=",", item=str) -> Iterator:
+    """Label of every sorted-space mask, in mask order: :func:`original_subset`
+    with each index ``i`` as ``item(i)`` and ``sep`` between two.
+
+    The empty subset, mask 0 and always first, is labelled ``sep[:0]``.
+    Strings and tuples both work (``sep=(), item=lambda i: (i,)`` gives the
+    tuples themselves).  numpy maps every mask to its input-order mask; a
+    label then joins the labels of the low and the high half of that mask,
+    each from a table of about 2^(n/2) entries, so the only per-mask Python
+    work is one concatenation.  Labels are generated in batches.
+    """
+    n = profile.n
+    _check_cap(n)
+    input_masks = np.zeros(1, dtype=np.int64)
+    for position in profile.permutation:  # sorted bit j is input bit permutation[j]
+        input_masks = np.concatenate((input_masks, input_masks | (1 << position)))
+    half = n // 2
+    low = _half_labels(range(1, half + 1), sep, item)
+    high = _half_labels(range(half + 1, n + 1), sep, item)
+    cut = len(sep)  # every half label starts with sep; drop the first one
+    for start in range(0, 1 << n, _LABEL_BATCH):
+        batch = input_masks[start:start + _LABEL_BATCH]
+        yield from [
+            (low[a] + high[b])[cut:]
+            for a, b in zip((batch & ((1 << half) - 1)).tolist(), (batch >> half).tolist())
+        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +248,29 @@ def invariant_m(profile: MarginalProfile) -> int:
     return m
 
 
+def per_profile(build: Callable) -> Callable:
+    """Decorator: ``build(profile)`` computed once per profile.
+
+    The value is kept in the instance ``__dict__`` under ``build``'s name,
+    as ``functools.cached_property`` does, so it is freed with the profile.
+    A cache keyed on the profile would be wrong: a float and an exact
+    profile with equal values compare and hash equal.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def cached(profile: MarginalProfile):
+        cache = profile.__dict__
+        if name not in cache:
+            cache[name] = build(profile)
+        return cache[name]
+
+    return cached
+
+
+@per_profile
 def s_interval(profile: MarginalProfile) -> SInterval:
-    """Feasible interval of the family parameter.
+    """Feasible interval of the family parameter, computed once per profile.
 
     The endpoints are the signed minimal atom products of even and odd
     cardinality.  For n = 1 the marginal constraint alone pins s = 0, so the
@@ -226,25 +289,12 @@ def s_interval(profile: MarginalProfile) -> SInterval:
     return SInterval(s_min=s_min, s_max=s_max, p=p, m=m)
 
 
-def _profile_table(profile: MarginalProfile, name: str, build: Callable):
-    """The dense table ``build(profile.sorted_values)``, built once per profile.
-
-    Kept as a read-only array in the instance ``__dict__`` under ``name``,
-    as ``functools.cached_property`` does, so it is freed with the profile.
-    A cache keyed on the profile would be wrong: a float and an exact
-    profile with equal values compare and hash equal.
-    """
-    cache = profile.__dict__
-    if name not in cache:
-        table = build(profile.sorted_values)
-        table.setflags(write=False)
-        cache[name] = table
-    return cache[name]
-
-
+@per_profile
 def product_atoms(profile: MarginalProfile):
-    """Product-measure atom table of ``profile`` (see :func:`_profile_table`)."""
-    return _profile_table(profile, "product_atoms", atom_products_dense)
+    """Product-measure atom table of ``profile``, built once and read-only."""
+    table = atom_products_dense(profile.sorted_values)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)
@@ -358,14 +408,12 @@ def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
 
 def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:
     """JSON-ready form: atoms in mask order, subsets in original input indices."""
+    labels = subset_labels(profile, (), lambda i: (i,))
     return {
         "n": measure.n,
         "s": None if measure.s is None else float(measure.s),
         "atoms": [
-            {
-                "subset": list(original_subset(profile, mask)),
-                "prob": float(measure.atom_probs.item(mask)),
-            }
-            for mask in range(1 << measure.n)
+            {"subset": list(subset), "prob": float(prob)}
+            for subset, prob in zip(labels, measure.atom_probs.tolist())
         ],
     }

@@ -37,12 +37,12 @@ from .measures import (
     AtomicMeasure,
     _check_cap,
     _odd_parity,
-    _profile_table,
     _signed_offsets,
     build_measure,
     invariant_m,
     invariant_p,
     mask_indices,
+    per_profile,
     product_atoms,
     s_interval,
 )
@@ -63,13 +63,16 @@ from .numeric import (
 DEFAULT_SEED = 271828
 
 
+@per_profile
 def subset_products(profile: MarginalProfile):
     """Subset-product table of ``profile``, built once and read-only.
 
     Entry J is ``prod_{j in J} a_j`` over the sorted values: what the product
     rule requires of P(all events in J occur).
     """
-    return _profile_table(profile, "subset_products", subset_products_dense)
+    table = subset_products_dense(profile.sorted_values)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import csv
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nearwise.cli import main
+from nearwise import build_measure, from_raw, original_subset, s_interval
+from nearwise.cli import EncodedArray, _write_json, main
+from nearwise.numeric import format_scientific
 from nearwise.reference import REFERENCE_CELLS, reference_cell
 
 
@@ -228,6 +233,95 @@ def test_measure_negative_rational_s_needs_no_equals_sign(capsys):
     assert out.startswith("n = 3  s = -1.2500e-01\n")
     assert run(capsys, *argv, "--s=-1/8") == (code, out, err)
     assert run(capsys, *argv, "--s-endpoint", "min") == (code, out, err)
+
+
+def _measure_by_mask(argv_profile, rational, s_arg):
+    """``measure``'s output in every format, one ``original_subset`` call per mask."""
+    values = [Fraction(v) if rational else float(v) for v in argv_profile.split(",")]
+    profile = from_raw(values, exact=rational)
+    iv = s_interval(profile)
+    s = {"min": iv.s_min, "max": iv.s_max, "zero": 0}.get(s_arg)
+    measure = build_measure(profile, (Fraction if rational else float)(s_arg) if s is None else s)
+    subsets = [original_subset(profile, mask) for mask in range(1 << profile.n)]
+    probs = measure.atom_probs.tolist()
+    doc = {
+        "n": profile.n,
+        "s": float(measure.s),
+        "atoms": [{"subset": list(t), "prob": float(p)} for t, p in zip(subsets, probs)],
+    }
+    labels = ["{" + ",".join(map(str, t)) + "}" if t else "(none)" for t in subsets]
+    width = max(map(len, labels))
+    return {
+        "json": json.dumps(doc, indent=2) + "\n",
+        "csv": "subset,prob\n" + "".join(
+            f"{';'.join(map(str, t))},{format_scientific(p, 5)}\n" for t, p in zip(subsets, probs)
+        ),
+        "text": f"n = {profile.n}  s = {format_scientific(measure.s, 5)}\n" + "".join(
+            f"{label:<{width}}  {format_scientific(p, 5)}\n" for label, p in zip(labels, probs)
+        ),
+    }
+
+
+def _assert_same_text(out, expected):
+    """``out == expected``, naming the first differing line: pytest's own diff
+    of two texts of megabytes would take minutes."""
+    if out != expected:
+        pairs = itertools.zip_longest(out.splitlines(), expected.splitlines())
+        line, (got, want) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {line}: {got!r} != {want!r}")
+
+
+def _measure_cases(rational):
+    """Unsorted profiles with ties for n = 1..12 at every endpoint, and a negative s."""
+    rng = random.Random(12 + rational)
+    for n in range(1, 13):
+        marginals = ",".join(f"{rng.choice([2, 5, 5, 8, 10, rng.randrange(1, 13)])}/20"
+                             for _ in range(n))
+        if not rational:
+            marginals = ",".join(str(float(Fraction(v))) for v in marginals.split(","))
+        for endpoint in ("min", "zero", "max"):
+            yield marginals, ["--s-endpoint", endpoint], endpoint
+    s = "-1/8" if rational else "-0.125"
+    yield ("1/2,1/2,1/2" if rational else "0.5,0.5,0.5"), ["--s", s], s
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("rational", [False, True])
+def test_measure_output_equals_the_per_mask_route(capsys, rational, fmt):
+    mode = ["--rational"] if rational else []
+    for marginals, s_argv, s_arg in _measure_cases(rational):
+        code, out, err = run(
+            capsys, "measure", "--marginals", marginals, *mode, *s_argv, "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        _assert_same_text(out, _measure_by_mask(marginals, rational, s_arg)[fmt])
+
+
+def test_measure_json_crosses_every_batch(capsys):
+    marginals = ",".join(str(round(0.45 - 0.03 * (i % 7), 2)) for i in range(15))
+    code, out, _ = run(capsys, "measure", "--marginals", marginals, "--s-endpoint", "max",
+                       "--format", "json")
+    assert code == 0
+    _assert_same_text(out, _measure_by_mask(marginals, False, "max")["json"])
+
+
+def test_write_json_encoded_arrays(capsys):
+    items = ['    "a"', "    1"]
+    _write_json({"x": EncodedArray(iter(items)), "y": EncodedArray([]), "z": {"k": [1, {}]}})
+    assert capsys.readouterr().out == json.dumps(
+        {"x": ["a", 1], "y": [], "z": {"k": [1, {}]}}, indent=2
+    ) + "\n"
+    _write_json({})
+    assert capsys.readouterr().out == "{}\n"
+
+
+@pytest.mark.parametrize("argv", [["bound", "--k", "1"], ["interval"], ["measure"], ["verify"]])
+def test_negative_marginals_value_reaches_the_program(capsys, argv):
+    command, *rest = argv
+    for profile in (["--marginals", "-0.5,0.2"], ["--marginals=-0.5,0.2"]):
+        code, out, err = run(capsys, command, *profile, *rest)
+        assert (code, out) == (2, "")
+        assert err == "error: value out of [0,1] at index 1\n"
 
 
 def test_measure_rational_s(capsys):

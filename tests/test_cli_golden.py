@@ -27,6 +27,7 @@ _PROFILES = {
     "rational": ["--marginals", "1/10,3/10,1/5,9/20,3/5", "--rational"],
 }
 _FORMATS = ("text", "json", "csv")
+_TIED_9 = "0.45,0.4,0.4,0.35,0.3,0.3,0.2,0.15,0.1"
 
 
 def _matrix():
@@ -47,6 +48,9 @@ def _matrix():
         for preset in ("paper-table-1", "paper-table-2"):
             yield ["table", "--preset", preset, *out]
         yield ["table", "--n", "4", "--levels", "0.25,1/3,0.5", "--k-range", "0", "2", *out]
+        # n = 9, input in descending order with ties: labels map through a real permutation
+        yield ["measure", "--marginals", _TIED_9, "--s-endpoint", "max", *out]
+        yield ["measure", "--marginals", _TIED_9, "--rational", "--s-endpoint", "min", *out]
     # errors raised by the program itself: exit 2, nothing on stdout
     yield ["measure", "--marginals", "0.5,0.5,0.5", "--s", "0.2"]
     yield ["measure", "--marginals", "0.5,0.5,0.5", "--s", "inf", "--format", "json"]

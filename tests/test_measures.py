@@ -1,5 +1,6 @@
 """Unit tests for the one-parameter measure family and its invariants."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from nearwise import (
     original_subset,
     parity_construction,
     s_interval,
+    subset_labels,
     subset_mask,
 )
 from nearwise import measures
@@ -45,6 +47,43 @@ def test_original_subset_translates_through_permutation():
     assert original_subset(profile, 0b01) == (2,)
     assert original_subset(profile, 0b10) == (1,)
     assert original_subset(profile, 0b11) == (1, 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subset_labels_equal_original_subset_for_every_mask(seed):
+    rng = random.Random(seed)
+    for n in range(1, 13 if seed else 16):  # n = 15 spans two label batches
+        values = [rng.choice([0.1, 0.25, 0.25, 0.5, 0.5]) for _ in range(n)]  # ties
+        values[rng.randrange(n)] = rng.random()
+        profile = from_raw(values)
+        subsets = [original_subset(profile, mask) for mask in range(1 << n)]
+        assert list(subset_labels(profile, (), lambda i: (i,))) == subsets
+        assert list(subset_labels(profile, ";")) == [";".join(map(str, t)) for t in subsets]
+        exact = from_raw([Fraction(v).limit_denominator(100) for v in values], exact=True)
+        assert list(subset_labels(exact, " ", "<{}>".format)) == [
+            " ".join(f"<{i}>" for i in subset) for subset in subsets
+        ]
+
+
+def test_subset_labels_follow_a_shuffled_input():
+    profile = from_raw([0.4, 0.1, 0.3, 0.1])  # sorted: 0.1 (input 2), 0.1 (4), 0.3 (3), 0.4 (1)
+    assert list(subset_labels(profile))[:8] == ["", "2", "4", "2,4", "3", "2,3", "3,4", "2,3,4"]
+    assert list(subset_labels(profile))[-1] == "1,2,3,4"
+    with pytest.raises(CapExceededError):
+        next(subset_labels(from_raw([0.5] * 21)))
+
+
+def test_s_interval_is_computed_once_per_profile(monkeypatch):
+    calls = []
+    original = measures.invariant_p
+    monkeypatch.setattr(measures, "invariant_p", lambda p: calls.append(p) or original(p))
+    profile = from_raw([0.25, 0.5, 0.75])
+    assert s_interval(profile) is s_interval(profile)
+    assert calls == [profile]
+    exact = from_raw([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)], exact=True)
+    assert exact == profile  # equal, but an exact profile keeps its own interval
+    assert type(s_interval(exact).s_max) is Fraction
+    assert len(calls) == 2
 
 
 def test_atom_product_matches_dense_table():

@@ -286,6 +286,20 @@ def test_check_profile_builds_each_measure_once(monkeypatch):
     assert calls == {"build_measure": 9, "poisson_binomial_pmf": 1 + 4}
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_check_profile_computes_the_interval_once(monkeypatch, exact):
+    from nearwise import measures
+
+    calls = []
+    original = measures.invariant_p
+    monkeypatch.setattr(measures, "invariant_p", lambda p: calls.append(p) or original(p))
+    values = [Fraction(3, 20), Fraction(3, 10), Fraction(9, 20), Fraction(3, 5), Fraction(3, 4)]
+    profile = from_raw(values if exact else [float(v) for v in values], exact=exact)
+    check = check_profile(profile, s_points=9, scan_ks=[1, 2, 5, 4])
+    assert check.passed, check.failures
+    assert calls == [profile]
+
+
 def test_check_profile_sharpness_extremes_match_scan_sharpness_exact():
     profile = from_raw(
         [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(5, 6)],
