@@ -48,7 +48,6 @@ from .measures import (
     SInterval,
     atom_product,
     build_measure,
-    independence_order,
     invariant_m,
     invariant_p,
     joint_probability,
@@ -68,6 +67,7 @@ from .oracle import (
     VerificationReport,
     check_profile,
     enumerate_tail,
+    independence_order,
     kernel_residual,
     random_profiles,
     run_random_suite,

@@ -162,23 +162,22 @@ def tail_probability_dp(profile: MarginalProfile, k: int):
     return tail_probabilities(profile).item(k)
 
 
-def _shifted(profile: MarginalProfile, k: int, mutual, s):
-    """``mutual + (-1)^k * C(n-1, k-1) * s``: the family tail at ``s``.
+def _shifted(profile: MarginalProfile, k: int, slope: int, mutual, s):
+    """``mutual + (-1)^k * slope * s``: the family tail at ``s``.
 
-    ``mutual`` is the mutual-independence tail ``P_0(k)``.  ``k = 0``
-    returns exactly 1 and ignores ``mutual``.
+    ``mutual`` is the mutual-independence tail ``P_0(k)``, ``slope`` is
+    C(n-1, k-1).  ``k = 0`` returns exactly 1 and ignores ``mutual``.
     """
     if k == 0:
         return mode_scalar(1, profile.sorted_values)
-    coeff = binom_or_zero(profile.n - 1, k - 1)
-    if profile.exact or coeff.bit_length() <= 53:
-        term = coeff * s
+    if profile.exact or slope.bit_length() <= 53:
+        term = slope * s
     elif s == 0.0:
         term = 0.0
     else:
         # the slope can exceed float range at large n while the product
         # stays a probability difference; multiply exactly, convert once
-        term = float(Fraction(coeff) * Fraction(s))
+        term = float(Fraction(slope) * Fraction(s))
     return mutual + term if k % 2 == 0 else mutual - term
 
 
@@ -192,8 +191,8 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     _check_k(k, profile.n, high=profile.n)
     s = _coerce_s(profile, s)
     check_feasible(profile, s)
-    # at k = 0 the answer is 1 without a tail, so skip the convolution
-    return _shifted(profile, k, tail_probability_dp(profile, k) if k else None, s)
+    mutual = tail_probability_dp(profile, k) if k else None  # k = 0 gives 1 without a tail
+    return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), mutual, s)
 
 
 def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
@@ -212,14 +211,15 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     else:
         s_lo, s_hi = iv.s_min, iv.s_max
     mutual = tail_probability_dp(profile, k)
+    slope = binom_or_zero(n - 1, k - 1)
     return BoundReport(
         k=k,
         exact_mutual=mutual,
-        sharp_lower=_shifted(profile, k, mutual, s_lo),
-        sharp_upper=_shifted(profile, k, mutual, s_hi),
+        sharp_lower=_shifted(profile, k, slope, mutual, s_lo),
+        sharp_upper=_shifted(profile, k, slope, mutual, s_hi),
         s_at_lower=s_lo,
         s_at_upper=s_hi,
-        coefficient=binom_or_zero(n - 1, k - 1),
+        coefficient=slope,
     )
 
 

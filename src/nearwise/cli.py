@@ -56,25 +56,21 @@ class Output:
     """One subcommand's result in every output format.
 
     ``payload()`` builds the JSON document, ``rows()`` the CSV rows of raw
-    values under the header ``columns``, and ``text()`` the text lines.
-    :func:`main` calls only the one its ``--format`` asks for, so a large
-    form is never built for nothing; ``code`` is the exit code.
+    values under the header ``columns``, and ``text()`` the text lines, each
+    iterable read once.  :func:`main` calls only the one ``--format`` asks
+    for, so a large form is never built for nothing; ``code`` is the exit code.
     """
 
     payload: Callable[[], object]
     columns: tuple
-    rows: Callable[[], list]
-    text: Callable[[], list]
+    rows: Callable[[], Iterable]
+    text: Callable[[], Iterable[str]]
     code: int = 0
 
 
 def _cell(value, precision: int) -> str:
     """Ints (and bools) and strings as they are; other numbers at ``precision`` digits."""
     return str(value) if isinstance(value, (int, str)) else format_scientific(value, precision)
-
-
-def _write_lines(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,23 @@ class EncodedArray:
     items: Iterable[str]
 
 
+def _write_batched(items: Iterable[str], sep: str, lead: str = "") -> bool:
+    """Write ``lead`` and the strings ``items``, ``sep`` between two, if there
+    is an item, and say whether there was.  Items are joined 2048 to a write:
+    one write per item to a pipe costs more than encoding it, and one string
+    of every item would hold the whole output."""
+    items, wrote = iter(items), False
+    while batch := list(itertools.islice(items, 2048)):
+        sys.stdout.write(lead + sep.join(batch))
+        lead, wrote = sep, True
+    return wrote
+
+
 def _write_json(payload: dict) -> None:
     """``json.dumps(payload, indent=2)`` and a newline, never held as one string.
 
     Each top-level value goes through ``json.JSONEncoder(indent=2)``, except
-    an :class:`EncodedArray`, whose items are joined 2048 at a time: one write
-    per item to a pipe costs more than encoding it.
+    an :class:`EncodedArray`, whose items go through :func:`_write_batched`.
     """
     encode = json.JSONEncoder(indent=2).encode
     write = sys.stdout.write
@@ -104,13 +111,8 @@ def _write_json(payload: dict) -> None:
         opening = ","
         if not isinstance(value, EncodedArray):
             write(encode(value).replace("\n", "\n  "))
-            continue
-        items, bracket = iter(value.items), "["
-        while batch := ",\n".join(itertools.islice(items, 2048)):
-            write(bracket + "\n")
-            write(batch)
-            bracket = ","
-        write("[]" if bracket == "[" else "\n  ]")
+        else:
+            write("\n  ]" if _write_batched(value.items, ",\n", "[\n") else "[]")
     write("{}\n" if opening == "{" else "\n}\n")
 
 
@@ -236,15 +238,14 @@ def cmd_measure(args, parser) -> Output:
 
     def rows():
         """(subset in input indices joined by ';', probability) in mask order."""
-        return list(zip(subset_labels(profile, ";"), measure.atom_probs.tolist()))
+        return zip(subset_labels(profile, ";"), measure.atom_probs.tolist())
 
     def text():
-        labels = ["{" + label + "}" if label else "(none)" for label in subset_labels(profile)]
-        width = max(map(len, labels))
-        return [f"n = {measure.n}  s = {fmt(measure.s)}"] + [
-            f"{label:<{width}}  {fmt(prob)}"
-            for label, prob in zip(labels, measure.atom_probs.tolist())
-        ]
+        # the full subset has the longest label
+        width = max(len("(none)"), len(",".join(map(str, range(1, measure.n + 1)))) + 2)
+        yield f"n = {measure.n}  s = {fmt(measure.s)}"
+        for label, prob in zip(subset_labels(profile), measure.atom_probs.tolist()):
+            yield f"{'{' + label + '}' if label else '(none)':<{width}}  {fmt(prob)}"
 
     return Output(payload, ("subset", "prob"), rows, text)
 
@@ -468,13 +469,13 @@ def main(argv=None) -> int:
         result = args.handler(args, parser)
         if args.format == "json":
             _write_json(result.payload())
-        elif args.format == "csv":
-            _write_lines(
-                [",".join(result.columns)]
-                + [",".join(_cell(v, args.precision) for v in row) for row in result.rows()]
-            )
         else:
-            _write_lines(result.text())
+            lines = result.text() if args.format == "text" else itertools.chain(
+                [",".join(result.columns)],
+                (",".join(_cell(v, args.precision) for v in row) for row in result.rows()),
+            )
+            # a last, empty line ends the output with a newline in the same write
+            _write_batched(itertools.chain(lines, [""]), "\n")
         return result.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -329,7 +329,7 @@ def check_feasible(profile: MarginalProfile, s, atoms=None):
         if atoms is not None:
             bad = np.flatnonzero(atoms < -slack)
             first_bad = int(bad[0]) if bad.size else int(np.argmin(atoms))
-            detail += f"; atom {set(mask_indices(first_bad)) or '{}'} would be negative"
+            detail += f"; atom {set(original_subset(profile, first_bad)) or '{}'} would be negative"
         raise FeasibilityError(f"s = {s} lies outside the feasible interval: {detail}")
     return slack
 
@@ -390,20 +390,6 @@ def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
         raise ValueError(f"mask {mask:#x} is not an {n}-bit subset mask")
     sel = (np.arange(1 << n) & mask) == mask
     return mode_sum(measure.atom_probs[sel])
-
-
-def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
-    """Largest l for which all l-subsets satisfy the product rule.
-
-    Checks ``P(intersection of J) == prod_{j in J} a_j`` for every subset J,
-    by increasing cardinality, stopping at the first failure; returns n for
-    mutual independence.  A marginal mismatch reports order 0 rather than
-    raising.  Comparison tolerance follows the arithmetic mode.  Read off
-    the residuals of :func:`nearwise.oracle.verify_measure`.
-    """
-    from .oracle import verify_measure  # the oracle module imports this one
-
-    return verify_measure(measure, profile).independence_order
 
 
 def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:

@@ -39,8 +39,6 @@ from .measures import (
     _odd_parity,
     _signed_offsets,
     build_measure,
-    invariant_m,
-    invariant_p,
     mask_indices,
     per_profile,
     product_atoms,
@@ -48,6 +46,7 @@ from .measures import (
 )
 from .numeric import (
     ABS_TOL,
+    binom_or_zero,
     close,
     mode_scalar,
     mode_sum,
@@ -218,6 +217,18 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     )
 
 
+def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
+    """Largest l for which all l-subsets satisfy the product rule.
+
+    Checks ``P(intersection of J) == prod_{j in J} a_j`` for every subset J,
+    by increasing cardinality, stopping at the first failure; returns n for
+    mutual independence.  A marginal mismatch reports order 0 rather than
+    raising.  Comparison tolerance follows the arithmetic mode.  Read off
+    the residuals of :func:`verify_measure`.
+    """
+    return verify_measure(measure, profile).independence_order
+
+
 def kernel_residual(offsets: Sequence, n: int):
     """Largest |sum over supersets| across all proper subsets.
 
@@ -271,10 +282,9 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     odd_min = atoms[odd].min()
     even_min = atoms[~odd].min()
 
-    p = invariant_p(profile)
-    m = invariant_m(profile)
-    return close(odd_min, prefixes[2 * p + 1], exact=exact) and close(
-        even_min, prefixes[2 * m], exact=exact
+    iv = s_interval(profile)
+    return close(odd_min, prefixes[2 * iv.p + 1], exact=exact) and close(
+        even_min, prefixes[2 * iv.m], exact=exact
     )
 
 
@@ -404,6 +414,7 @@ def check_profile(
     min_atom_seen = mode_scalar(1, profile.sorted_values)
     measures_checked = 0
     mutual = tail_probabilities(profile).tolist()
+    slopes = [binom_or_zero(n - 1, k - 1) for k in range(n + 1)]
     # running extremes of the tail at each scan k over the grid
     lows = highs = None
 
@@ -431,7 +442,7 @@ def check_profile(
         tails = _tail_vector(measure).tolist()
         del measure  # free the 2^n atoms before the next build
         for k in range(n + 1):
-            linear = _shifted(profile, k, mutual[k], s)
+            linear = _shifted(profile, k, slopes[k], mutual[k], s)
             tail_gap = max(tail_gap, abs(tails[k] - linear))
             if not close(tails[k], linear, exact=exact):
                 failures.append(

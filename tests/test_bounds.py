@@ -92,7 +92,7 @@ def test_every_tail_route_agrees_bit_for_bit():
 
 
 def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
-    calls = {"poisson_binomial_pmf": 0, "s_interval": 0}
+    calls = {"poisson_binomial_pmf": 0, "s_interval": 0, "binom_or_zero": 0}
 
     def counting(name):
         original = getattr(bounds, name)
@@ -106,7 +106,7 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(bounds, name, counting(name))
     sharp_bounds(from_raw([0.1, 0.3, 0.5, 0.7, 0.9]), 3)
-    assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1}
+    assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1, "binom_or_zero": 1}
 
 
 def test_probability_at_s_linear_in_s():

@@ -297,12 +297,62 @@ def test_measure_output_equals_the_per_mask_route(capsys, rational, fmt):
         _assert_same_text(out, _measure_by_mask(marginals, rational, s_arg)[fmt])
 
 
-def test_measure_json_crosses_every_batch(capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_measure_json_crosses_every_batch(capsys, fmt):
     marginals = ",".join(str(round(0.45 - 0.03 * (i % 7), 2)) for i in range(15))
     code, out, _ = run(capsys, "measure", "--marginals", marginals, "--s-endpoint", "max",
-                       "--format", "json")
+                       "--format", fmt)
     assert code == 0
-    _assert_same_text(out, _measure_by_mask(marginals, False, "max")["json"])
+    _assert_same_text(out, _measure_by_mask(marginals, False, "max")[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_measure_text_and_csv_are_written_a_batch_at_a_time(monkeypatch, fmt):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    marginals = ",".join(str(round(0.05 + 0.06 * i, 2)) for i in range(14))
+    assert main(["measure", "--marginals", marginals, "--format", fmt]) == 0
+    assert len("".join(writes).splitlines()) == 1 + (1 << 14)
+    assert len(writes) > (1 << 14) // 2048
+    assert max(text.count("\n") for text in writes) <= 2048
+
+
+#: Runs the command in its argv with stdout on the null device, then prints
+#: its exit code and peak RSS.  A child's peak starts from its parent's RSS
+#: at spawn, so the measured command is spawned from this small process.
+_PEAK_RSS_LAUNCHER = """import os, sys
+to_null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=to_null)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_measure_text_and_csv_peak_rss_stays_near_json():
+    """Text and CSV stream like JSON, so at n = 18 neither peaks far above it."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    rng = random.Random(31)
+    marginals = ",".join(repr(rng.random()) for _ in range(18))
+    peaks = {}
+    for fmt in ("json", "text", "csv"):
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, "-m", "nearwise.cli", "measure",
+             "--marginals", marginals, "--s-endpoint", "max", "--format", fmt],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        code, peaks[fmt] = map(int, done.stdout.split())
+        assert code == 0
+    assert max(peaks["text"], peaks["csv"]) <= 1.5 * peaks["json"], peaks
 
 
 def test_write_json_encoded_arrays(capsys):
@@ -540,7 +590,8 @@ def test_precision_must_be_a_positive_integer(capsys, rational, precision):
     assert "sharp lower  " in out
 
 
-def test_module_entry_point_in_a_subprocess(capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_module_entry_point_in_a_subprocess(capsys, fmt):
     """``python -m nearwise.cli`` on a real stdout: 2^12 atoms cross several write batches."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
@@ -553,13 +604,16 @@ def test_module_entry_point_in_a_subprocess(capsys):
         )
 
     marginals = ",".join(str(round(0.05 + 0.07 * i, 2)) for i in range(12))
-    argv = ["measure", "--marginals", marginals, "--s-endpoint", "max", "--format", "json"]
+    argv = ["measure", "--marginals", marginals, "--s-endpoint", "max", "--format", fmt]
     done = child(*argv)
     assert (done.returncode, done.stderr) == (0, "")
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert len(json.loads(done.stdout)["atoms"]) == 1 << 12
-    assert json.loads(done.stdout) == json.loads(out)
+    if fmt == "json":
+        assert len(json.loads(done.stdout)["atoms"]) == 1 << 12
+        assert json.loads(done.stdout) == json.loads(out)
+    else:
+        assert len(done.stdout.splitlines()) == 1 + (1 << 12)
     assert done.stdout == out
 
     bad = child("bound", "--marginals", "0.1,1.5", "--k", "1", "--format", "json")

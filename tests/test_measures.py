@@ -236,6 +236,9 @@ def test_build_measure_rejects_infeasible_s():
         build_measure(profile, 0.2)
     with pytest.raises(FeasibilityError, match="would be negative"):
         build_measure(profile, -0.2)
+    # the atom is named in input indices: sorted event 1 is input event 2 (0.1)
+    with pytest.raises(FeasibilityError, match=r"atom \{2\} would be negative"):
+        build_measure(from_raw([0.9, 0.1, 0.5]), 0.2)
 
 
 def test_build_measure_validation_slack_and_clamp():
