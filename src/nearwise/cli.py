@@ -13,7 +13,8 @@ Profiles come from ``--marginals`` (comma-separated values) or ``--input``
 and accepts fraction syntax such as ``1/3``.  Output formats are text
 (default), json (floats, also under ``--rational``), and csv.  Exit codes:
 0 success, 2 bad usage or invalid input, 1 internal error or verification
-failure.
+failure, and 1 with nothing on stderr when the reader closes the pipe
+before the output ends (``nearwise measure ... | head -n 1``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -476,7 +478,13 @@ def main(argv=None) -> int:
             )
             # a last, empty line ends the output with a newline in the same write
             _write_batched(itertools.chain(lines, [""]), "\n")
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
         return result.code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, so the
+        # interpreter's last flush cannot raise again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,9 +20,12 @@ atoms).
 Every member of the family shares one product-atom table, so it is built
 once per profile (:func:`product_atoms`), as are the feasible interval and
 the subset-product table the oracle checks against.  The tables are
-read-only arrays and stay on the profile while it lives: 2^n entries of 8
-bytes each, 8 MB per table at n = 20, plus one ``Fraction`` per entry in
-exact mode.
+read-only arrays of numerators over one scale, the product D of the
+marginals' denominators (1 in floating mode), and stay on the profile while
+it lives: 2^n entries of 8 bytes each, 8 MB per table at n = 20, plus one
+Python ``int`` per entry in exact mode.  A measure keeps its atoms the same
+way, so the exact oracle adds integers and forms a ``Fraction`` only for a
+reported scalar.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -39,13 +42,18 @@ from .marginals import MarginalProfile
 from .numeric import (
     ABS_TOL,
     ENUMERATION_CAP,
+    as_numerators,
     atom_products_dense,
     mode_dtype,
     mode_scalar,
-    mode_sum,
+    over,
     popcount_table,
     prefix_atom,
+    ratio,
+    rescaled,
+    scaled_sum,
     subset_atom,
+    unscaled,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -148,37 +156,50 @@ def subset_labels(profile: MarginalProfile, sep=",", item=str) -> Iterator:
         ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AtomicMeasure:
     """A probability assignment to all 2^n atoms.
 
-    ``atom_probs[mask]`` is the probability that exactly the events in
-    ``mask`` occur: a read-only array, ``float64`` or, in exact mode,
-    ``object`` holding ``Fraction``s.  A tuple, list or writable array given
-    here is copied into one.  ``s`` records the family parameter that
-    generated the measure; it is ``None`` for externally supplied measures.
+    Atom ``mask`` has probability ``numerators[mask] / scale``: read-only
+    Python ``int``s (an ``object`` array) in exact mode, ``float64`` over the
+    scale 1 in floating mode; ``atom_probs`` gives the probabilities.  Built
+    from ``atom_probs`` alone (``Fraction``s, of any denominators, or floats,
+    in any sequence) it takes their least common denominator as the scale;
+    given a ``scale``, ``atom_probs`` holds numerators over it.  ``s`` is the
+    family parameter of the measure, ``None`` for an external one.
     """
 
     n: int
-    atom_probs: np.ndarray
-    s: object = None
+    numerators: np.ndarray
+    scale: int
+    s: object
 
-    def __post_init__(self):
-        atoms = self.atom_probs
-        if not isinstance(atoms, np.ndarray) or atoms.flags.writeable:
-            atoms = np.array(atoms, dtype=mode_dtype(atoms))
-            atoms.setflags(write=False)
-            object.__setattr__(self, "atom_probs", atoms)
+    def __init__(self, n: int, atom_probs, s=None, *, scale: int | None = None):
+        numerators = atom_probs
+        if scale is None:
+            numerators, scale = as_numerators(atom_probs)
+        elif numerators.flags.writeable:
+            numerators = numerators.copy()
+        numerators.setflags(write=False)
+        for name, value in (("n", n), ("numerators", numerators), ("scale", scale), ("s", s)):
+            object.__setattr__(self, name, value)
 
     @property
     def exact(self) -> bool:
-        return self.atom_probs.dtype == object
+        return self.numerators.dtype == object
+
+    @cached_property
+    def atom_probs(self) -> np.ndarray:
+        """The atom probabilities as a read-only array, formed on first use."""
+        probs = unscaled(self.numerators, self.scale)
+        probs.setflags(write=False)
+        return probs
 
     def atom(self, mask: SubsetMask):
-        return self.atom_probs.item(mask)
+        return over(self.numerators.item(mask), self.scale)
 
     def total(self):
-        return mode_sum(self.atom_probs)
+        return scaled_sum(self.numerators, self.scale)
 
 
 @dataclass(frozen=True)
@@ -290,11 +311,12 @@ def s_interval(profile: MarginalProfile) -> SInterval:
 
 
 @per_profile
-def product_atoms(profile: MarginalProfile):
-    """Product-measure atom table of ``profile``, built once and read-only."""
-    table = atom_products_dense(profile.sorted_values)
+def product_atoms(profile: MarginalProfile) -> tuple[np.ndarray, int]:
+    """Product-measure atom table of ``profile`` as (numerators, scale),
+    built once and read-only."""
+    table, scale = atom_products_dense(profile.sorted_values)
     table.setflags(write=False)
-    return table
+    return table, scale
 
 
 @lru_cache(maxsize=32)
@@ -305,13 +327,12 @@ def _odd_parity(n: int) -> np.ndarray:
     return odd
 
 
-def _signed_offsets(n: int, s) -> np.ndarray:
+def _signed_offsets(n: int, s, dtype) -> np.ndarray:
     """Vector of (-1)^|J| * s over all masks, matching atom storage order.
 
-    A fresh array that the caller may sum into: ``object`` holding
-    ``Fraction``s for a ``Fraction`` s, else ``float64``.
+    A fresh array of ``dtype`` that the caller may sum into.
     """
-    return np.where(_odd_parity(n), -s, s)
+    return np.where(_odd_parity(n), np.array(-s, dtype=dtype), np.array(s, dtype=dtype))
 
 
 def check_feasible(profile: MarginalProfile, s, atoms=None):
@@ -319,7 +340,8 @@ def check_feasible(profile: MarginalProfile, s, atoms=None):
 
     The slack is 1e-12 in floating mode and 0 in exact mode; it is returned
     so that a caller can clamp rounding dust.  Given the atoms of the family
-    measure at ``s``, the message also names one that would be negative.
+    measure at ``s`` (numerators over a positive scale are enough), the
+    message also names one that would be negative.
     """
     iv = s_interval(profile)
     slack = 0 if profile.exact else ABS_TOL
@@ -349,8 +371,17 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
     _check_cap(n)
     s = _coerce_s(profile, s)
 
-    atoms = _signed_offsets(n, s)
-    np.add(product_atoms(profile), atoms, out=atoms)
+    # numerators over the least common multiple of the denominator of s and
+    # the table's scale; a float s is a numerator over 1, as the table is.
+    # The offsets come before the shared table: on a profile's first measure
+    # that allocation order keeps glibc from trimming the heap after every
+    # later one (float n = 18: 2,900 page faults per check_profile, not 13,000)
+    s_num, s_den = ratio(s)
+    atoms = _signed_offsets(n, s_num, mode_dtype(profile.sorted_values))
+    table, table_scale = product_atoms(profile)
+    scale = math.lcm(table_scale, s_den)
+    atoms = rescaled(atoms, scale // s_den)
+    np.add(rescaled(table, scale // table_scale), atoms, out=atoms)
 
     if validate:
         slack = check_feasible(profile, s, atoms)
@@ -360,7 +391,7 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
             atoms[(atoms > -slack) & (atoms < 0.0)] = 0.0
 
     atoms.setflags(write=False)
-    return AtomicMeasure(n=n, atom_probs=atoms, s=s)
+    return AtomicMeasure(n, atoms, s, scale=scale)
 
 
 def parity_construction(n: int, parity: str) -> AtomicMeasure:
@@ -389,7 +420,7 @@ def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} is not an {n}-bit subset mask")
     sel = (np.arange(1 << n) & mask) == mask
-    return mode_sum(measure.atom_probs[sel])
+    return scaled_sum(measure.numerators[sel], measure.scale)
 
 
 def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:

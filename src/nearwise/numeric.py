@@ -5,11 +5,16 @@ Everything in the package runs in one of two arithmetic modes:
 * floating mode — IEEE doubles, equality checked with a relative tolerance
   of 1e-12 (with an absolute floor of 1e-12, since all quantities are
   probabilities bounded by 1);
-* exact mode — ``fractions.Fraction`` throughout, equality checked exactly.
+* exact mode — ``fractions.Fraction`` results, equality checked exactly.
 
 Both modes run the same code: every vector is a numpy array, ``float64`` in
-floating mode and ``object`` (entries are ``Fraction``) in exact mode, and
-:func:`mode_dtype` is the one place that reads the mode off the values.
+floating mode and ``object`` in exact mode, and :func:`mode_dtype` is the one
+place that reads the mode off the values.  The dense and convolution kernels
+run on numerators over one common denominator, their *scale*: a value
+``a`` enters as :func:`ratio`, Python ``int``s in exact mode and the float
+itself over the scale 1 in floating mode, so exact kernels add and multiply
+integers with no gcd, and only a reported scalar becomes a ``Fraction``
+(:func:`over`).
 
 The helpers here are deliberately dumb and deterministic: products are
 accumulated left to right in ascending index order, and dense tables over
@@ -87,12 +92,56 @@ def mode_scalar(value: int, values):
     return Fraction(value) if mode_dtype(values) is _OBJECT else float(value)
 
 
-def mode_sum(vec):
-    """Sum of the entries of ``vec`` as a Python float or ``Fraction``.
+def ratio(a) -> tuple:
+    """``a`` as (numerator, denominator): a float over 1, or a ``Fraction``'s two ints.
+
+    Multiplying by 1 is exact, so a float kernel that scales by the
+    denominator computes the same bits as one that does not.  The float
+    test comes first: ``isinstance`` against ``Fraction``, an abstract base
+    class, costs about half a microsecond, a float convolution step not
+    much more.
+    """
+    return (a, 1) if isinstance(a, float) else (a.numerator, a.denominator)
+
+
+def over(num, scale):
+    """The reported scalar ``num / scale``: a ``Fraction`` for an ``int``
+    numerator, and a float numerator as it is (its scale is 1)."""
+    return Fraction(num, scale) if isinstance(num, int) else num / scale
+
+
+def unscaled(nums: np.ndarray, scale) -> np.ndarray:
+    """The values ``nums / scale``: one ``Fraction`` per entry of an exact
+    array, and a float array itself (its scale is 1)."""
+    return nums * Fraction(1, scale) if nums.dtype == _OBJECT else nums
+
+
+def as_numerators(values) -> tuple[np.ndarray, int]:
+    """``values`` as (numerators, scale) over their least common denominator.
+
+    ``Fraction``s (or ints) give an ``object`` array of ints; floats give a
+    ``float64`` array over 1, and a read-only one is taken as it is.
+    """
+    if mode_dtype(values) is _FLOAT64:
+        if isinstance(values, np.ndarray) and not values.flags.writeable:
+            return values, 1
+        return np.array(values, dtype=_FLOAT64), 1
+    scale = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (scale // v.denominator) for v in values], dtype=_OBJECT), scale
+
+
+def rescaled(nums: np.ndarray, factor: int) -> np.ndarray:
+    """Numerators over a scale ``factor`` times larger: ``nums * factor``, or
+    ``nums`` itself when the factor is 1, as it always is in floating mode."""
+    return nums if factor == 1 else nums * factor
+
+
+def scaled_sum(nums, scale):
+    """Sum of the entries of ``nums`` over ``scale``, as a reported scalar.
 
     The same float as ``np.sum``; an empty vector sums to 0 in its mode.
     """
-    return np.sum(vec, initial=mode_scalar(0, vec), keepdims=True).item()
+    return over(np.sum(nums, initial=0, keepdims=True).item(), scale)
 
 
 def subset_atom(values: Sequence, mask: int):
@@ -121,24 +170,33 @@ def prefix_atom(values: Sequence, t: int):
     return subset_atom(values, (1 << t) - 1)
 
 
-def atom_products_dense(values: Sequence) -> np.ndarray:
+def _dense_products(values: Sequence, unset) -> tuple[np.ndarray, int]:
+    """Products over every mask of the numerator ``p`` of each set bit's value
+    and a factor ``unset(p, d)`` for each other one, as (table, scale), the
+    scale the product of the denominators ``d``.  Built by doubling, lowest
+    bit first; ``unset`` scales the table for the bit it adds."""
+    table, scale = np.ones(1, dtype=mode_dtype(values)), 1
+    for a in values:
+        p, d = ratio(a)
+        table = np.concatenate([unset(table, p, d), table * p])
+        scale *= d
+    return table, scale
+
+
+def atom_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     """Dense vector of product-measure atom probabilities, indexed by bitmask.
 
-    Entry ``mask`` is :func:`subset_atom` at ``mask``.  Built by doubling,
-    which reproduces its left-associative ascending order bit for bit.
+    Returns (numerators, scale): entry ``mask`` over the scale is
+    :func:`subset_atom` at ``mask``.  The doubling reproduces its
+    left-associative ascending order bit for bit.
     """
-    atoms = np.full(1, mode_scalar(1, values))
-    for a in values:
-        atoms = np.concatenate([atoms * (1 - a), atoms * a])
-    return atoms
+    return _dense_products(values, lambda table, p, d: table * (d - p))
 
 
-def subset_products_dense(values: Sequence) -> np.ndarray:
-    """Dense vector of plain subset products ``prod(values[j] for set bits j)``."""
-    prods = np.full(1, mode_scalar(1, values))
-    for a in values:
-        prods = np.concatenate([prods, prods * a])
-    return prods
+def subset_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
+    """Dense vector of plain subset products ``prod(values[j] for set bits j)``,
+    as (numerators, scale) over the scale of :func:`atom_products_dense`."""
+    return _dense_products(values, lambda table, p, d: rescaled(table, d))
 
 
 @lru_cache(maxsize=32)
@@ -156,7 +214,8 @@ def superset_sums(atoms, n: int) -> np.ndarray:
 
     Returns a fresh vector whose entry ``J`` is the sum of ``atoms[I]`` over
     all masks ``I`` with ``I & J == J`` (supersets of J, J itself included).
-    Summation order is fixed, so floating results are reproducible.
+    Summation order is fixed, so floating results are reproducible.  The
+    sums are linear, so numerators over a scale give numerators over it.
     """
     out = np.array(atoms, dtype=mode_dtype(atoms))
     paired = out.dtype == np.float64
@@ -180,25 +239,20 @@ def poisson_binomial_pmf(values: Sequence) -> np.ndarray:
     none-occur entries come out as plain ascending products, bit-identical to
     :func:`prefix_atom` at the corresponding arguments.
 
-    Each value enters as a numerator ``p`` over a denominator ``d`` (``d`` is
-    1.0 for a float), so exact mode convolves integers and divides once, by
-    the product of the denominators, at the end: growing ``Fraction``
-    operands would cost a gcd per multiply.
+    It convolves the numerators of :func:`ratio`, so exact mode convolves
+    integers and divides once, by the product of the denominators, at the
+    end: growing ``Fraction`` operands would cost a gcd per multiply.
     """
-    dtype = mode_dtype(values)
-    exact = dtype == object
-    pmf = np.zeros(len(values) + 1, dtype=dtype)
+    pmf = np.zeros(len(values) + 1, dtype=mode_dtype(values))
     pmf[0] = 1
     scale = 1
     for i, a in enumerate(values):
-        p, d = (a.numerator, a.denominator) if exact else (a, 1.0)
+        p, d = ratio(a)
         up = pmf[: i + 1] * p
         pmf[: i + 1] *= d - p
         pmf[1 : i + 2] += up
         scale *= d
-    if exact:
-        pmf *= Fraction(1, scale)
-    return pmf
+    return unscaled(pmf, scale)
 
 
 def cumulative_sums(vec) -> np.ndarray:

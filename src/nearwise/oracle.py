@@ -24,6 +24,7 @@ shortcuts.  The checks:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _check_k, _shifted, sharp_bounds, tail_probabilities
+from .bounds import _check_k, sharp_bounds, tail_probabilities
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -46,12 +47,15 @@ from .measures import (
 )
 from .numeric import (
     ABS_TOL,
+    as_numerators,
     binom_or_zero,
     close,
     mode_scalar,
-    mode_sum,
+    over,
     popcount_table,
-    prefix_atom,
+    ratio,
+    rescaled,
+    scaled_sum,
     subset_products_dense,
     suffix_sums,
     superset_sums,
@@ -63,15 +67,16 @@ DEFAULT_SEED = 271828
 
 
 @per_profile
-def subset_products(profile: MarginalProfile):
-    """Subset-product table of ``profile``, built once and read-only.
+def subset_products(profile: MarginalProfile) -> tuple[np.ndarray, int]:
+    """Subset-product table of ``profile`` as (numerators, scale), built once
+    and read-only.
 
     Entry J is ``prod_{j in J} a_j`` over the sorted values: what the product
     rule requires of P(all events in J occur).
     """
-    table = subset_products_dense(profile.sorted_values)
+    table, scale = subset_products_dense(profile.sorted_values)
     table.setflags(write=False)
-    return table
+    return table, scale
 
 
 @dataclass(frozen=True)
@@ -130,15 +135,15 @@ def enumerate_tail(measure: AtomicMeasure, k: int):
     n = measure.n
     _check_cap(n)
     _check_k(k, n, high=n + 1)
-    return mode_sum(measure.atom_probs[popcount_table(n) >= k])
+    return scaled_sum(measure.numerators[popcount_table(n) >= k], measure.scale)
 
 
-def _tail_vector(measure: AtomicMeasure):
-    """All tails P(at least k occur), k = 0..n, from one pass over atoms."""
-    atoms = measure.atom_probs
+def _tail_vector(measure: AtomicMeasure) -> np.ndarray:
+    """All tails P(at least k occur), k = 0..n, from one pass over atoms, as
+    numerators over the measure's scale."""
+    atoms = measure.numerators
     by_count = np.zeros(measure.n + 1, dtype=atoms.dtype)
-    # adds in mask order, as ``np.bincount`` would; every count has an atom,
-    # so no exact entry stays the int 0 it starts as
+    # adds in mask order, as ``np.bincount`` would
     np.add.at(by_count, popcount_table(measure.n), atoms)
     return suffix_sums(by_count)
 
@@ -155,33 +160,38 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     _check_cap(n)
     if profile.n != n:
         raise ValueError(f"profile has n = {profile.n} but measure has n = {n}")
-    tol = 0 if measure.exact else ABS_TOL
 
-    atoms = measure.atom_probs
-    sums = superset_sums(atoms, n)
-    products = subset_products(profile)
+    # every check compares numerators over one common scale; a tolerance is
+    # an absolute probability, so it scales too
+    atoms, atom_scale = measure.numerators, measure.scale
+    products, product_scale = subset_products(profile)
+    scale = math.lcm(atom_scale, product_scale)
+    slack = 0 if measure.exact else ABS_TOL
+    tol = slack * scale
+    # signed residual of every joint probability against the product rule;
+    # superset_sums returns a fresh array, so the rest works in place
+    residuals = rescaled(superset_sums(atoms, n), scale // atom_scale)
+    np.subtract(residuals, rescaled(products, scale // product_scale), out=residuals)
     pc = popcount_table(n)
 
     violations = []
 
     # Normalization: total mass is the superset sum at the empty subset.
-    norm_residual = sums.item(0) - 1
+    norm_residual = residuals.item(0)
     if abs(norm_residual) > tol:
         violations.append(("normalization", tuple(range(1, n + 1))))
 
     # Nonnegativity; ``argmin`` reports the first minimal mask.
     argmin_mask = int(np.argmin(atoms))
     min_atom = atoms.item(argmin_mask)
-    if min_atom < -tol:
+    if min_atom < -slack * atom_scale:
         violations.append(("nonnegativity", tuple(mask_indices(argmin_mask))))
 
     # Marginals, reported in the caller's input order.
-    sorted_residuals = [
-        sums.item(1 << j) - profile.sorted_values[j] for j in range(n)
-    ]
+    sorted_residuals = [residuals.item(1 << j) for j in range(n)]
     marginal_residuals = [None] * n
     for j in range(n):
-        marginal_residuals[profile.permutation[j]] = sorted_residuals[j]
+        marginal_residuals[profile.permutation[j]] = over(sorted_residuals[j], scale)
     bad = [j for j in range(n) if abs(sorted_residuals[j]) > tol]
     if bad:
         violations.append(("marginal", (bad[0] + 1,)))
@@ -190,9 +200,8 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     # measure, but the full subset decides whether the order reaches n.
     first_bad_mask = None
     order = n
-    # In place: ``sums`` is a fresh copy whose entries 0 and 1 << j were
-    # read above.  Only the full set, the last mask, has |J| = n.
-    residuals = np.abs(np.subtract(sums, products, out=sums), out=sums)
+    # Only the full set, the last mask, has |J| = n.
+    residuals = np.abs(residuals, out=residuals)
     worst_product = residuals.item(int(np.argmax(residuals[:-1])))
     # the empty set's residual is the normalization defect, already
     # reported; the product rule starts at |J| = 1
@@ -208,11 +217,11 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
         violations.append(("product-rule", tuple(mask_indices(first_bad_mask))))
 
     return VerificationReport(
-        normalization_residual=norm_residual,
-        min_atom=min_atom,
+        normalization_residual=over(norm_residual, scale),
+        min_atom=over(min_atom, atom_scale),
         marginal_residuals=tuple(marginal_residuals),
         independence_order=order,
-        worst_product_residual=worst_product,
+        worst_product_residual=over(worst_product, scale),
         lemma_violations=tuple(violations),
     )
 
@@ -229,16 +238,23 @@ def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
     return verify_measure(measure, profile).independence_order
 
 
+def _kernel_numerator(offsets: np.ndarray, n: int):
+    """Largest |sum over supersets| of ``offsets`` across all proper subsets."""
+    sums = np.abs(superset_sums(offsets, n)[:-1])
+    return np.max(sums, initial=0, keepdims=True).item()
+
+
 def kernel_residual(offsets: Sequence, n: int):
     """Largest |sum over supersets| across all proper subsets.
 
     ``offsets`` is indexed by subset mask.  A vector lies in the kernel of
     the joint-probability constraints exactly when this is zero: adding it
-    to any valid measure changes no P(all of J occur) for proper J.
+    to any valid measure changes no P(all of J occur) for proper J.  Exact
+    offsets are summed as numerators over their common denominator.
     """
     _check_cap(n)
-    sums = np.abs(superset_sums(offsets, n)[:-1])
-    return np.max(sums, initial=mode_scalar(0, sums), keepdims=True).item()
+    nums, scale = as_numerators(offsets)
+    return over(_kernel_numerator(nums, n), scale)
 
 
 def verify_kernel(n: int, s) -> bool:
@@ -247,13 +263,15 @@ def verify_kernel(n: int, s) -> bool:
     Builds the vector over all 2^n subsets and checks, for every proper
     subset J, that the sum of entries over supersets of J vanishes — the
     reason the whole family shares all joint probabilities below order n.
-    Exact for int/Fraction s; within tolerance for floats.
+    Exact for int/Fraction s, on the numerator of s; within tolerance for
+    floats.
     """
     _check_cap(n)
-    if isinstance(s, (Fraction, int)) and not isinstance(s, bool):
-        return kernel_residual(_signed_offsets(n, Fraction(s)), n) == 0
-    worst = kernel_residual(_signed_offsets(n, float(s)), n)
-    return worst <= ABS_TOL * max(1.0, abs(float(s)))
+    exact = isinstance(s, (Fraction, int)) and not isinstance(s, bool)
+    s = Fraction(s) if exact else float(s)
+    num, _ = ratio(s)
+    worst = _kernel_numerator(_signed_offsets(n, num, object if exact else float), n)
+    return worst <= (0 if exact else ABS_TOL * max(1.0, abs(s)))
 
 
 def verify_extremal_atoms(profile: MarginalProfile) -> bool:
@@ -263,19 +281,19 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     (a) every atom is at least the prefix atom of its cardinality,
     (b) the minimum over odd cardinalities is the prefix atom of size 2p+1,
     (c) the minimum over even cardinalities is the prefix atom of size 2m —
-    the two quantities that bound the feasible interval.
+    the two quantities that bound the feasible interval.  The prefix atom of
+    size t is the table's entry at the mask of the first t events, so every
+    comparison is between numerators over the table's scale.
     """
     n = profile.n
     _check_cap(n)
-    values = profile.sorted_values
     exact = profile.exact
-    tol = 0 if exact else ABS_TOL
 
-    atoms = product_atoms(profile)
+    atoms, scale = product_atoms(profile)
+    tol = (0 if exact else ABS_TOL) * scale
     pc = popcount_table(n)
-    prefixes = [prefix_atom(values, t) for t in range(n + 1)]
-    floors = np.array([f - tol for f in prefixes], dtype=atoms.dtype)
-    if np.any(atoms < floors[pc]):
+    prefixes = atoms[[(1 << t) - 1 for t in range(n + 1)]]
+    if np.any(atoms < (prefixes - tol)[pc]):
         return False
     odd = _odd_parity(n)
     # n >= 1, so both parities have atoms
@@ -283,8 +301,8 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     even_min = atoms[~odd].min()
 
     iv = s_interval(profile)
-    return close(odd_min, prefixes[2 * iv.p + 1], exact=exact) and close(
-        even_min, prefixes[2 * iv.m], exact=exact
+    return close(odd_min, prefixes.item(2 * iv.p + 1), exact=exact) and close(
+        even_min, prefixes.item(2 * iv.m), exact=exact
     )
 
 
@@ -413,8 +431,12 @@ def check_profile(
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
     min_atom_seen = mode_scalar(1, profile.sorted_values)
     measures_checked = 0
-    mutual = tail_probabilities(profile).tolist()
-    slopes = [binom_or_zero(n - 1, k - 1) for k in range(n + 1)]
+    # the linear formula mutual + (-1)^k C(n-1, k-1) s, held as numerators:
+    # the mutual tails over their own scale, the signed slopes as they are
+    mutual, mutual_scale = as_numerators(tail_probabilities(profile))
+    slopes = np.array(
+        [(-1) ** k * binom_or_zero(n - 1, k - 1) for k in range(n + 1)], dtype=mutual.dtype
+    )
     # running extremes of the tail at each scan k over the grid
     lows = highs = None
 
@@ -439,18 +461,23 @@ def check_profile(
                 f"{label}: independence order {report.independence_order} "
                 f"< {expected_order} at s = {s}"
             )
-        tails = _tail_vector(measure).tolist()
+        # tails and formula as numerators over the measure's scale, which
+        # both the mutual tails' and the denominator of s divide
+        tails, scale = _tail_vector(measure), measure.scale
         del measure  # free the 2^n atoms before the next build
-        for k in range(n + 1):
-            linear = _shifted(profile, k, slopes[k], mutual[k], s)
-            tail_gap = max(tail_gap, abs(tails[k] - linear))
-            if not close(tails[k], linear, exact=exact):
+        s_num, s_den = ratio(s)
+        linear = rescaled(mutual, scale // mutual_scale) + slopes * (s_num * (scale // s_den))
+        linear[0] = scale  # P(at least 0 occur) = 1 for every s
+        gaps = np.abs(tails - linear).tolist()
+        for k, (tail, formula) in enumerate(zip(tails.tolist(), linear.tolist())):
+            if not close(tail, formula, exact=exact):
                 failures.append(
                     f"{label}: enumerated tail != linear formula "
                     f"at k = {k}, s = {s}"
                 )
                 break
-        values = [tails[k] for k in scan_ks]
+        tail_gap = max(tail_gap, over(max(gaps[: k + 1]), scale))
+        values = [over(tails.item(k), scale) for k in scan_ks]
         lows = values if lows is None else list(map(min, lows, values))
         highs = values if highs is None else list(map(max, highs, values))
 

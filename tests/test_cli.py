@@ -315,6 +315,9 @@ def test_measure_text_and_csv_are_written_a_batch_at_a_time(monkeypatch, fmt):
             writes.append(text)
             return len(text)
 
+        def flush(self):  # main flushes once the output ends
+            pass
+
     monkeypatch.setattr(sys, "stdout", Recorder())
     marginals = ",".join(str(round(0.05 + 0.06 * i, 2)) for i in range(14))
     assert main(["measure", "--marginals", marginals, "--format", fmt]) == 0
@@ -619,3 +622,22 @@ def test_module_entry_point_in_a_subprocess(capsys, fmt):
     bad = child("bound", "--marginals", "0.1,1.5", "--k", "1", "--format", "json")
     assert (bad.returncode, bad.stdout) == (2, "")
     assert "error: value out of [0,1] at index 2" in bad.stderr
+
+
+def test_reader_closing_the_pipe_ends_quietly():
+    """``nearwise measure ... | head -n 1``: exit 1 and nothing on stderr."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    marginals = ",".join(str(round(0.05 + 0.06 * i, 2)) for i in range(14))
+    # 2^14 atoms of JSON fill the pipe many times over, so the child is
+    # still writing when the reader goes
+    with subprocess.Popen(
+        [sys.executable, "-m", "nearwise.cli", "measure", "--marginals", marginals,
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    ) as child:
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert (code, err) == (1, b"")

@@ -28,7 +28,7 @@ from nearwise import (
 )
 from nearwise import measures
 from nearwise.measures import AtomicMeasure, product_atoms
-from nearwise.numeric import atom_products_dense, subset_products_dense
+from nearwise.numeric import atom_products_dense, subset_products_dense, unscaled
 from nearwise.oracle import subset_products, verify_measure
 
 
@@ -88,7 +88,8 @@ def test_s_interval_is_computed_once_per_profile(monkeypatch):
 
 def test_atom_product_matches_dense_table():
     profile = from_raw([0.13, 0.55, 0.72])
-    dense = atom_products_dense(profile.sorted_values)
+    dense, scale = atom_products_dense(profile.sorted_values)
+    assert scale == 1  # float numerators are the values
     for mask in range(8):
         assert atom_product(profile, mask) == dense[mask]
     with pytest.raises(ValueError, match="subset mask"):
@@ -147,7 +148,7 @@ def test_s_interval_degenerate_and_single_event():
 def test_build_measure_product_at_zero():
     profile = from_raw([0.2, 0.7])
     measure = build_measure(profile, 0.0)
-    assert np.array_equal(measure.atom_probs, atom_products_dense(profile.sorted_values))
+    assert np.array_equal(measure.atom_probs, unscaled(*atom_products_dense(profile.sorted_values)))
     assert measure.s == 0.0
     assert abs(measure.total() - 1.0) < 1e-15
     assert not measure.exact
@@ -163,7 +164,7 @@ def test_build_measure_endpoint_has_exact_zero_atom():
 
 def _reference_atoms(profile, s):
     """A fresh product table plus (-1)^|J| s, signs taken mask by mask."""
-    table = atom_products_dense(profile.sorted_values)
+    table = unscaled(*atom_products_dense(profile.sorted_values))
     signs = [1 - 2 * (bin(mask).count("1") % 2) for mask in range(1 << profile.n)]
     if profile.exact:
         return [b + sign * s for b, sign in zip(table, signs)]
@@ -204,15 +205,15 @@ def test_build_measure_builds_the_product_table_once(monkeypatch):
 
 def test_profile_tables_are_read_only():
     profile = from_raw([0.25, 0.5, 0.6])
-    for table in (product_atoms(profile), subset_products(profile)):
+    for table, _ in (product_atoms(profile), subset_products(profile)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.5
     exact = from_raw([Fraction(1, 4), Fraction(1, 2)], exact=True)
-    for table in (product_atoms(exact), subset_products(exact)):
+    for table, _ in (product_atoms(exact), subset_products(exact)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = Fraction(1, 2)
     # a built measure owns its atoms; the shared table stays untouched
-    assert not np.shares_memory(build_measure(profile, 0.0).atom_probs, product_atoms(profile))
+    assert not np.shares_memory(build_measure(profile, 0.0).atom_probs, product_atoms(profile)[0])
 
 
 def test_equal_float_and_exact_profiles_keep_their_own_tables():
@@ -221,13 +222,19 @@ def test_equal_float_and_exact_profiles_keep_their_own_tables():
     exact = from_raw([Fraction(1, 2), Fraction(1, 4)], exact=True)
     assert floating == exact and hash(floating) == hash(exact)
     # build the float tables first: an equality-keyed cache would hand them on
-    assert product_atoms(floating).dtype == np.float64
-    assert subset_products(floating).dtype == np.float64
-    for table in (product_atoms(exact), subset_products(exact)):
+    assert product_atoms(floating)[0].dtype == np.float64
+    assert subset_products(floating)[0].dtype == np.float64
+    for table, scale in (product_atoms(exact), subset_products(exact)):
         assert table.dtype == object and not table.flags.writeable
-        assert all(type(v) is Fraction for v in table)
-    assert list(product_atoms(exact)) == list(atom_products_dense(exact.sorted_values))
-    assert list(subset_products(exact)) == list(subset_products_dense(exact.sorted_values))
+        # integer numerators over the product of the denominators
+        assert scale == 8 and all(type(v) is int for v in table)
+        assert all(type(v) is Fraction for v in unscaled(table, scale))
+    assert list(unscaled(*product_atoms(exact))) == list(
+        unscaled(*atom_products_dense(exact.sorted_values))
+    )
+    assert list(unscaled(*subset_products(exact))) == list(
+        unscaled(*subset_products_dense(exact.sorted_values))
+    )
 
 
 def test_build_measure_rejects_infeasible_s():

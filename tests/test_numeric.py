@@ -19,6 +19,7 @@ from nearwise.numeric import (
     subset_products_dense,
     suffix_sums,
     superset_sums,
+    unscaled,
 )
 
 
@@ -56,7 +57,8 @@ def test_prefix_atom_exact():
 def test_atom_products_dense_matches_prefix_atoms_bitwise():
     """The dense table and the prefix helper must agree bit for bit."""
     values = [0.13, 0.37, 0.52, 0.81]
-    atoms = atom_products_dense(values)
+    atoms, scale = atom_products_dense(values)
+    assert scale == 1 and atoms.dtype == np.float64  # the numerators are the values
     assert atoms.shape == (16,)
     assert math.isclose(float(np.sum(atoms)), 1.0, rel_tol=1e-15)
     for t in range(5):
@@ -66,19 +68,22 @@ def test_atom_products_dense_matches_prefix_atoms_bitwise():
 
 def test_atom_products_dense_exact_normalizes():
     values = [Fraction(1, 3), Fraction(2, 7)]
-    atoms = atom_products_dense(values)
-    assert atoms.dtype == object
+    numerators, scale = atom_products_dense(values)
+    assert numerators.dtype == object and scale == 21
+    assert all(type(v) is int for v in numerators)
+    atoms = unscaled(numerators, scale)
     assert sum(atoms, Fraction(0)) == 1
     assert atoms[0b11] == Fraction(1, 3) * Fraction(2, 7)
 
 
 def test_subset_products_dense():
     values = [0.5, 0.25, 0.125]
-    prods = subset_products_dense(values)
+    prods, scale = subset_products_dense(values)
+    assert scale == 1
     assert prods[0] == 1.0
     assert prods[0b011] == 0.5 * 0.25
     assert prods[0b111] == (1.0 * 0.5) * 0.25 * 0.125
-    exact = subset_products_dense([Fraction(1, 2), Fraction(1, 4)])
+    exact = unscaled(*subset_products_dense([Fraction(1, 2), Fraction(1, 4)]))
     assert exact[0b10] == Fraction(1, 4)
 
 

@@ -1,5 +1,8 @@
 """Unit tests for the brute-force verification oracle."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -403,3 +406,64 @@ def test_exact_mode_scalars_are_fractions():
     assert enumerate_tail(measure, n + 1) == 0
     for value in scalars:
         assert type(value) is Fraction, value
+
+
+def _exact_profile(n: int, seed: int):
+    rng = random.Random(seed)
+    return from_raw([Fraction(rng.randint(0, 10**6), 10**6) for _ in range(n)], exact=True)
+
+
+def test_exact_check_profile_forms_fewer_fractions_than_atoms(monkeypatch):
+    """The exact oracle adds integer numerators: a ``Fraction`` only per reported scalar."""
+    profile = _exact_profile(10, 10)
+    created = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        created.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    check = check_profile(profile, s_points=11)
+    monkeypatch.undo()
+    assert check.passed and check.measures_checked == 11
+    assert 0 < len(created) < 1 << 10
+
+
+def test_exact_oracle_speed():
+    """Exact check_profile at n = 12 and the exact 40 x 10 suite stay well under a second."""
+    profile = _exact_profile(12, 12)
+    start = time.perf_counter()
+    assert check_profile(profile, s_points=11).passed
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"exact check_profile at n = 12 took {elapsed:.3f}s"
+    start = time.perf_counter()
+    assert run_random_suite(count=40, max_n=10, exact=True).passed
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"exact 40 x 10 suite took {elapsed:.3f}s"
+
+
+def test_external_exact_measure_with_mixed_denominators():
+    """Fractions of different denominators go over their least common one."""
+    profile = from_raw([Fraction(1, 3), Fraction(2, 7), Fraction(3, 10)], exact=True)
+    atoms = list(build_measure(profile, Fraction(1, 1000)).atom_probs)
+    assert len({a.denominator for a in atoms}) > 1
+    measure = AtomicMeasure(n=3, atom_probs=atoms)
+    assert measure.scale == math.lcm(*(a.denominator for a in atoms))
+    assert [measure.atom(mask) for mask in range(8)] == atoms
+    assert all(type(measure.atom(mask)) is Fraction for mask in range(8))
+    assert list(measure.atom_probs) == atoms and measure.total() == 1
+    report = verify_measure(measure, profile)
+    assert report.passed and report.independence_order == 2
+    assert report.min_atom == min(atoms) and type(report.min_atom) is Fraction
+
+    tampered = list(atoms)
+    tampered[0b101] += Fraction(1, 77)  # events 1 and 3 gain, the empty atom pays
+    tampered[0] -= Fraction(1, 77)
+    report = verify_measure(AtomicMeasure(n=3, atom_probs=tampered), profile)
+    assert not report.passed
+    assert [v[0] for v in report.lemma_violations] == ["marginal", "product-rule"]
+    assert report.worst_product_residual == Fraction(1, 77)
+    assert report.normalization_residual == 0
+    assert sorted(report.marginal_residuals) == [0, Fraction(1, 77), Fraction(1, 77)]
+    assert report.independence_order == 0
