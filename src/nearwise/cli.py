@@ -27,12 +27,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .bounds import makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
-from .numeric import format_scientific
+from .numeric import format_scaled, format_scientific
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
 from .reference import ROW_KINDS, reference_cell
 
@@ -58,9 +58,10 @@ class Output:
     """One subcommand's result in every output format.
 
     ``payload()`` builds the JSON document, ``rows()`` the CSV rows of raw
-    values under the header ``columns``, and ``text()`` the text lines, each
-    iterable read once.  :func:`main` calls only the one ``--format`` asks
-    for, so a large form is never built for nothing; ``code`` is the exit code.
+    values (a string is written as it is) under the header ``columns``, and
+    ``text()`` the text lines, each iterable read once.  :func:`main` calls
+    only the one ``--format`` asks for, so a large form is never built for
+    nothing; ``code`` is the exit code.
     """
 
     payload: Callable[[], object]
@@ -217,6 +218,18 @@ def cmd_interval(args, parser) -> Output:
 _JSON_ATOM = '    {\n      "subset": [%s],\n      "prob": %r\n    }'
 
 
+#: Atom numerators converted to Python numbers per numpy call.
+_NUMERATOR_BATCH = 1 << 14
+
+
+def _numerators(measure) -> Iterator:
+    """The atoms' numerators over ``measure.scale`` as Python numbers, in mask
+    order, taken from the array a batch at a time."""
+    nums = measure.numerators
+    for start in range(0, nums.size, _NUMERATOR_BATCH):
+        yield from nums[start:start + _NUMERATOR_BATCH].tolist()
+
+
 def cmd_measure(args, parser) -> Output:
     profile = _require_profile(args, parser)
     if args.s is not None:
@@ -227,30 +240,32 @@ def cmd_measure(args, parser) -> Output:
     else:
         s = 0  # build_measure reads it in the profile's arithmetic
     measure = build_measure(profile, s)
-    fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
+    scale = measure.scale
+    # each atom is read from its numerator over the scale, with no Fraction:
+    # int true division rounds correctly, as float(Fraction) does
+    atom_text = lambda num: format_scaled(num, scale, args.precision)  # noqa: E731
 
     def payload():
         """``measure_to_dict``'s document, each atom encoded from one template."""
         labels = subset_labels(profile, ",", "\n        {}".format)
         atoms = (
-            _JSON_ATOM % (f"{label}\n      " if label else "", float(prob))
-            for label, prob in zip(labels, measure.atom_probs)
+            _JSON_ATOM % (f"{label}\n      " if label else "", num / scale)
+            for label, num in zip(labels, _numerators(measure))
         )
         return {"n": measure.n, "s": float(measure.s), "atoms": EncodedArray(atoms)}
 
     def rows():
-        """(subset in input indices joined by ';', probability) in mask order."""
-        return zip(subset_labels(profile, ";"), measure.atom_probs.tolist())
+        """(subset in input indices joined by ';', probability as text) in mask order."""
+        return zip(subset_labels(profile, ";"), map(atom_text, _numerators(measure)))
 
     def text():
         # the full subset has the longest label
         width = max(len("(none)"), len(",".join(map(str, range(1, measure.n + 1)))) + 2)
-        yield f"n = {measure.n}  s = {fmt(measure.s)}"
-        for label, prob in zip(subset_labels(profile), measure.atom_probs.tolist()):
-            yield f"{'{' + label + '}' if label else '(none)':<{width}}  {fmt(prob)}"
+        yield f"n = {measure.n}  s = {format_scientific(measure.s, args.precision)}"
+        for label, num in zip(subset_labels(profile), _numerators(measure)):
+            yield f"{'{' + label + '}' if label else '(none)':<{width}}  {atom_text(num)}"
 
     return Output(payload, ("subset", "prob"), rows, text)
-
 
 
 def _table_spec_from_args(args, parser) -> TableSpec:

@@ -430,7 +430,7 @@ def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:
         "n": measure.n,
         "s": None if measure.s is None else float(measure.s),
         "atoms": [
-            {"subset": list(subset), "prob": float(prob)}
-            for subset, prob in zip(labels, measure.atom_probs.tolist())
+            {"subset": list(subset), "prob": num / measure.scale}
+            for subset, num in zip(labels, measure.numerators.tolist())
         ],
     }

@@ -172,13 +172,24 @@ def prefix_atom(values: Sequence, t: int):
 
 def _dense_products(values: Sequence, unset) -> tuple[np.ndarray, int]:
     """Products over every mask of the numerator ``p`` of each set bit's value
-    and a factor ``unset(p, d)`` for each other one, as (table, scale), the
-    scale the product of the denominators ``d``.  Built by doubling, lowest
-    bit first; ``unset`` scales the table for the bit it adds."""
-    table, scale = np.ones(1, dtype=mode_dtype(values)), 1
+    and the factor ``unset(p, d)`` for each other one, as (table, scale), the
+    scale the product of the denominators ``d``.
+
+    Built in place by doubling, lowest bit first, in one array of 2^n
+    entries: for each value the entries with its bit set become the table so
+    far times ``p``, and then the table so far is scaled by ``unset(p, d)``.
+    """
+    table = np.empty(1 << len(values), dtype=mode_dtype(values))
+    table[0] = 1
+    size, scale = 1, 1
     for a in values:
         p, d = ratio(a)
-        table = np.concatenate([unset(table, p, d), table * p])
+        low = table[:size]
+        np.multiply(low, p, out=table[size : 2 * size])
+        factor = unset(p, d)
+        if factor != 1:  # a factor of 1 changes no entry
+            low *= factor
+        size *= 2
         scale *= d
     return table, scale
 
@@ -190,13 +201,13 @@ def atom_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     :func:`subset_atom` at ``mask``.  The doubling reproduces its
     left-associative ascending order bit for bit.
     """
-    return _dense_products(values, lambda table, p, d: table * (d - p))
+    return _dense_products(values, lambda p, d: d - p)
 
 
 def subset_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     """Dense vector of plain subset products ``prod(values[j] for set bits j)``,
     as (numerators, scale) over the scale of :func:`atom_products_dense`."""
-    return _dense_products(values, lambda table, p, d: rescaled(table, d))
+    return _dense_products(values, lambda p, d: d)
 
 
 @lru_cache(maxsize=32)
@@ -209,6 +220,10 @@ def popcount_table(n: int) -> np.ndarray:
     return pc
 
 
+#: Blocks of at most this many elements are added along the long axis.
+_SHORT_BLOCK = 8
+
+
 def superset_sums(atoms, n: int) -> np.ndarray:
     """Zeta transform over the superset lattice.
 
@@ -216,18 +231,34 @@ def superset_sums(atoms, n: int) -> np.ndarray:
     all masks ``I`` with ``I & J == J`` (supersets of J, J itself included).
     Summation order is fixed, so floating results are reproducible.  The
     sums are linear, so numerators over a scale give numerators over it.
+
+    Pass ``b`` adds each block of ``2^b`` entries with bit ``b`` set into
+    the block below it, in place.  numpy stages an add of two interleaved
+    views through three buffers of its buffer size, 8192 elements by
+    default (together three quarters of a 2^16-entry float table), so the
+    passes run with the smallest buffer numpy allows, restored afterwards,
+    and allocate nothing.
     """
     out = np.array(atoms, dtype=mode_dtype(atoms))
     paired = out.dtype == np.float64
-    for b in range(n):
-        if paired and b >= 1:
-            # each complex128 holds two neighbouring float64 lanes, and
-            # complex addition adds each lane as its own IEEE add, so
-            # the sums are bit-identical with half as many elements
-            view = out.view(np.complex128).reshape(-1, 2, 1 << (b - 1))
-        else:
-            view = out.reshape(-1, 2, 1 << b)
-        view[:, 0, :] += view[:, 1, :]
+    bufsize = np.getbufsize()
+    np.setbufsize(16)
+    try:
+        for b in range(n):
+            if paired and b >= 1:
+                # each complex128 holds two neighbouring float64 lanes, and
+                # complex addition adds each lane as its own IEEE add, so
+                # the sums are bit-identical with half as many elements
+                view = out.view(np.complex128).reshape(-1, 2, 1 << (b - 1))
+            else:
+                view = out.reshape(-1, 2, 1 << b)
+            lo, hi = view[:, 0, :], view[:, 1, :]
+            if view.shape[2] <= _SHORT_BLOCK:
+                # one inner loop down the long axis, not one per short block
+                lo, hi = lo.T, hi.T
+            np.add(lo, hi, out=lo, order="C")
+    finally:
+        np.setbufsize(bufsize)
     return out
 
 
@@ -281,19 +312,30 @@ def format_scientific(value, sig_digits: int = 5) -> str:
     ties away from zero, the convention fixed tables use — 1/256 prints as
     ``3.9063e-03``, where the float formatter would give ``3.9062e-03``.
     """
+    if isinstance(value, float):
+        return format_scaled(value, 1, sig_digits)
+    frac = Fraction(value)
+    return format_scaled(frac.numerator, frac.denominator, sig_digits)
+
+
+def format_scaled(num, scale, sig_digits: int = 5) -> str:
+    """:func:`format_scientific` of ``num / scale``, formed with no ``Fraction``.
+
+    A float numerator is over the scale 1 and formats as the float.  An
+    ``int`` numerator over an ``int`` scale is divided exactly and rounded
+    once, so a pair not in lowest terms gives the same digits as the
+    reduced ``Fraction``.
+    """
     if sig_digits < 1:
         raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0
-        return f"{value:.{sig_digits - 1}e}"
-    frac = Fraction(value)
-    if frac == 0:
+    if isinstance(num, float):
+        if num == 0.0:
+            num = 0.0
+        return f"{num:.{sig_digits - 1}e}"
+    if num == 0:
         return f"{0.0:.{sig_digits - 1}e}"
-    with decimal.localcontext() as ctx:
-        ctx.prec = sig_digits
-        ctx.rounding = decimal.ROUND_HALF_UP
-        quotient = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
+    context = decimal.Context(prec=sig_digits, rounding=decimal.ROUND_HALF_UP)
+    quotient = context.divide(decimal.Decimal(num), decimal.Decimal(scale))
     # the quotient already carries at most sig_digits digits, so this
     # formatting step only places the exponent; it never rounds again
     rendered = f"{quotient:.{sig_digits - 1}e}"

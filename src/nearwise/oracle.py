@@ -37,7 +37,6 @@ from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
     _check_cap,
-    _odd_parity,
     _signed_offsets,
     build_measure,
     mask_indices,
@@ -181,11 +180,10 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     if abs(norm_residual) > tol:
         violations.append(("normalization", tuple(range(1, n + 1))))
 
-    # Nonnegativity; ``argmin`` reports the first minimal mask.
-    argmin_mask = int(np.argmin(atoms))
-    min_atom = atoms.item(argmin_mask)
+    # Nonnegativity; a negative atom's witness is the first minimal mask.
+    min_atom = atoms.min(keepdims=True).item()
     if min_atom < -slack * atom_scale:
-        violations.append(("nonnegativity", tuple(mask_indices(argmin_mask))))
+        violations.append(("nonnegativity", tuple(mask_indices(int(np.argmin(atoms))))))
 
     # Marginals, reported in the caller's input order.
     sorted_residuals = [residuals.item(1 << j) for j in range(n)]
@@ -283,7 +281,8 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     (c) the minimum over even cardinalities is the prefix atom of size 2m —
     the two quantities that bound the feasible interval.  The prefix atom of
     size t is the table's entry at the mask of the first t events, so every
-    comparison is between numerators over the table's scale.
+    comparison is between numerators over the table's scale.  All three
+    claims read the least atom of each cardinality, found in one pass.
     """
     n = profile.n
     _check_cap(n)
@@ -291,14 +290,15 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
 
     atoms, scale = product_atoms(profile)
     tol = (0 if exact else ABS_TOL) * scale
-    pc = popcount_table(n)
     prefixes = atoms[[(1 << t) - 1 for t in range(n + 1)]]
-    if np.any(atoms < (prefixes - tol)[pc]):
+    # the least atom of each cardinality t, the prefix atom among them
+    level_min = prefixes.copy()
+    np.minimum.at(level_min, popcount_table(n), atoms)
+    if np.any(level_min < prefixes - tol):
         return False
-    odd = _odd_parity(n)
     # n >= 1, so both parities have atoms
-    odd_min = atoms[odd].min()
-    even_min = atoms[~odd].min()
+    odd_min = level_min[1::2].min()
+    even_min = level_min[::2].min()
 
     iv = s_interval(profile)
     return close(odd_min, prefixes.item(2 * iv.p + 1), exact=exact) and close(

@@ -1,6 +1,8 @@
 """Unit tests for the shared numeric helpers."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -12,10 +14,14 @@ from nearwise.numeric import (
     binom_or_zero,
     close,
     cumulative_sums,
+    format_scaled,
     format_scientific,
+    mode_dtype,
     poisson_binomial_pmf,
     popcount_table,
     prefix_atom,
+    ratio,
+    rescaled,
     subset_products_dense,
     suffix_sums,
     superset_sums,
@@ -87,6 +93,83 @@ def test_subset_products_dense():
     assert exact[0b10] == Fraction(1, 4)
 
 
+def _dense_by_concatenation(values, atoms: bool):
+    """Reference: the doubling by concatenation, a new table per value, as
+    (table, scale); ``atoms`` picks the atom table, else the subset products."""
+    table, scale = np.ones(1, dtype=mode_dtype(values)), 1
+    for a in values:
+        p, d = ratio(a)
+        unset = table * (d - p) if atoms else rescaled(table, d)
+        table = np.concatenate([unset, table * p])
+        scale *= d
+    return table, scale
+
+
+#: Marginals where rounding and underflow show: 0 and 1, the smallest
+#: subnormals, the largest double below 1, and values that tie.
+_EDGE_MARGINALS = [0.0, 1.0, 5e-324, 1e-323, 2.2e-308, 1 - 2**-53, 1 - 2**-52, 0.5, 0.3, 0.3]
+
+
+@pytest.mark.parametrize("dense, atoms", [(atom_products_dense, True), (subset_products_dense, False)])
+def test_dense_tables_bit_identical_to_concatenation(dense, atoms):
+    rng = random.Random(29)
+    for n in range(19):
+        for values in (
+            [rng.choice(_EDGE_MARGINALS) for _ in range(n)],
+            [rng.random() for _ in range(n)],
+        ):
+            table, scale = dense(values)
+            ref, ref_scale = _dense_by_concatenation(values, atoms)
+            assert (table.dtype, scale) == (ref.dtype, ref_scale) == (np.float64, 1)
+            assert table.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dense, atoms", [(atom_products_dense, True), (subset_products_dense, False)])
+def test_dense_tables_exact_on_mixed_denominators(dense, atoms):
+    rng = random.Random(31)
+    for n in range(1, 11):
+        values = []
+        for _ in range(n):
+            d = rng.choice([1, 2, 3, 7, 12, 10**6])
+            values.append(Fraction(rng.randint(0, d), d))
+        table, scale = dense(values)
+        ref, ref_scale = _dense_by_concatenation(values, atoms)
+        assert table.dtype == object and scale == ref_scale
+        assert list(table) == list(ref)
+        assert all(type(v) is int for v in table)
+
+
+def _peak_bytes(call):
+    """``call()`` and the peak of the memory it allocated, from tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("dense", [atom_products_dense, subset_products_dense])
+def test_dense_tables_are_filled_in_place(dense):
+    values = [0.05 * (j + 1) for j in range(16)]
+    (table, _), peak = _peak_bytes(lambda: dense(values))
+    assert peak <= 1.1 * table.nbytes
+
+
+def test_superset_sums_allocate_only_their_result():
+    atoms = np.random.default_rng(5).random(1 << 16)
+    sums, peak = _peak_bytes(lambda: superset_sums(atoms, 16))
+    assert peak <= 1.1 * sums.nbytes
+
+
+def test_superset_sums_restore_numpy_buffer_size_when_a_pass_raises():
+    bufsize = np.getbufsize()
+    with pytest.raises(ValueError):
+        superset_sums(np.zeros(3), 2)  # no 2-bit table: the first pass raises
+    assert np.getbufsize() == bufsize
+
+
 def test_popcount_table():
     pc = popcount_table(4)
     assert list(np.bincount(pc)) == [1, 4, 6, 4, 1]
@@ -115,11 +198,22 @@ def _superset_sums_per_bit(atoms, n):
 
 def test_superset_sums_paired_lanes_bit_identical():
     rng = np.random.default_rng(41)
-    for n in range(15):
+    bufsize = np.getbufsize()
+    for n in range(19):
         atoms = rng.random(1 << n) - 0.25
         sums = superset_sums(atoms, n)
+        assert np.getbufsize() == bufsize
         assert sums.dtype == np.float64
         assert sums.tobytes() == _superset_sums_per_bit(atoms, n).tobytes()
+
+
+def test_superset_sums_of_integers_equal_the_per_bit_loop():
+    rng = random.Random(43)
+    for n in range(11):
+        atoms = np.array([rng.randint(-10**30, 10**30) for _ in range(1 << n)], dtype=object)
+        sums = superset_sums(atoms, n)
+        assert sums.dtype == object and all(type(v) is int for v in sums)
+        assert list(sums) == list(_superset_sums_per_bit(atoms, n))
 
 
 def test_superset_sums_object_array_stays_exact():
@@ -203,6 +297,18 @@ def test_format_scientific_half_way_rationals():
     assert format_scientific(1 / 256) == "3.9062e-03"
 
 
+def test_format_scaled_reads_an_unreduced_pair_as_its_fraction():
+    rng = random.Random(37)
+    for _ in range(2000):
+        num, scale = rng.randint(-10**12, 10**12), rng.randint(1, 10**12)
+        common, digits = rng.choice([1, 2, 10**6, 3**20]), rng.randint(1, 8)
+        expected = format_scientific(Fraction(num, scale), digits)
+        assert format_scaled(num * common, scale * common, digits) == expected
+    assert format_scaled(256, 65536) == format_scientific(Fraction(1, 256)) == "3.9063e-03"
+    assert format_scaled(0, 7) == format_scaled(-0.0, 1) == "0.0000e+00"
+    assert format_scaled(0.56953279, 1, 3) == format_scientific(0.56953279, 3)
+
+
 def _pmf_by_enumeration(values):
     """Reference: the mass of each count, summed over all 2^n outcomes."""
     n = len(values)
@@ -245,3 +351,5 @@ def test_format_scientific_rejects_no_digits():
             format_scientific(0.5, digits)
         with pytest.raises(ValueError, match="sig_digits must be >= 1"):
             format_scientific(Fraction(1, 3), digits)
+        with pytest.raises(ValueError, match="sig_digits must be >= 1"):
+            format_scaled(1, 3, digits)

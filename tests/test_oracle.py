@@ -1,5 +1,6 @@
 """Unit tests for the brute-force verification oracle."""
 
+import dataclasses
 import math
 import random
 import time
@@ -28,7 +29,9 @@ from nearwise import (
     verify_kernel,
     verify_measure,
 )
-from nearwise.numeric import close, format_scientific, popcount_table
+from nearwise import oracle
+from nearwise.measures import _odd_parity, product_atoms
+from nearwise.numeric import ABS_TOL, close, format_scientific, popcount_table
 
 
 def test_enumerate_tail_product_measure():
@@ -111,6 +114,12 @@ def test_verify_measure_flags_negative_atom_and_normalization():
     assert "nonnegativity" in kinds
     witness = dict(report.lemma_violations)["nonnegativity"]
     assert witness == (1,)
+    assert type(report.min_atom) is float
+    # two equal minima: the witness is the first minimal mask
+    atoms = np.array([0.7, -0.1, -0.1, 0.5])
+    report = verify_measure(AtomicMeasure(n=2, atom_probs=atoms), profile)
+    assert dict(report.lemma_violations)["nonnegativity"] == (1,)
+    assert report.min_atom == -0.1
 
 
 def test_verify_measure_exact_mode_is_strict():
@@ -176,6 +185,58 @@ def test_kernel_residual_exact():
     assert kernel_residual(offsets, n) == 0
     offsets[0] += 1
     assert kernel_residual(offsets, n) == 1
+
+
+def _extremal_atoms_by_gather(profile):
+    """Reference: :func:`verify_extremal_atoms` with a bound gathered per atom
+    and a mask per parity."""
+    atoms, scale = oracle.product_atoms(profile)
+    tol = (0 if profile.exact else ABS_TOL) * scale
+    prefixes = atoms[[(1 << t) - 1 for t in range(profile.n + 1)]]
+    if np.any(atoms < (prefixes - tol)[popcount_table(profile.n)]):
+        return False
+    odd = _odd_parity(profile.n)
+    iv = oracle.s_interval(profile)
+    return close(atoms[odd].min(), prefixes.item(2 * iv.p + 1), exact=profile.exact) and close(
+        atoms[~odd].min(), prefixes.item(2 * iv.m), exact=profile.exact
+    )
+
+
+def _extremal_cases():
+    """Random float profiles of n = 1..16 and exact ones of n = 1..10, with ties,
+    0 and 1, each once as built and once with a tampered table or interval."""
+    rng = random.Random(17)
+    for n in range(1, 17):
+        pool = [0.0, 1.0, 0.3, 0.3, 0.5, 1 - 2**-53, 5e-324]
+        yield from_raw([rng.choice(pool + [rng.random()]) for _ in range(n)])
+        yield from_raw([rng.random() for _ in range(n)])
+    for n in range(1, 11):
+        yield from_raw([Fraction(rng.randint(0, 12), 12) for _ in range(n)], exact=True)
+
+
+@pytest.mark.parametrize("tamper", ["none", "atom", "p", "m"])
+def test_verify_extremal_atoms_agrees_with_the_gathered_check(monkeypatch, tamper):
+    """The per-cardinality minima give the gathered check's verdict, also when
+    a claim fails: an atom lowered below its prefix atom, or p or m moved."""
+    rng = random.Random(tamper)
+    tables, intervals = {}, {}
+    monkeypatch.setattr(oracle, "product_atoms", lambda profile: tables[id(profile)])
+    monkeypatch.setattr(oracle, "s_interval", lambda profile: intervals[id(profile)])
+    verdicts = set()
+    for profile in _extremal_cases():
+        atoms, scale = product_atoms(profile)
+        iv = s_interval(profile)
+        if tamper == "atom":
+            atoms = atoms.copy()
+            atoms[rng.randrange(atoms.size)] -= scale // 3 if profile.exact else 1e-3
+        elif tamper in ("p", "m") and profile.n >= 3:
+            moved = {tamper: (getattr(iv, tamper) + 1) % (profile.n // 2)}
+            iv = dataclasses.replace(iv, **moved)
+        tables[id(profile)], intervals[id(profile)] = (atoms, scale), iv
+        verdict = verify_extremal_atoms(profile)
+        assert verdict == _extremal_atoms_by_gather(profile)
+        verdicts.add(verdict)
+    assert verdicts == ({True} if tamper == "none" else {True, False})
 
 
 def test_verify_extremal_atoms_known_profiles():
