@@ -29,11 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .marginals import MarginalProfile
+from .marginals import MarginalProfile, _coerce
 from .measures import _coerce_s, check_feasible, s_interval
 from .numeric import (
     binom_or_zero,
     cumulative_sums,
+    is_exact,
     mode_scalar,
     poisson_binomial_pmf,
     prefix_atom,
@@ -189,7 +190,7 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     feasible s.
     """
     _check_k(k, profile.n, high=profile.n)
-    s = _coerce_s(profile, s)
+    s = _coerce_s(s, profile.exact)
     check_feasible(profile, s)
     mutual = tail_probability_dp(profile, k) if k else None  # k = 0 gives 1 without a tail
     return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), mutual, s)
@@ -298,20 +299,14 @@ def poisson_binomial_cdf(values: Sequence, *, exact: bool | None = None) -> Tail
 
     Accumulates the same convolution used for tail probabilities into a CDF.
     An empty vector is the constant-zero count: F(j) = 1 for all j >= 0.
-    ``exact`` selects the arithmetic mode; by default it is inferred (exact
-    when every entry is a Fraction).
+    An explicit ``exact`` wins, else any Fraction entry makes it exact
+    (:func:`numeric.is_exact`); each entry is validated as by :func:`from_raw`.
     """
     vals = list(values)
-    if exact is None:
-        exact = bool(vals) and all(isinstance(v, Fraction) for v in vals)
+    exact = is_exact(vals, exact)
+    coerced = [_coerce(v, i + 1, exact) for i, v in enumerate(vals)]
     # an array, so that an empty exact vector keeps its mode
-    coerced = np.empty(len(vals), dtype=object if exact else np.float64)
-    for i, v in enumerate(vals):
-        x = Fraction(str(v)) if exact and isinstance(v, float) else (Fraction(v) if exact else float(v))
-        if not 0 <= x <= 1:
-            raise ValueError(f"value out of [0,1] at index {i + 1}")
-        coerced[i] = x
-    cdf = cumulative_sums(poisson_binomial_pmf(coerced))
+    cdf = cumulative_sums(poisson_binomial_pmf(np.array(coerced, dtype=object if exact else float)))
     return TailCdf(values=tuple(cdf.tolist()), exact=exact)
 
 

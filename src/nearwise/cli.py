@@ -290,7 +290,7 @@ def _level_profile(label: str, n: int):
     from its float approximation; falls back to floats otherwise.
     """
     try:
-        return from_raw([Fraction(label)] * n, exact=True)
+        return from_raw([Fraction(label)] * n)
     except (ValueError, ZeroDivisionError):
         return from_raw([float(label)] * n)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numeric import MAX_DENOMINATOR, mode_dtype
+from .numeric import MAX_DENOMINATOR, is_exact, mode_dtype
 
 
 class MarginalError(ValueError):
@@ -90,17 +90,18 @@ def _coerce(value, index: int, exact: bool):
     return x
 
 
-def from_raw(values: Iterable, *, exact: bool = False) -> MarginalProfile:
+def from_raw(values: Iterable, *, exact: bool | None = None) -> MarginalProfile:
     """Build a profile from a vector of probabilities.
 
-    With ``exact=True`` the values are converted to ``Fraction`` (floats via
-    their shortest decimal representation, so ``0.1`` becomes 1/10) and all
-    downstream arithmetic on the profile is exact.  Rejects empty input and
-    any value outside [0, 1]; the error names the offending 1-based index.
+    An explicit ``exact`` wins, else any ``Fraction`` makes the profile exact
+    (:func:`numeric.is_exact`), and floats enter by their shortest decimal
+    representation (``0.1`` becomes 1/10).  Rejects empty input and any value
+    outside [0, 1]; the error names the offending 1-based index.
     """
     raw = list(values)
     if not raw:
         raise MarginalError("empty marginals")
+    exact = is_exact(raw, exact)
     coerced = [_coerce(v, i + 1, exact) for i, v in enumerate(raw)]
     order = sorted(range(len(coerced)), key=coerced.__getitem__)
     return MarginalProfile(

@@ -76,9 +76,9 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _coerce_s(profile: MarginalProfile, s):
-    """``s`` in the profile's arithmetic: a ``Fraction`` or a finite float."""
-    if not profile.exact:
+def _coerce_s(s, exact: bool):
+    """``s`` in the given arithmetic: a ``Fraction`` or a finite float."""
+    if not exact:
         s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"s must be finite, got {s}")
@@ -235,6 +235,11 @@ def atom_product(profile: MarginalProfile, mask: SubsetMask):
     return subset_atom(values, mask)
 
 
+def _leading_pairs(a) -> int:
+    """How many pairs ``(a[0], a[1]), (a[2], a[3]), ...`` in a row, from the first, sum to <= 1."""
+    return next((i for i, (x, y) in enumerate(zip(a[::2], a[1::2])) if x + y > 1), len(a) // 2)
+
+
 def invariant_p(profile: MarginalProfile) -> int:
     """Largest p with ``a_{2i} + a_{2i+1} <= 1`` for every i in 1..p.
 
@@ -242,14 +247,7 @@ def invariant_p(profile: MarginalProfile) -> int:
     pair already violates the condition.  Locates the smallest atom product
     of odd cardinality, at the prefix subset of size 2p+1.
     """
-    a = profile.sorted_values
-    p = 0
-    for i in range(1, (profile.n - 1) // 2 + 1):
-        if a[2 * i - 1] + a[2 * i] <= 1:
-            p = i
-        else:
-            break
-    return p
+    return _leading_pairs(profile.sorted_values[1:])
 
 
 def invariant_m(profile: MarginalProfile) -> int:
@@ -259,14 +257,7 @@ def invariant_m(profile: MarginalProfile) -> int:
     Locates the smallest atom product of even cardinality, at the prefix
     subset of size 2m.
     """
-    a = profile.sorted_values
-    m = 0
-    for i in range(1, profile.n // 2 + 1):
-        if a[2 * i - 2] + a[2 * i - 1] <= 1:
-            m = i
-        else:
-            break
-    return m
+    return _leading_pairs(profile.sorted_values)
 
 
 def per_profile(build: Callable) -> Callable:
@@ -369,7 +360,7 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
     """
     n = profile.n
     _check_cap(n)
-    s = _coerce_s(profile, s)
+    s = _coerce_s(s, profile.exact)
 
     # numerators over the least common multiple of the denominator of s and
     # the table's scale; a float s is a numerator over 1, as the table is.

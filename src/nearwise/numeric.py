@@ -8,13 +8,13 @@ Everything in the package runs in one of two arithmetic modes:
 * exact mode — ``fractions.Fraction`` results, equality checked exactly.
 
 Both modes run the same code: every vector is a numpy array, ``float64`` in
-floating mode and ``object`` in exact mode, and :func:`mode_dtype` is the one
-place that reads the mode off the values.  The dense and convolution kernels
-run on numerators over one common denominator, their *scale*: a value
-``a`` enters as :func:`ratio`, Python ``int``s in exact mode and the float
-itself over the scale 1 in floating mode, so exact kernels add and multiply
-integers with no gcd, and only a reported scalar becomes a ``Fraction``
-(:func:`over`).
+floating mode and ``object`` in exact mode.  :func:`is_exact` decides the
+mode of a vector from outside, and :func:`mode_dtype` reads it back off
+values of one type.  The dense and convolution kernels run on numerators
+over one common denominator, their *scale*: a value ``a`` enters as
+:func:`ratio`, Python ``int``s in exact mode and the float itself over the
+scale 1 in floating mode, so exact kernels add and multiply integers with
+no gcd, and only a reported scalar becomes a ``Fraction`` (:func:`over`).
 
 The helpers here are deliberately dumb and deterministic: products are
 accumulated left to right in ascending index order, and dense tables over
@@ -67,14 +67,22 @@ _OBJECT = np.dtype(object)
 _FLOAT64 = np.dtype(np.float64)
 
 
-def mode_dtype(values) -> np.dtype:
-    """Array dtype of the arithmetic ``values`` are in.
+def is_exact(values, exact: bool | None = None) -> bool:
+    """The one mode rule: an explicit ``exact`` wins, else an ndarray is
+    exact when its dtype is ``object``, and any other vector when any entry
+    is a ``Fraction``.  Edges apply it once to each vector from outside."""
+    if exact is not None:
+        return exact
+    if isinstance(values, np.ndarray):
+        return values.dtype == _OBJECT
+    return any(isinstance(v, Fraction) for v in values)
 
-    ``object`` when they are exact (a ``Fraction`` first entry), else
-    ``float64``.  The one place the mode is read off the values: every dense
-    and convolution kernel runs one numpy body on arrays of this dtype.  An
-    ndarray keeps its own mode, so an empty exact array stays exact.
-    """
+
+def mode_dtype(values) -> np.dtype:
+    """Array dtype of the arithmetic ``values`` are in: ``object`` when they
+    are exact, else ``float64``.  The values must be of one type, as every
+    edge leaves them (:func:`is_exact`), so the first entry decides, with no
+    scan; an ndarray keeps its own mode, so an empty exact array stays exact."""
     if isinstance(values, np.ndarray):
         exact = values.dtype == _OBJECT
     else:
@@ -119,15 +127,17 @@ def unscaled(nums: np.ndarray, scale) -> np.ndarray:
 def as_numerators(values) -> tuple[np.ndarray, int]:
     """``values`` as (numerators, scale) over their least common denominator.
 
-    ``Fraction``s (or ints) give an ``object`` array of ints; floats give a
-    ``float64`` array over 1, and a read-only one is taken as it is.
+    Exact values (:func:`is_exact`; a float among them by its binary value)
+    give ints in an ``object`` array; floats give a ``float64`` array over
+    1, and a read-only one is taken as it is.
     """
-    if mode_dtype(values) is _FLOAT64:
+    if not is_exact(values):
         if isinstance(values, np.ndarray) and not values.flags.writeable:
             return values, 1
         return np.array(values, dtype=_FLOAT64), 1
-    scale = math.lcm(*(v.denominator for v in values))
-    return np.array([v.numerator * (scale // v.denominator) for v in values], dtype=_OBJECT), scale
+    fracs = [Fraction(v) if isinstance(v, float) else v for v in values]
+    scale = math.lcm(*(v.denominator for v in fracs))
+    return np.array([v.numerator * (scale // v.denominator) for v in fracs], dtype=_OBJECT), scale
 
 
 def rescaled(nums: np.ndarray, factor: int) -> np.ndarray:

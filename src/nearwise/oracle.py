@@ -37,6 +37,7 @@ from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
     _check_cap,
+    _coerce_s,
     _signed_offsets,
     build_measure,
     mask_indices,
@@ -49,6 +50,7 @@ from .numeric import (
     as_numerators,
     binom_or_zero,
     close,
+    is_exact,
     mode_scalar,
     over,
     popcount_table,
@@ -261,12 +263,12 @@ def verify_kernel(n: int, s) -> bool:
     Builds the vector over all 2^n subsets and checks, for every proper
     subset J, that the sum of entries over supersets of J vanishes — the
     reason the whole family shares all joint probabilities below order n.
-    Exact for int/Fraction s, on the numerator of s; within tolerance for
-    floats.
+    Exact for a Fraction s (:func:`numeric.is_exact`), on the numerator of
+    s; within tolerance for a float, which must be finite.
     """
     _check_cap(n)
-    exact = isinstance(s, (Fraction, int)) and not isinstance(s, bool)
-    s = Fraction(s) if exact else float(s)
+    exact = is_exact([s])
+    s = _coerce_s(s, exact)
     num, _ = ratio(s)
     worst = _kernel_numerator(_signed_offsets(n, num, object if exact else float), n)
     return worst <= (0 if exact else ABS_TOL * max(1.0, abs(s)))

@@ -367,6 +367,22 @@ def test_poisson_binomial_cdf_exact_inference_and_validation():
         poisson_binomial_cdf([1.5])
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(True, "non-numeric"), (float("nan"), "non-finite"), (Fraction(1, 10**7), "denominators")],
+)
+def test_poisson_binomial_cdf_validates_each_entry_as_a_marginal(value, message):
+    with pytest.raises(ValueError, match=f"{message}.*index 2"):
+        poisson_binomial_cdf([Fraction(1, 2), value])
+
+
+@pytest.mark.parametrize("values", [[0.3, Fraction(1, 2)], [Fraction(1, 2), 0.3]])
+def test_poisson_binomial_cdf_mixed_input_is_exact(values):
+    f = poisson_binomial_cdf(values)
+    assert f.exact
+    assert f.values == (Fraction(7, 20), Fraction(17, 20), Fraction(1))
+
+
 def test_poisson_binomial_cdf_monotone_to_one():
     rng = np.random.default_rng(99)
     for _ in range(20):

@@ -76,6 +76,24 @@ def test_exact_mode_converts_floats_via_decimal_repr():
     assert profile.exact
 
 
+def test_fraction_input_is_exact_unless_told_otherwise():
+    profile = from_raw([Fraction(1, 2)] * 8)
+    assert profile.exact
+    report = sharp_bounds(profile, 4)
+    results = (report.sharp_lower, report.exact_mutual, report.sharp_upper)
+    assert all(type(v) is Fraction for v in results)
+    floats = from_raw([Fraction(1, 2)] * 8, exact=False)
+    assert not floats.exact and floats.sorted_values == (0.5,) * 8
+    assert float(sharp_bounds(floats, 4).sharp_upper) == float(report.sharp_upper)
+
+
+@pytest.mark.parametrize("values", [[0.3, Fraction(1, 2)], [Fraction(1, 2), 0.3]])
+def test_one_fraction_makes_the_whole_profile_exact(values):
+    profile = from_raw(values)
+    assert profile.exact
+    assert profile.sorted_values == (Fraction(3, 10), Fraction(1, 2))
+
+
 def test_exact_mode_denominator_cap():
     with pytest.raises(MarginalError, match="denominators"):
         from_raw([Fraction(1, 10**6 + 1)], exact=True)

@@ -300,6 +300,15 @@ def test_atomic_measure_takes_any_container_as_a_read_only_array(exact):
     assert list(measure.atom_probs) == atoms
 
 
+def test_atomic_measure_mixed_input_is_exact_in_either_order():
+    atoms = [Fraction(1, 4), 0.25, 0.125, 0.375]
+    for given in (atoms, atoms[::-1]):
+        measure = AtomicMeasure(n=2, atom_probs=given)
+        assert measure.exact and measure.scale == 8
+        # a float enters by its exact binary value
+        assert list(measure.atom_probs) == [Fraction(v) for v in given]
+
+
 def test_build_measure_enumeration_cap():
     profile = from_raw([0.5] * 21)
     with pytest.raises(CapExceededError, match="n <= 20"):

@@ -16,6 +16,7 @@ from nearwise.numeric import (
     cumulative_sums,
     format_scaled,
     format_scientific,
+    is_exact,
     mode_dtype,
     poisson_binomial_pmf,
     popcount_table,
@@ -36,6 +37,15 @@ def test_binom_or_zero_extends_by_zero():
     assert binom_or_zero(5, -1) == 0
     assert binom_or_zero(5, 6) == 0
     assert binom_or_zero(7, 7) == 1
+
+
+def test_is_exact_explicit_wins_else_any_fraction():
+    half = Fraction(1, 2)
+    assert is_exact([0.3, half]) and is_exact([half, 0.3]) and is_exact((half,))
+    assert not is_exact([0.3, 1]) and not is_exact([])
+    assert not is_exact([half], exact=False) and is_exact([0.3], exact=True)
+    # an array by its dtype, with no scan: an empty exact array stays exact
+    assert is_exact(np.array([], dtype=object)) and not is_exact(np.zeros(3))
 
 
 def test_close_modes():

@@ -167,6 +167,12 @@ def test_verify_kernel_float_and_exact():
     assert verify_kernel(1, Fraction(3))
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+def test_verify_kernel_rejects_non_finite_s(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        verify_kernel(3, s)
+
+
 def test_kernel_residual_detects_tampering():
     n, s = 5, 0.3
     pc = popcount_table(n)
@@ -185,6 +191,15 @@ def test_kernel_residual_exact():
     assert kernel_residual(offsets, n) == 0
     offsets[0] += 1
     assert kernel_residual(offsets, n) == 1
+
+
+def test_kernel_residual_mixed_input_is_exact_in_either_order():
+    s = Fraction(1, 3)
+    offsets = [-s if int(c) & 1 else s for c in popcount_table(3)]
+    offsets[5] = 0.25  # a float where 1/3 belongs: every subset of {1, 3} is off by 1/12
+    for given in (offsets, offsets[::-1]):
+        residual = kernel_residual(given, 3)
+        assert type(residual) is Fraction and residual == Fraction(1, 12)
 
 
 def _extremal_atoms_by_gather(profile):
