@@ -36,6 +36,7 @@ from .numeric import (
     cumulative_sums,
     is_exact,
     mode_scalar,
+    over,
     poisson_binomial_pmf,
     prefix_atom,
     suffix_sums,
@@ -139,15 +140,22 @@ def _check_k(k: int, n: int, *, high: int) -> None:
         raise ValueError(f"k out of range: expected 0 <= k <= {high} for n = {n}, got {k}")
 
 
+def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
+    """Every tail P(at least k occur), k = 0..n, as (numerators, scale): the
+    suffix sums of the Poisson-binomial mass vector of the sorted marginals,
+    added from k = n down."""
+    pmf, scale = poisson_binomial_pmf(profile.sorted_values)
+    return suffix_sums(pmf), scale
+
+
 def tail_probabilities(profile: MarginalProfile):
     """All tails P(at least k occur) for k = 0..n from one O(n^2) pass.
 
-    Returns a vector indexed by k: the suffix sums of the Poisson-binomial
-    mass vector of the sorted marginals, added from k = n down.  Every tail
-    in the package is read from here, so a bound and the mutual tail it
-    shifts agree to the last bit.
+    Returns a vector indexed by k.  Every tail in the package is read from
+    the same suffix sums, so a bound and the mutual tail it shifts agree
+    to the last bit.
     """
-    return suffix_sums(poisson_binomial_pmf(profile.sorted_values))
+    return over(*_tail_numerators(profile))
 
 
 def tail_probability_dp(profile: MarginalProfile, k: int):
@@ -156,11 +164,9 @@ def tail_probability_dp(profile: MarginalProfile, k: int):
     Entry k of :func:`tail_probabilities`; ``k = 0`` gives the total mass
     and ``k = n + 1`` gives 0.
     """
-    n = profile.n
-    _check_k(k, n, high=n + 1)
-    if k == n + 1:
-        return mode_scalar(0, profile.sorted_values)
-    return tail_probabilities(profile).item(k)
+    _check_k(k, profile.n, high=profile.n + 1)
+    tails, scale = _tail_numerators(profile)
+    return over(np.append(tails, 0).item(k), scale)  # the empty sum at n + 1
 
 
 def _shifted(profile: MarginalProfile, k: int, slope: int, mutual, s):
@@ -306,8 +312,8 @@ def poisson_binomial_cdf(values: Sequence, *, exact: bool | None = None) -> Tail
     exact = is_exact(vals, exact)
     coerced = [_coerce(v, i + 1, exact) for i, v in enumerate(vals)]
     # an array, so that an empty exact vector keeps its mode
-    cdf = cumulative_sums(poisson_binomial_pmf(np.array(coerced, dtype=object if exact else float)))
-    return TailCdf(values=tuple(cdf.tolist()), exact=exact)
+    pmf, scale = poisson_binomial_pmf(np.array(coerced, dtype=object if exact else float))
+    return TailCdf(values=tuple(over(cumulative_sums(pmf), scale).tolist()), exact=exact)
 
 
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:

@@ -51,9 +51,7 @@ from .numeric import (
     prefix_atom,
     ratio,
     rescaled,
-    scaled_sum,
     subset_atom,
-    unscaled,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -100,14 +98,9 @@ def subset_mask(indices: Iterable[int]) -> SubsetMask:
 
 def mask_indices(mask: SubsetMask) -> tuple[int, ...]:
     """1-based sorted-space event indices of the set bits of ``mask``."""
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j + 1)
-        mask >>= 1
-        j += 1
-    return tuple(out)
+    if mask < 0:
+        raise ValueError(f"subset masks are nonnegative, got {mask}")
+    return tuple(j + 1 for j, bit in enumerate(reversed(f"{mask:b}")) if bit == "1")
 
 
 def original_subset(profile: MarginalProfile, mask: SubsetMask) -> tuple[int, ...]:
@@ -191,7 +184,7 @@ class AtomicMeasure:
     @cached_property
     def atom_probs(self) -> np.ndarray:
         """The atom probabilities as a read-only array, formed on first use."""
-        probs = unscaled(self.numerators, self.scale)
+        probs = over(self.numerators, self.scale)
         probs.setflags(write=False)
         return probs
 
@@ -199,7 +192,7 @@ class AtomicMeasure:
         return over(self.numerators.item(mask), self.scale)
 
     def total(self):
-        return scaled_sum(self.numerators, self.scale)
+        return over(np.sum(self.numerators), self.scale)
 
 
 @dataclass(frozen=True)
@@ -411,7 +404,7 @@ def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} is not an {n}-bit subset mask")
     sel = (np.arange(1 << n) & mask) == mask
-    return scaled_sum(measure.numerators[sel], measure.scale)
+    return over(np.sum(measure.numerators[sel]), measure.scale)
 
 
 def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:

@@ -10,11 +10,12 @@ Everything in the package runs in one of two arithmetic modes:
 Both modes run the same code: every vector is a numpy array, ``float64`` in
 floating mode and ``object`` in exact mode.  :func:`is_exact` decides the
 mode of a vector from outside, and :func:`mode_dtype` reads it back off
-values of one type.  The dense and convolution kernels run on numerators
-over one common denominator, their *scale*: a value ``a`` enters as
+values of one type.  Every vector kernel returns numerators over one
+common denominator, its *scale*: the dense tables, the Poisson-binomial
+mass vector and the tails and CDFs summed from it.  A value ``a`` enters as
 :func:`ratio`, Python ``int``s in exact mode and the float itself over the
 scale 1 in floating mode, so exact kernels add and multiply integers with
-no gcd, and only a reported scalar becomes a ``Fraction`` (:func:`over`).
+no gcd, and leaves by :func:`over` only where a layer reports it.
 
 The helpers here are deliberately dumb and deterministic: products are
 accumulated left to right in ascending index order, and dense tables over
@@ -113,15 +114,18 @@ def ratio(a) -> tuple:
 
 
 def over(num, scale):
-    """The reported scalar ``num / scale``: a ``Fraction`` for an ``int``
-    numerator, and a float numerator as it is (its scale is 1)."""
-    return Fraction(num, scale) if isinstance(num, int) else num / scale
+    """The reported value ``num / scale``, the one exit from numerators.
 
-
-def unscaled(nums: np.ndarray, scale) -> np.ndarray:
-    """The values ``nums / scale``: one ``Fraction`` per entry of an exact
-    array, and a float array itself (its scale is 1)."""
-    return nums * Fraction(1, scale) if nums.dtype == _OBJECT else nums
+    An ``int`` numerator gives a ``Fraction``, and an ``object`` array one
+    per entry.  A float numerator (a numpy one too) gives a Python float.
+    A float array over the scale 1, as every kernel leaves it, comes back
+    as it is, with no copy.
+    """
+    if isinstance(num, np.ndarray) and num.dtype == _OBJECT:
+        return num * Fraction(1, scale)
+    if isinstance(num, np.ndarray):
+        return num if scale == 1 else num / scale
+    return Fraction(num, scale) if isinstance(num, int) else float(num) / scale
 
 
 def as_numerators(values) -> tuple[np.ndarray, int]:
@@ -144,14 +148,6 @@ def rescaled(nums: np.ndarray, factor: int) -> np.ndarray:
     """Numerators over a scale ``factor`` times larger: ``nums * factor``, or
     ``nums`` itself when the factor is 1, as it always is in floating mode."""
     return nums if factor == 1 else nums * factor
-
-
-def scaled_sum(nums, scale):
-    """Sum of the entries of ``nums`` over ``scale``, as a reported scalar.
-
-    The same float as ``np.sum``; an empty vector sums to 0 in its mode.
-    """
-    return over(np.sum(nums, initial=0, keepdims=True).item(), scale)
 
 
 def subset_atom(values: Sequence, mask: int):
@@ -272,17 +268,19 @@ def superset_sums(atoms, n: int) -> np.ndarray:
     return out
 
 
-def poisson_binomial_pmf(values: Sequence) -> np.ndarray:
+def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
     """Probability mass function of a sum of independent Bernoulli variables.
 
-    Entry ``t`` of the result is the probability that exactly ``t`` of the
-    events occur under mutual independence.  O(n^2) convolution; the all- and
+    Returns (numerators, scale), as :func:`atom_products_dense` does: entry
+    ``t`` over the scale is the probability that exactly ``t`` of the events
+    occur under mutual independence.  O(n^2) convolution; the all- and
     none-occur entries come out as plain ascending products, bit-identical to
     :func:`prefix_atom` at the corresponding arguments.
 
     It convolves the numerators of :func:`ratio`, so exact mode convolves
-    integers and divides once, by the product of the denominators, at the
-    end: growing ``Fraction`` operands would cost a gcd per multiply.
+    integers over the product of the denominators: growing ``Fraction``
+    operands would cost a gcd per multiply.  Sums of the entries, such as
+    tails and CDFs, stay numerators over the same scale.
     """
     pmf = np.zeros(len(values) + 1, dtype=mode_dtype(values))
     pmf[0] = 1
@@ -293,7 +291,7 @@ def poisson_binomial_pmf(values: Sequence) -> np.ndarray:
         pmf[: i + 1] *= d - p
         pmf[1 : i + 2] += up
         scale *= d
-    return unscaled(pmf, scale)
+    return pmf, scale
 
 
 def cumulative_sums(vec) -> np.ndarray:
@@ -322,10 +320,7 @@ def format_scientific(value, sig_digits: int = 5) -> str:
     ties away from zero, the convention fixed tables use — 1/256 prints as
     ``3.9063e-03``, where the float formatter would give ``3.9062e-03``.
     """
-    if isinstance(value, float):
-        return format_scaled(value, 1, sig_digits)
-    frac = Fraction(value)
-    return format_scaled(frac.numerator, frac.denominator, sig_digits)
+    return format_scaled(*ratio(value if isinstance(value, float) else Fraction(value)), sig_digits)
 
 
 def format_scaled(num, scale, sig_digits: int = 5) -> str:

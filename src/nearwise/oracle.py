@@ -28,11 +28,12 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import _check_k, sharp_bounds, tail_probabilities
+from .bounds import _check_k, _tail_numerators, sharp_bounds
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -56,7 +57,6 @@ from .numeric import (
     popcount_table,
     ratio,
     rescaled,
-    scaled_sum,
     subset_products_dense,
     suffix_sums,
     superset_sums,
@@ -136,7 +136,7 @@ def enumerate_tail(measure: AtomicMeasure, k: int):
     n = measure.n
     _check_cap(n)
     _check_k(k, n, high=n + 1)
-    return scaled_sum(measure.numerators[popcount_table(n) >= k], measure.scale)
+    return over(np.sum(measure.numerators[popcount_table(n) >= k]), measure.scale)
 
 
 def _tail_vector(measure: AtomicMeasure) -> np.ndarray:
@@ -308,12 +308,19 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     )
 
 
-def _s_grid(profile: MarginalProfile, points: int):
+def _grid_pass(profile: MarginalProfile, points: int, read: Callable):
+    """Yield ``(s, read(measure))`` for the family measure at each of
+    ``points`` evenly spaced s over the feasible interval, endpoints
+    included: ``s`` a ``Fraction`` or a Python float, each measure built
+    once and freed before the next build."""
     iv = s_interval(profile)
     if profile.exact:
         width = iv.s_max - iv.s_min
-        return [iv.s_min + width * Fraction(i, points - 1) for i in range(points)]
-    return np.linspace(iv.s_min, iv.s_max, points)
+        grid = [iv.s_min + width * Fraction(i, points - 1) for i in range(points)]
+    else:
+        grid = np.linspace(iv.s_min, iv.s_max, points).tolist()
+    for s in grid:
+        yield s, read(build_measure(profile, s))
 
 
 def scan_sharpness(profile: MarginalProfile, k: int, grid_points: int = 1001) -> SharpnessScan:
@@ -322,25 +329,16 @@ def scan_sharpness(profile: MarginalProfile, k: int, grid_points: int = 1001) ->
     The tail is linear in s, so the grid is a redundancy check rather than
     a search: the extremes must land on the interval endpoints, on the side
     given by the parity of k.  Endpoints are always grid members.  Ties go
-    to the earliest grid point (relevant when the slope is zero).
+    to the earliest grid point (relevant when the slope is zero).  The grid
+    is the one :func:`check_profile` builds.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    _check_cap(profile.n)
-    best_min = best_max = None
-    arg_min = arg_max = None
-    for s in _s_grid(profile, grid_points):
-        value = enumerate_tail(build_measure(profile, s), k)
-        if best_min is None or value < best_min:
-            best_min, arg_min = value, s
-        if best_max is None or value > best_max:
-            best_max, arg_max = value, s
-    return SharpnessScan(
-        empirical_min=best_min,
-        empirical_max=best_max,
-        argmin_s=arg_min,
-        argmax_s=arg_max,
-    )
+    samples = list(_grid_pass(profile, grid_points, lambda measure: enumerate_tail(measure, k)))
+    # min and max each return the earliest of equal samples
+    arg_min, low = min(samples, key=itemgetter(1))
+    arg_max, high = max(samples, key=itemgetter(1))
+    return SharpnessScan(empirical_min=low, empirical_max=high, argmin_s=arg_min, argmax_s=arg_max)
 
 
 def random_profiles(count: int, max_n: int, seed: int, *, exact: bool = False):
@@ -435,17 +433,18 @@ def check_profile(
     measures_checked = 0
     # the linear formula mutual + (-1)^k C(n-1, k-1) s, held as numerators:
     # the mutual tails over their own scale, the signed slopes as they are
-    mutual, mutual_scale = as_numerators(tail_probabilities(profile))
+    mutual, mutual_scale = _tail_numerators(profile)
     slopes = np.array(
         [(-1) ** k * binom_or_zero(n - 1, k - 1) for k in range(n + 1)], dtype=mutual.dtype
     )
     # running extremes of the tail at each scan k over the grid
     lows = highs = None
 
-    for s in _s_grid(profile, s_points):
-        measure = build_measure(profile, s)
+    def read(measure):
+        return verify_measure(measure, profile), _tail_vector(measure), measure.scale
+
+    for s, (report, tails, scale) in _grid_pass(profile, s_points, read):
         measures_checked += 1
-        report = verify_measure(measure, profile)
         if not report.passed:
             failures.append(
                 f"{label}: verify_measure failed at s = {s}: "
@@ -465,8 +464,6 @@ def check_profile(
             )
         # tails and formula as numerators over the measure's scale, which
         # both the mutual tails' and the denominator of s divide
-        tails, scale = _tail_vector(measure), measure.scale
-        del measure  # free the 2^n atoms before the next build
         s_num, s_den = ratio(s)
         linear = rescaled(mutual, scale // mutual_scale) + slopes * (s_num * (scale // s_den))
         linear[0] = scale  # P(at least 0 occur) = 1 for every s

@@ -28,7 +28,7 @@ from nearwise import (
 )
 from nearwise import measures
 from nearwise.measures import AtomicMeasure, product_atoms
-from nearwise.numeric import atom_products_dense, subset_products_dense, unscaled
+from nearwise.numeric import atom_products_dense, over, subset_products_dense
 from nearwise.oracle import subset_products, verify_measure
 
 
@@ -47,6 +47,14 @@ def test_original_subset_translates_through_permutation():
     assert original_subset(profile, 0b01) == (2,)
     assert original_subset(profile, 0b10) == (1,)
     assert original_subset(profile, 0b11) == (1, 2)
+
+
+def test_negative_masks_are_rejected():
+    # -1 >> 1 is -1, so a negative mask has no last bit to stop at
+    with pytest.raises(ValueError, match="nonnegative"):
+        mask_indices(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        original_subset(from_raw([0.3, 0.1]), -1)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -148,10 +156,16 @@ def test_s_interval_degenerate_and_single_event():
 def test_build_measure_product_at_zero():
     profile = from_raw([0.2, 0.7])
     measure = build_measure(profile, 0.0)
-    assert np.array_equal(measure.atom_probs, unscaled(*atom_products_dense(profile.sorted_values)))
+    assert np.array_equal(measure.atom_probs, over(*atom_products_dense(profile.sorted_values)))
     assert measure.s == 0.0
     assert abs(measure.total() - 1.0) < 1e-15
     assert not measure.exact
+
+
+def test_float_numerators_over_a_scale_read_the_same_in_every_accessor():
+    measure = AtomicMeasure(2, np.ones(4), scale=4)
+    assert measure.atom_probs.tolist() == [measure.atom(mask) for mask in range(4)] == [0.25] * 4
+    assert measure.total() == 1.0
 
 
 def test_build_measure_endpoint_has_exact_zero_atom():
@@ -164,7 +178,7 @@ def test_build_measure_endpoint_has_exact_zero_atom():
 
 def _reference_atoms(profile, s):
     """A fresh product table plus (-1)^|J| s, signs taken mask by mask."""
-    table = unscaled(*atom_products_dense(profile.sorted_values))
+    table = over(*atom_products_dense(profile.sorted_values))
     signs = [1 - 2 * (bin(mask).count("1") % 2) for mask in range(1 << profile.n)]
     if profile.exact:
         return [b + sign * s for b, sign in zip(table, signs)]
@@ -228,12 +242,12 @@ def test_equal_float_and_exact_profiles_keep_their_own_tables():
         assert table.dtype == object and not table.flags.writeable
         # integer numerators over the product of the denominators
         assert scale == 8 and all(type(v) is int for v in table)
-        assert all(type(v) is Fraction for v in unscaled(table, scale))
-    assert list(unscaled(*product_atoms(exact))) == list(
-        unscaled(*atom_products_dense(exact.sorted_values))
+        assert all(type(v) is Fraction for v in over(table, scale))
+    assert list(over(*product_atoms(exact))) == list(
+        over(*atom_products_dense(exact.sorted_values))
     )
-    assert list(unscaled(*subset_products(exact))) == list(
-        unscaled(*subset_products_dense(exact.sorted_values))
+    assert list(over(*subset_products(exact))) == list(
+        over(*subset_products_dense(exact.sorted_values))
     )
 
 

@@ -18,6 +18,7 @@ from nearwise.numeric import (
     format_scientific,
     is_exact,
     mode_dtype,
+    over,
     poisson_binomial_pmf,
     popcount_table,
     prefix_atom,
@@ -26,7 +27,6 @@ from nearwise.numeric import (
     subset_products_dense,
     suffix_sums,
     superset_sums,
-    unscaled,
 )
 
 
@@ -87,7 +87,7 @@ def test_atom_products_dense_exact_normalizes():
     numerators, scale = atom_products_dense(values)
     assert numerators.dtype == object and scale == 21
     assert all(type(v) is int for v in numerators)
-    atoms = unscaled(numerators, scale)
+    atoms = over(numerators, scale)
     assert sum(atoms, Fraction(0)) == 1
     assert atoms[0b11] == Fraction(1, 3) * Fraction(2, 7)
 
@@ -99,8 +99,19 @@ def test_subset_products_dense():
     assert prods[0] == 1.0
     assert prods[0b011] == 0.5 * 0.25
     assert prods[0b111] == (1.0 * 0.5) * 0.25 * 0.125
-    exact = unscaled(*subset_products_dense([Fraction(1, 2), Fraction(1, 4)]))
+    exact = over(*subset_products_dense([Fraction(1, 2), Fraction(1, 4)]))
     assert exact[0b10] == Fraction(1, 4)
+
+
+def test_over_is_the_one_exit_for_scalars_and_arrays():
+    assert over(3, 12) == Fraction(1, 4) and type(over(3, 12)) is Fraction
+    assert type(over(np.float64(0.25), 1)) is float
+    floats = np.array([0.5, 0.25])
+    assert over(floats, 1) is floats
+    assert over(floats, 2).tolist() == [0.25, 0.125]  # as a float numerator over 2 is
+    exact = over(np.array([1, 3], dtype=object), 4)
+    assert list(exact) == [Fraction(1, 4), Fraction(3, 4)]
+    assert all(type(v) is Fraction for v in exact)
 
 
 def _dense_by_concatenation(values, atoms: bool):
@@ -245,14 +256,17 @@ def test_superset_sums_exact_and_inclusive():
 
 
 def test_poisson_binomial_pmf_known_values():
-    pmf = poisson_binomial_pmf([0.5, 0.5])
+    pmf, scale = poisson_binomial_pmf([0.5, 0.5])
+    assert scale == 1
     assert np.allclose(pmf, [0.25, 0.5, 0.25])
-    exact = poisson_binomial_pmf([Fraction(1, 2)] * 3)
+    numerators, scale = poisson_binomial_pmf([Fraction(1, 2)] * 3)
+    assert scale == 8 and numerators.tolist() == [1, 3, 3, 1]
+    exact = over(numerators, scale)
     assert list(exact) == [Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)]
 
 
 def test_poisson_binomial_pmf_heterogeneous():
-    pmf = poisson_binomial_pmf([0.1, 0.7])
+    pmf, _ = poisson_binomial_pmf([0.1, 0.7])
     assert math.isclose(pmf[0], 0.9 * 0.3)
     assert math.isclose(pmf[1], 0.1 * 0.3 + 0.9 * 0.7)
     assert math.isclose(pmf[2], 0.1 * 0.7)
@@ -261,18 +275,20 @@ def test_poisson_binomial_pmf_heterogeneous():
 
 def test_poisson_binomial_pmf_edge_entries_are_ascending_products():
     values = [0.3, 0.6, 0.9]
-    pmf = poisson_binomial_pmf(values)
+    pmf, _ = poisson_binomial_pmf(values)
     assert pmf[0] == prefix_atom(values, 0)
     assert pmf[3] == prefix_atom(values, 3)
 
 
 def test_suffix_sums():
-    pmf = poisson_binomial_pmf([0.5, 0.5])
+    pmf, _ = poisson_binomial_pmf([0.5, 0.5])
     tails = suffix_sums(pmf)
     assert tails[0] == 1.0
     assert math.isclose(tails[1], 0.75)
-    exact = poisson_binomial_pmf([Fraction(1, 2)] * 2)
-    assert list(suffix_sums(exact)) == [1, Fraction(3, 4), Fraction(1, 4)]
+    numerators, scale = poisson_binomial_pmf([Fraction(1, 2)] * 2)
+    # sums of numerators stay over the same scale
+    assert suffix_sums(numerators).tolist() == [4, 3, 1] and scale == 4
+    assert list(over(suffix_sums(numerators), scale)) == [1, Fraction(3, 4), Fraction(1, 4)]
 
 
 def test_cumulative_sums_same_order_for_arrays_and_lists():
@@ -342,16 +358,18 @@ def _pmf_by_enumeration(values):
     ],
 )
 def test_poisson_binomial_pmf_exact_matches_enumeration(values):
-    pmf = poisson_binomial_pmf(values)
-    assert pmf.dtype == object
+    numerators, scale = poisson_binomial_pmf(values)
+    assert numerators.dtype == object and all(type(v) is int for v in numerators)
+    assert scale == math.prod(v.denominator for v in values)
+    pmf = over(numerators, scale)
     assert all(type(v) is Fraction for v in pmf)
     assert list(pmf) == _pmf_by_enumeration(values)
 
 
 def test_poisson_binomial_pmf_empty_keeps_its_mode():
-    exact = poisson_binomial_pmf(np.array([], dtype=object))
+    exact = over(*poisson_binomial_pmf(np.array([], dtype=object)))
     assert exact.dtype == object and list(exact) == [1] and type(exact[0]) is Fraction
-    floating = poisson_binomial_pmf([])
+    floating = over(*poisson_binomial_pmf([]))
     assert floating.dtype == np.float64 and floating.tolist() == [1.0]
 
 

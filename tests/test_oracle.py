@@ -31,7 +31,14 @@ from nearwise import (
 )
 from nearwise import oracle
 from nearwise.measures import _odd_parity, product_atoms
-from nearwise.numeric import ABS_TOL, close, format_scientific, popcount_table
+from nearwise.numeric import (
+    ABS_TOL,
+    close,
+    format_scientific,
+    over,
+    poisson_binomial_pmf,
+    popcount_table,
+)
 
 
 def test_enumerate_tail_product_measure():
@@ -271,6 +278,8 @@ def test_scan_sharpness_known_cell():
     # k = 5 is odd: minimized at s_max, maximized at s_min.
     assert scan.argmin_s == iv.s_max
     assert scan.argmax_s == iv.s_min
+    # the grid points are Python floats, not numpy scalars
+    assert type(scan.argmin_s) is float and type(scan.argmax_s) is float
 
 
 def test_scan_sharpness_matches_sharp_bounds_exactly_in_rational_mode():
@@ -504,6 +513,29 @@ def test_exact_check_profile_forms_fewer_fractions_than_atoms(monkeypatch):
     monkeypatch.undo()
     assert check.passed and check.measures_checked == 11
     assert 0 < len(created) < 1 << 10
+
+
+def test_exact_sharp_bounds_forms_a_fraction_only_per_reported_value(monkeypatch):
+    """The tail stays in integer numerators: a ``Fraction`` for the tail,
+    and the four for the two shifted bounds, not one per mass entry."""
+    profile = _exact_profile(24, 24)
+    s_interval(profile)  # the interval is per profile; count the per-call work
+    created = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        created.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    reports = [sharp_bounds(profile, k) for k in range(1, profile.n + 1)]
+    monkeypatch.undo()
+    assert len(created) <= 8 * profile.n
+    # the same tails as Fractions summed entry by entry
+    pmf = list(over(*poisson_binomial_pmf(profile.sorted_values)))
+    for report in reports:
+        assert type(report.exact_mutual) is Fraction
+        assert report.exact_mutual == sum(pmf[report.k :])
 
 
 def test_exact_oracle_speed():
