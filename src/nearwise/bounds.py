@@ -165,8 +165,10 @@ def tail_probability_dp(profile: MarginalProfile, k: int):
     and ``k = n + 1`` gives 0.
     """
     _check_k(k, profile.n, high=profile.n + 1)
+    if k > profile.n:  # the empty sum
+        return mode_scalar(0, profile.sorted_values)
     tails, scale = _tail_numerators(profile)
-    return over(np.append(tails, 0).item(k), scale)  # the empty sum at n + 1
+    return over(tails.item(k), scale)
 
 
 def _shifted(profile: MarginalProfile, k: int, slope: int, mutual, s):

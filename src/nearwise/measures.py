@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -44,10 +44,8 @@ from .numeric import (
     ENUMERATION_CAP,
     as_numerators,
     atom_products_dense,
-    mode_dtype,
     mode_scalar,
     over,
-    popcount_table,
     prefix_atom,
     ratio,
     rescaled,
@@ -303,20 +301,21 @@ def product_atoms(profile: MarginalProfile) -> tuple[np.ndarray, int]:
     return table, scale
 
 
-@lru_cache(maxsize=32)
-def _odd_parity(n: int) -> np.ndarray:
-    """Whether each mask in ``range(2**n)`` has odd cardinality (read-only)."""
-    odd = (popcount_table(n) & 1).astype(bool)
-    odd.setflags(write=False)
-    return odd
-
-
 def _signed_offsets(n: int, s, dtype) -> np.ndarray:
     """Vector of (-1)^|J| * s over all masks, matching atom storage order.
 
-    A fresh array of ``dtype`` that the caller may sum into.
+    A fresh array of ``dtype`` that the caller may sum into, filled by
+    doubling as the dense tables are: the masks with bit ``b`` set hold the
+    negated masks below them.  Every odd mask holds ``-s`` and every even
+    one ``s`` itself, since negating twice keeps a float's bits, its sign
+    included.
     """
-    return np.where(_odd_parity(n), np.array(-s, dtype=dtype), np.array(s, dtype=dtype))
+    out = np.empty(1 << n, dtype=dtype)
+    out[0] = s
+    for b in range(n):
+        size = 1 << b
+        np.negative(out[:size], out=out[size : 2 * size])
+    return out
 
 
 def check_feasible(profile: MarginalProfile, s, atoms=None):
@@ -357,14 +356,11 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
 
     # numerators over the least common multiple of the denominator of s and
     # the table's scale; a float s is a numerator over 1, as the table is.
-    # The offsets come before the shared table: on a profile's first measure
-    # that allocation order keeps glibc from trimming the heap after every
-    # later one (float n = 18: 2,900 page faults per check_profile, not 13,000)
+    # s is scaled before the doubling, so exact mode forms one int per atom
     s_num, s_den = ratio(s)
-    atoms = _signed_offsets(n, s_num, mode_dtype(profile.sorted_values))
     table, table_scale = product_atoms(profile)
     scale = math.lcm(table_scale, s_den)
-    atoms = rescaled(atoms, scale // s_den)
+    atoms = _signed_offsets(n, s_num * (scale // s_den), table.dtype)
     np.add(rescaled(table, scale // table_scale), atoms, out=atoms)
 
     if validate:

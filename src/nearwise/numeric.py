@@ -227,7 +227,28 @@ def popcount_table(n: int) -> np.ndarray:
 
 
 #: Blocks of at most this many elements are added along the long axis.
-_SHORT_BLOCK = 8
+_SHORT_BLOCK = 16
+#: Bits of the masks that :func:`superset_sums` adds block by block: a
+#: block of 2^17 float64 entries, 1 MB, stays in a 2 MB L2 cache for all
+#: of its passes.
+_CACHE_BITS = 17
+
+
+def _superset_pass(out: np.ndarray, b: int) -> None:
+    """Add each block of ``2^b`` entries of ``out`` with bit ``b`` set into
+    the block below it, in place."""
+    if out.dtype == np.float64 and b >= 1:
+        # each complex128 holds two neighbouring float64 lanes, and complex
+        # addition adds each lane as its own IEEE add, so the sums are
+        # bit-identical with half as many elements
+        view = out.view(np.complex128).reshape(-1, 2, 1 << (b - 1))
+    else:
+        view = out.reshape(-1, 2, 1 << b)
+    lo, hi = view[:, 0, :], view[:, 1, :]
+    if view.shape[2] <= _SHORT_BLOCK:
+        # one inner loop down the long axis, not one per short block
+        lo, hi = lo.T, hi.T
+    np.add(lo, hi, out=lo, order="C")
 
 
 def superset_sums(atoms, n: int) -> np.ndarray:
@@ -239,30 +260,29 @@ def superset_sums(atoms, n: int) -> np.ndarray:
     sums are linear, so numerators over a scale give numerators over it.
 
     Pass ``b`` adds each block of ``2^b`` entries with bit ``b`` set into
-    the block below it, in place.  numpy stages an add of two interleaved
-    views through three buffers of its buffer size, 8192 elements by
-    default (together three quarters of a 2^16-entry float table), so the
-    passes run with the smallest buffer numpy allows, restored afterwards,
-    and allocate nothing.
+    the block below it, in place, for b = 0..n-1.  Passes below
+    ``_CACHE_BITS`` pair entries inside one block of ``2^_CACHE_BITS``, so
+    they run block by block, each block copied in and taken through all of
+    them while it is in cache; the higher passes then run over the whole
+    vector.  Every entry sees the same adds in the same order as with one
+    pass at a time over the whole vector.  numpy stages an add of two
+    interleaved views through three buffers of its buffer size, 8192
+    elements by default, so the passes run with the smallest buffer numpy
+    allows, restored afterwards, and allocate nothing.
     """
-    out = np.array(atoms, dtype=mode_dtype(atoms))
-    paired = out.dtype == np.float64
+    source = np.asarray(atoms, dtype=mode_dtype(atoms))
+    out = np.empty_like(source)
+    block = 1 << min(n, _CACHE_BITS)
     bufsize = np.getbufsize()
     np.setbufsize(16)
     try:
-        for b in range(n):
-            if paired and b >= 1:
-                # each complex128 holds two neighbouring float64 lanes, and
-                # complex addition adds each lane as its own IEEE add, so
-                # the sums are bit-identical with half as many elements
-                view = out.view(np.complex128).reshape(-1, 2, 1 << (b - 1))
-            else:
-                view = out.reshape(-1, 2, 1 << b)
-            lo, hi = view[:, 0, :], view[:, 1, :]
-            if view.shape[2] <= _SHORT_BLOCK:
-                # one inner loop down the long axis, not one per short block
-                lo, hi = lo.T, hi.T
-            np.add(lo, hi, out=lo, order="C")
+        for start in range(0, out.size, block):
+            chunk = out[start : start + block]
+            np.copyto(chunk, source[start : start + block])
+            for b in range(min(n, _CACHE_BITS)):
+                _superset_pass(chunk, b)
+        for b in range(_CACHE_BITS, n):
+            _superset_pass(out, b)
     finally:
         np.setbufsize(bufsize)
     return out

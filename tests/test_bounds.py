@@ -55,6 +55,16 @@ def test_tail_dp_exact_small_case():
     assert tail_probability_dp(profile, 0) == 1
 
 
+def test_tail_dp_past_n_is_a_zero_of_the_mode():
+    """k = n + 1 reads no tail entry: the empty sum, 0.0 or ``Fraction(0)``."""
+    for values in ([0.1] * 8, [0.0], [1.0, 1.0]):
+        zero = tail_probability_dp(from_raw(values), len(values) + 1)
+        assert type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    for values in ([Fraction(1, 10), Fraction(3, 10)], [Fraction(1)]):
+        zero = tail_probability_dp(from_raw(values, exact=True), len(values) + 1)
+        assert type(zero) is Fraction and zero == 0
+
+
 def test_tail_dp_k_validation():
     profile = from_raw([0.5, 0.5])
     with pytest.raises(ValueError, match="k out of range"):

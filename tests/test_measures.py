@@ -185,6 +185,23 @@ def _reference_atoms(profile, s):
     return table + np.asarray(signs, dtype=float) * s
 
 
+@pytest.mark.parametrize(
+    "s, dtype", [(0.0, float), (-0.0, float), (-3.25e-7, float), (-5e-324, float), (0.125, float),
+                 (0, object), (-7, object), (10**40 + 1, object)]
+)
+def test_signed_offsets_by_doubling_match_the_parity_select(s, dtype):
+    for n in range(0, 12):
+        odd = np.array([bin(mask).count("1") % 2 == 1 for mask in range(1 << n)])
+        expected = np.where(odd, np.array(-s, dtype=dtype), np.array(s, dtype=dtype))
+        offsets = measures._signed_offsets(n, s, dtype)
+        assert offsets.dtype == expected.dtype
+        if dtype is object:
+            assert offsets.tolist() == expected.tolist()
+            assert all(type(v) is int for v in offsets.tolist())
+        else:
+            assert offsets.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_build_measure_matches_fresh_table_plus_offsets(exact):
     profile = from_raw([0.15, 0.3, 0.45, 0.5, 0.8, 0.9], exact=exact)

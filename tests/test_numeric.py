@@ -9,6 +9,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from nearwise import numeric
 from nearwise.numeric import (
     atom_products_dense,
     binom_or_zero,
@@ -179,9 +180,10 @@ def test_dense_tables_are_filled_in_place(dense):
 
 
 def test_superset_sums_allocate_only_their_result():
-    atoms = np.random.default_rng(5).random(1 << 16)
-    sums, peak = _peak_bytes(lambda: superset_sums(atoms, 16))
-    assert peak <= 1.1 * sums.nbytes
+    for n in (16, numeric._CACHE_BITS + 1):  # one block, then blocked low passes
+        atoms = np.random.default_rng(5).random(1 << n)
+        sums, peak = _peak_bytes(lambda: superset_sums(atoms, n))
+        assert peak <= 1.1 * sums.nbytes
 
 
 def test_superset_sums_restore_numpy_buffer_size_when_a_pass_raises():
@@ -218,9 +220,10 @@ def _superset_sums_per_bit(atoms, n):
 
 
 def test_superset_sums_paired_lanes_bit_identical():
+    """Also above ``_CACHE_BITS``, where the low passes run block by block."""
     rng = np.random.default_rng(41)
     bufsize = np.getbufsize()
-    for n in range(19):
+    for n in range(21):
         atoms = rng.random(1 << n) - 0.25
         sums = superset_sums(atoms, n)
         assert np.getbufsize() == bufsize
@@ -230,7 +233,7 @@ def test_superset_sums_paired_lanes_bit_identical():
 
 def test_superset_sums_of_integers_equal_the_per_bit_loop():
     rng = random.Random(43)
-    for n in range(11):
+    for n in [*range(11), numeric._CACHE_BITS + 1]:
         atoms = np.array([rng.randint(-10**30, 10**30) for _ in range(1 << n)], dtype=object)
         sums = superset_sums(atoms, n)
         assert sums.dtype == object and all(type(v) is int for v in sums)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from nearwise import (
     verify_measure,
 )
 from nearwise import oracle
-from nearwise.measures import _odd_parity, product_atoms
+from nearwise.measures import mask_indices, product_atoms
 from nearwise.numeric import (
     ABS_TOL,
     close,
@@ -38,6 +39,7 @@ from nearwise.numeric import (
     over,
     poisson_binomial_pmf,
     popcount_table,
+    superset_sums,
 )
 
 
@@ -152,6 +154,36 @@ def test_verify_measure_total_mass_defect_is_only_normalization(exact):
     assert close(report.worst_product_residual, 1e-3, exact=False)
 
 
+def _product_rule_by_scan(measure, profile):
+    """Reference: order and first witness from a scan of every mask."""
+    n = measure.n
+    residuals = superset_sums(measure.atom_probs, n) - oracle.subset_products(profile)[0]
+    bad = [mask for mask in range(1, 1 << n) if abs(residuals[mask]) > ABS_TOL]
+    if not bad:
+        return n, None
+    level = min(bin(mask).count("1") for mask in bad)
+    first = min(mask for mask in bad if bin(mask).count("1") == level)
+    return level - 1, (mask_indices(first) if level <= n - 1 else None)
+
+
+def test_verify_measure_skips_the_scan_only_when_no_proper_subset_is_off():
+    rng = random.Random(59)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        profile = from_raw([rng.random() for _ in range(n)])
+        iv = s_interval(profile)
+        atoms = build_measure(profile, rng.choice([0.0, iv.s_min, iv.s_max])).atom_probs.copy()
+        if trial % 3:
+            # a transfer between two atoms moves the joints of some subsets
+            a, b = rng.randrange(1 << n), rng.randrange(1 << n)
+            atoms[a] += 1e-6
+            atoms[b] -= 1e-6
+        report = verify_measure(AtomicMeasure(n, atoms), profile)
+        order, first = _product_rule_by_scan(AtomicMeasure(n, atoms), profile)
+        witness = dict(report.lemma_violations).get("product-rule")
+        assert (report.independence_order, witness) == (order, first)
+
+
 def test_verify_measure_n_mismatch():
     measure = build_measure(from_raw([0.5, 0.5]), 0.0)
     with pytest.raises(ValueError, match="profile has n"):
@@ -217,7 +249,7 @@ def _extremal_atoms_by_gather(profile):
     prefixes = atoms[[(1 << t) - 1 for t in range(profile.n + 1)]]
     if np.any(atoms < (prefixes - tol)[popcount_table(profile.n)]):
         return False
-    odd = _odd_parity(profile.n)
+    odd = (popcount_table(profile.n) & 1).astype(bool)
     iv = oracle.s_interval(profile)
     return close(atoms[odd].min(), prefixes.item(2 * iv.p + 1), exact=profile.exact) and close(
         atoms[~odd].min(), prefixes.item(2 * iv.m), exact=profile.exact
@@ -267,6 +299,46 @@ def test_verify_extremal_atoms_known_profiles():
     assert verify_extremal_atoms(from_raw([0.3, 0.3, 0.3]))  # ties
     assert verify_extremal_atoms(from_raw([Fraction(1, 6)] * 5, exact=True))
     assert verify_extremal_atoms(from_raw([0.5]))
+
+
+def test_tail_vector_adds_in_mask_order_across_index_blocks():
+    """Blocks of cast indices keep ``np.bincount``'s mask-order sums, bit for bit."""
+    rng = random.Random(53)
+    for n in (1, 5, 14, 15, 17):
+        profile = from_raw([rng.random() for _ in range(n)])
+        measure = build_measure(profile, s_interval(profile).s_max / 3)
+        by_count = np.bincount(popcount_table(n), weights=measure.numerators, minlength=n + 1)
+        expected = np.cumsum(by_count[::-1])[::-1]
+        assert oracle._tail_vector(measure).tobytes() == expected.tobytes()
+    profile = from_raw([Fraction(rng.randint(1, 9), 10) for _ in range(15)], exact=True)
+    measure = build_measure(profile, s_interval(profile).s_min)
+    tails = oracle._tail_vector(measure).tolist()
+    counts = popcount_table(15).tolist()
+    for k in (0, 1, 7, 15):
+        assert tails[k] == sum(a for a, c in zip(measure.numerators.tolist(), counts) if c >= k)
+
+
+def _traced_peak(call):
+    """Peak bytes that ``call()`` allocates, from tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cardinality_scatters_allocate_no_mask_sized_index():
+    """The popcount table is cast to ``intp`` a block at a time: at n = 16 a
+    cast of the whole table would take 2^16 * 8 bytes."""
+    n = 16
+    profile = from_raw([0.02 + 0.06 * j for j in range(n)])
+    measure = build_measure(profile, 0.0)
+    product_atoms(profile)
+    popcount_table(n)
+    whole_cast = (1 << n) * np.dtype(np.intp).itemsize
+    assert _traced_peak(lambda: oracle._tail_vector(measure)) < whole_cast / 2
+    assert _traced_peak(lambda: verify_extremal_atoms(profile)) < whole_cast / 2
 
 
 def test_scan_sharpness_known_cell():
