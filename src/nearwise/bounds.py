@@ -39,6 +39,7 @@ from .numeric import (
     over,
     poisson_binomial_pmf,
     prefix_atom,
+    ratio,
     suffix_sums,
 )
 
@@ -171,23 +172,29 @@ def tail_probability_dp(profile: MarginalProfile, k: int):
     return over(tails.item(k), scale)
 
 
-def _shifted(profile: MarginalProfile, k: int, slope: int, mutual, s):
-    """``mutual + (-1)^k * slope * s``: the family tail at ``s``.
+def _shifted(profile: MarginalProfile, k: int, slope: int, tail, scale: int, s):
+    """``P_0(k) + (-1)^k * slope * s``: the family tail at ``s``.
 
-    ``mutual`` is the mutual-independence tail ``P_0(k)``, ``slope`` is
-    C(n-1, k-1).  ``k = 0`` returns exactly 1 and ignores ``mutual``.
+    ``tail`` over ``scale`` is the mutual-independence tail ``P_0(k)``,
+    ``slope`` is C(n-1, k-1).  Exact mode forms the one ``Fraction``
+    ``(tail * d +- slope * c * scale) / (scale * d)`` for ``s = c / d``.
+    ``k = 0`` returns exactly 1 and ignores ``tail``.
     """
     if k == 0:
         return mode_scalar(1, profile.sorted_values)
-    if profile.exact or slope.bit_length() <= 53:
+    sign = -1 if k % 2 else 1
+    if profile.exact:
+        s_num, s_den = ratio(s)
+        return Fraction(tail * s_den + sign * slope * s_num * scale, scale * s_den)
+    if slope.bit_length() <= 53:
         term = slope * s
-    elif s == 0.0:
-        term = 0.0
     else:
         # the slope can exceed float range at large n while the product
-        # stays a probability difference; multiply exactly, convert once
-        term = float(Fraction(slope) * Fraction(s))
-    return mutual + term if k % 2 == 0 else mutual - term
+        # stays a probability difference; int true division rounds the
+        # exact product once, as float(Fraction(slope) * Fraction(s)) does
+        s_num, s_den = s.as_integer_ratio()
+        term = slope * s_num / s_den
+    return tail + term if sign > 0 else tail - term
 
 
 def probability_at_s(profile: MarginalProfile, k: int, s):
@@ -200,8 +207,8 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     _check_k(k, profile.n, high=profile.n)
     s = _coerce_s(s, profile.exact)
     check_feasible(profile, s)
-    mutual = tail_probability_dp(profile, k) if k else None  # k = 0 gives 1 without a tail
-    return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), mutual, s)
+    tails, scale = _tail_numerators(profile)
+    return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), tails.item(k), scale, s)
 
 
 def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
@@ -219,13 +226,14 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
         s_lo, s_hi = iv.s_max, iv.s_min
     else:
         s_lo, s_hi = iv.s_min, iv.s_max
-    mutual = tail_probability_dp(profile, k)
+    tails, scale = _tail_numerators(profile)
+    tail = tails.item(k)
     slope = binom_or_zero(n - 1, k - 1)
     return BoundReport(
         k=k,
-        exact_mutual=mutual,
-        sharp_lower=_shifted(profile, k, slope, mutual, s_lo),
-        sharp_upper=_shifted(profile, k, slope, mutual, s_hi),
+        exact_mutual=over(tail, scale),
+        sharp_lower=_shifted(profile, k, slope, tail, scale, s_lo),
+        sharp_upper=_shifted(profile, k, slope, tail, scale, s_hi),
         s_at_lower=s_lo,
         s_at_upper=s_hi,
         coefficient=slope,

@@ -20,12 +20,15 @@ atoms).
 Every member of the family shares one product-atom table, so it is built
 once per profile (:func:`product_atoms`), as are the feasible interval and
 the subset-product table the oracle checks against.  The tables are
-read-only arrays of numerators over one scale, the product D of the
-marginals' denominators (1 in floating mode), and stay on the profile while
-it lives: 2^n entries of 8 bytes each, 8 MB per table at n = 20, plus one
-Python ``int`` per entry in exact mode.  A measure keeps its atoms the same
-way, so the exact oracle adds integers and forms a ``Fraction`` only for a
-reported scalar.
+read-only arrays of numerators over one scale, the product of the
+denominators of the events they cover (1 in floating mode), and stay on the
+profile while it lives.  Each covers the first min(n, 17) sorted events, so
+it holds at most 2^17 entries, one superset block (1 MB of ``float64``, plus
+one Python ``int`` per entry in exact mode); :func:`numeric.dense_blocks`
+extends it to every higher mask a block at a time, with the same bits as a
+whole 2^n table.  A measure keeps its 2^n atoms the same way, as numerators
+over one scale, so the exact oracle adds integers and forms a ``Fraction``
+only for a reported scalar.
 """
 
 from __future__ import annotations
@@ -40,15 +43,16 @@ import numpy as np
 
 from .marginals import MarginalProfile
 from .numeric import (
+    _CACHE_BITS,
     ABS_TOL,
     ENUMERATION_CAP,
     as_numerators,
     atom_products_dense,
+    dense_blocks,
     mode_scalar,
     over,
     prefix_atom,
     ratio,
-    rescaled,
     subset_atom,
 )
 
@@ -119,6 +123,17 @@ def _half_labels(indices: range, sep, item) -> list:
     return table
 
 
+def _input_masks(profile: MarginalProfile) -> np.ndarray:
+    """The input-order mask of every sorted-space mask, filled in place by
+    doubling, as the dense tables are: sorted bit j is input bit
+    ``permutation[j]``."""
+    masks = np.empty(1 << profile.n, dtype=np.int64)
+    masks[0] = 0
+    for j, position in enumerate(profile.permutation):
+        np.bitwise_or(masks[: 1 << j], 1 << position, out=masks[1 << j : 2 << j])
+    return masks
+
+
 def subset_labels(profile: MarginalProfile, sep=",", item=str) -> Iterator:
     """Label of every sorted-space mask, in mask order: :func:`original_subset`
     with each index ``i`` as ``item(i)`` and ``sep`` between two.
@@ -132,9 +147,7 @@ def subset_labels(profile: MarginalProfile, sep=",", item=str) -> Iterator:
     """
     n = profile.n
     _check_cap(n)
-    input_masks = np.zeros(1, dtype=np.int64)
-    for position in profile.permutation:  # sorted bit j is input bit permutation[j]
-        input_masks = np.concatenate((input_masks, input_masks | (1 << position)))
+    input_masks = _input_masks(profile)
     half = n // 2
     low = _half_labels(range(1, half + 1), sep, item)
     high = _half_labels(range(half + 1, n + 1), sep, item)
@@ -294,11 +307,19 @@ def s_interval(profile: MarginalProfile) -> SInterval:
 
 @per_profile
 def product_atoms(profile: MarginalProfile) -> tuple[np.ndarray, int]:
-    """Product-measure atom table of ``profile`` as (numerators, scale),
-    built once and read-only."""
-    table, scale = atom_products_dense(profile.sorted_values)
+    """Product-measure atom table of the first min(n, 17) sorted events
+    (``numeric._CACHE_BITS``) as (numerators, scale), built once and
+    read-only; :func:`numeric.dense_blocks` extends it to every mask."""
+    table, scale = atom_products_dense(profile.sorted_values[:_CACHE_BITS])
     table.setflags(write=False)
     return table, scale
+
+
+@per_profile
+def table_scale(profile: MarginalProfile) -> int:
+    """Scale of the dense tables over all n sorted events: the product of
+    the marginals' denominators, 1 in floating mode."""
+    return math.prod(ratio(a)[1] for a in profile.sorted_values)
 
 
 def _signed_offsets(n: int, s, dtype) -> np.ndarray:
@@ -356,12 +377,16 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
 
     # numerators over the least common multiple of the denominator of s and
     # the table's scale; a float s is a numerator over 1, as the table is.
-    # s is scaled before the doubling, so exact mode forms one int per atom
+    # s is scaled before the doubling, so exact mode forms one int per atom;
+    # the table's blocks are then added into the offsets
     s_num, s_den = ratio(s)
-    table, table_scale = product_atoms(profile)
-    scale = math.lcm(table_scale, s_den)
-    atoms = _signed_offsets(n, s_num * (scale // s_den), table.dtype)
-    np.add(rescaled(table, scale // table_scale), atoms, out=atoms)
+    low, _ = product_atoms(profile)
+    full_scale = table_scale(profile)
+    scale = math.lcm(full_scale, s_den)
+    atoms = _signed_offsets(n, s_num * (scale // s_den), low.dtype)
+    for start, block in dense_blocks(low, profile.sorted_values, factor=scale // full_scale):
+        part = atoms[start : start + block.size]
+        np.add(block, part, out=part)
 
     if validate:
         slack = check_feasible(profile, s, atoms)

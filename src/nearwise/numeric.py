@@ -155,15 +155,17 @@ def subset_atom(values: Sequence, mask: int):
 
     ``values[j]`` for each set bit ``j``, ``1 - values[j]`` for the others,
     multiplied left to right in ascending index order; an empty product is
-    1.  :func:`atom_products_dense` multiplies in the same order, so its
-    entries match this bit for bit.
+    1.  It multiplies the numerators of :func:`ratio` over the product of
+    the denominators, as :func:`atom_products_dense` does, so its entries
+    match this bit for bit, and exact mode forms one ``Fraction``.
     """
-    one = mode_scalar(1, values)
-    out = one
+    num, scale = ratio(mode_scalar(1, values))
     # the mask's bits, lowest first: one string, not a shift per value
     for a, bit in zip(values, f"{mask:0{len(values)}b}"[::-1]):
-        out = out * (a if bit == "1" else one - a)
-    return out
+        p, d = ratio(a)
+        num *= p if bit == "1" else d - p
+        scale *= d
+    return over(num, scale)
 
 
 def prefix_atom(values: Sequence, t: int):
@@ -176,14 +178,14 @@ def prefix_atom(values: Sequence, t: int):
     return subset_atom(values, (1 << t) - 1)
 
 
-def _dense_products(values: Sequence, unset) -> tuple[np.ndarray, int]:
+def _dense_products(values: Sequence, atoms: bool) -> tuple[np.ndarray, int]:
     """Products over every mask of the numerator ``p`` of each set bit's value
-    and the factor ``unset(p, d)`` for each other one, as (table, scale), the
-    scale the product of the denominators ``d``.
+    and the factor ``d - p`` (``atoms``) or ``d`` of each other one, as
+    (table, scale), the scale the product of the denominators ``d``.
 
     Built in place by doubling, lowest bit first, in one array of 2^n
     entries: for each value the entries with its bit set become the table so
-    far times ``p``, and then the table so far is scaled by ``unset(p, d)``.
+    far times ``p``, and then the table so far is scaled by the unset factor.
     """
     table = np.empty(1 << len(values), dtype=mode_dtype(values))
     table[0] = 1
@@ -192,7 +194,7 @@ def _dense_products(values: Sequence, unset) -> tuple[np.ndarray, int]:
         p, d = ratio(a)
         low = table[:size]
         np.multiply(low, p, out=table[size : 2 * size])
-        factor = unset(p, d)
+        factor = d - p if atoms else d
         if factor != 1:  # a factor of 1 changes no entry
             low *= factor
         size *= 2
@@ -207,13 +209,48 @@ def atom_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     :func:`subset_atom` at ``mask``.  The doubling reproduces its
     left-associative ascending order bit for bit.
     """
-    return _dense_products(values, lambda p, d: d - p)
+    return _dense_products(values, atoms=True)
 
 
 def subset_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     """Dense vector of plain subset products ``prod(values[j] for set bits j)``,
     as (numerators, scale) over the scale of :func:`atom_products_dense`."""
-    return _dense_products(values, lambda p, d: d)
+    return _dense_products(values, atoms=False)
+
+
+#: Entries of each per-call scratch buffer, 128 KB of ``float64`` or ``intp``.
+_SCRATCH = 1 << 14
+
+
+def dense_blocks(low: np.ndarray, values: Sequence, *, atoms: bool = True, factor=1):
+    """Every entry of the dense table over ``values`` times ``factor``, as
+    ``(start, block)`` pairs in mask order: block entry ``i`` is the entry
+    at mask ``start + i``.
+
+    The table is :func:`atom_products_dense` of ``values``, or
+    :func:`subset_products_dense` when not ``atoms``, and ``low`` is that
+    table over the first log2(low.size) values.  Each entry is its low
+    entry times the factor of each higher bit in ascending order, then
+    times ``factor``: the doubling's own order, so every entry keeps its
+    bits.  With no value above ``low`` and a ``factor`` of 1, the one block
+    is ``low`` itself.  Otherwise each block holds ``_SCRATCH`` entries (or
+    all of ``low``, if fewer) and is one scratch buffer, refilled before the
+    next, or a slice of ``low`` where every factor is 1.  No block may be
+    written.
+    """
+    if 1 << len(values) == low.size and factor == 1:
+        yield 0, low
+        return
+    bits = low.size.bit_length() - 1
+    # each higher value's factor when its bit is unset, and when it is set
+    high = [(d - p if atoms else d, p) for p, d in map(ratio, values[bits:])]
+    out = np.empty(min(low.size, _SCRATCH), dtype=low.dtype)
+    for start in range(0, low.size << len(high), out.size):
+        block = low[start & (low.size - 1) :][: out.size]
+        for f in [pair[start >> (bits + i) & 1] for i, pair in enumerate(high)] + [factor]:
+            if f != 1:  # a factor of 1 changes no entry
+                block = np.multiply(block, f, out=out)
+        yield start, block
 
 
 @lru_cache(maxsize=32)

@@ -45,12 +45,16 @@ from .measures import (
     per_profile,
     product_atoms,
     s_interval,
+    table_scale,
 )
 from .numeric import (
+    _CACHE_BITS,
+    _SCRATCH,
     ABS_TOL,
     as_numerators,
     binom_or_zero,
     close,
+    dense_blocks,
     is_exact,
     mode_scalar,
     over,
@@ -69,13 +73,14 @@ DEFAULT_SEED = 271828
 
 @per_profile
 def subset_products(profile: MarginalProfile) -> tuple[np.ndarray, int]:
-    """Subset-product table of ``profile`` as (numerators, scale), built once
-    and read-only.
+    """Subset-product table of the first min(n, 17) sorted events as
+    (numerators, scale), built once and read-only;
+    :func:`numeric.dense_blocks` extends it to every mask.
 
     Entry J is ``prod_{j in J} a_j`` over the sorted values: what the product
     rule requires of P(all events in J occur).
     """
-    table, scale = subset_products_dense(profile.sorted_values)
+    table, scale = subset_products_dense(profile.sorted_values[:_CACHE_BITS])
     table.setflags(write=False)
     return table, scale
 
@@ -139,22 +144,23 @@ def enumerate_tail(measure: AtomicMeasure, k: int):
     return over(np.sum(measure.numerators[popcount_table(n) >= k]), measure.scale)
 
 
-#: Masks whose population counts are cast to ``intp`` at a time.  ``ufunc.at``
-#: scatters faster by an ``intp`` index than by the ``uint8`` table, which
-#: it casts through a buffer of its own; a whole ``intp`` table would hold
-#: 8 bytes per mask.
-_INDEX_BLOCK = 1 << 14
-
-
-def _at_counts(ufunc: np.ufunc, out: np.ndarray, values: np.ndarray, n: int) -> None:
-    """``ufunc.at(out, popcount_table(n), values)``: fold each value into the
-    entry of its mask's cardinality, in mask order, through one small
-    ``intp`` index buffer refilled block by block."""
-    counts = popcount_table(n)
-    index = np.empty(min(counts.size, _INDEX_BLOCK), dtype=np.intp)
-    for start in range(0, counts.size, index.size):
-        block = slice(start, start + index.size)
+def _at_counts(ufunc: np.ufunc, out: np.ndarray, values: np.ndarray, start: int = 0) -> None:
+    """``ufunc.at(out, popcount(start + i), values[i])`` for every ``i``:
+    fold each value into the entry of its mask's cardinality, in mask
+    order.  ``values`` covers the masks from ``start`` on, its size a power
+    of two that divides ``start``, so a count is the popcount table's plus
+    the popcount of ``start``.  ``ufunc.at`` scatters faster by an ``intp``
+    index than by the ``uint8`` table, which it casts through a buffer of
+    its own, so the counts are cast into one ``intp`` buffer of at most
+    ``_SCRATCH`` entries, refilled block by block."""
+    counts = popcount_table(values.size.bit_length() - 1)
+    high = start.bit_count()
+    index = np.empty(min(counts.size, _SCRATCH), dtype=np.intp)
+    for first in range(0, counts.size, index.size):
+        block = slice(first, first + index.size)
         np.copyto(index, counts[block])
+        if high:
+            index += high
         ufunc.at(out, index, values[block])
 
 
@@ -164,7 +170,7 @@ def _tail_vector(measure: AtomicMeasure) -> np.ndarray:
     atoms = measure.numerators
     by_count = np.zeros(measure.n + 1, dtype=atoms.dtype)
     # adds in mask order, as ``np.bincount`` would
-    _at_counts(np.add, by_count, atoms, measure.n)
+    _at_counts(np.add, by_count, atoms)
     return suffix_sums(by_count)
 
 
@@ -184,14 +190,19 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     # every check compares numerators over one common scale; a tolerance is
     # an absolute probability, so it scales too
     atoms, atom_scale = measure.numerators, measure.scale
-    products, product_scale = subset_products(profile)
+    product_scale = table_scale(profile)
     scale = math.lcm(atom_scale, product_scale)
     slack = 0 if measure.exact else ABS_TOL
     tol = slack * scale
     # signed residual of every joint probability against the product rule;
-    # superset_sums returns a fresh array, so the rest works in place
+    # superset_sums returns a fresh array, so the rest works in place, the
+    # products a block at a time
     residuals = rescaled(superset_sums(atoms, n), scale // atom_scale)
-    np.subtract(residuals, rescaled(products, scale // product_scale), out=residuals)
+    low, _ = subset_products(profile)
+    factor = scale // product_scale
+    for start, block in dense_blocks(low, profile.sorted_values, atoms=False, factor=factor):
+        part = residuals[start : start + block.size]
+        np.subtract(part, block, out=part)
     pc = popcount_table(n)
 
     violations = []
@@ -312,12 +323,16 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     _check_cap(n)
     exact = profile.exact
 
-    atoms, scale = product_atoms(profile)
+    low, scale = product_atoms(profile)
     tol = (0 if exact else ABS_TOL) * scale
-    prefixes = atoms[[(1 << t) - 1 for t in range(n + 1)]]
-    # the least atom of each cardinality t, the prefix atom among them
-    level_min = prefixes.copy()
-    _at_counts(np.minimum, level_min, atoms, n)
+    # the least atom of each cardinality t, and the prefix atom of size t,
+    # the entry at mask 2^t - 1, read from the block that holds it
+    level_min = np.full(n + 1, math.inf, dtype=low.dtype)
+    prefixes = level_min.copy()
+    for start, block in dense_blocks(low, profile.sorted_values):
+        _at_counts(np.minimum, level_min, block, start)
+        held = range(start.bit_length(), (start + block.size).bit_length())
+        prefixes[held.start : held.stop] = block[[(1 << t) - 1 - start for t in held]]
     if np.any(level_min < prefixes - tol):
         return False
     # n >= 1, so both parities have atoms

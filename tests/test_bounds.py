@@ -6,6 +6,7 @@ float — so the delegation inside the library cannot mask an algebra error.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -501,3 +502,44 @@ def test_lll_product_bound_multiplies_left_to_right():
     for a in values:
         expected = expected * (1.0 - 2 * a)
     assert lll_comparison(from_raw(values)).product_bound == expected
+
+
+def test_large_slope_term_keeps_the_fraction_route_bits():
+    """Above 2^53 the slope term is one correctly rounded int division, the
+    bits of ``float(Fraction(slope) * Fraction(s))``, subnormal ``s`` and a
+    product out of float range included."""
+    rng = random.Random(4999)
+    profile = from_raw([0.5, 0.5])
+    slopes = [math.comb(9999, 4999)]
+    for i in range(60):
+        n = rng.randint(60, 1100 if i % 2 else 9999)  # half with s * slope near 1 in range
+        slopes.append(math.comb(n - 1, rng.randint(30, n - 30)))
+    for slope in slopes:
+        assert slope.bit_length() > 53
+        # exponents that put the product near 1, in the subnormals and past
+        # the top of the float range, where both routes overflow
+        exponents = [-1074, rng.randint(-1074, -1000), -slope.bit_length() + rng.randint(-40, 40)]
+        for e in exponents:
+            for s in (math.ldexp(rng.random(), e), -math.ldexp(rng.random(), e), 5e-324, -5e-324, 0.0, -0.0):
+                tail = rng.random()
+                try:
+                    term = float(Fraction(slope) * Fraction(s))
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        bounds._shifted(profile, 2, slope, tail, 1, s)
+                    continue
+                assert bounds._shifted(profile, 2, slope, tail, 1, s).hex() == (tail + term).hex()
+                assert bounds._shifted(profile, 3, slope, tail, 1, s).hex() == (tail - term).hex()
+                assert bounds._shifted(profile, 3, slope, 0.0, 1, s).hex() == (0.0 - term).hex()
+
+
+def test_exact_shifted_bound_is_one_fraction_of_the_numerators():
+    profile = from_raw([Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)])
+    tails, scale = bounds._tail_numerators(profile)
+    iv = s_interval(profile)
+    for k in range(profile.n + 1):
+        slope = math.comb(profile.n - 1, k - 1) if k else 0
+        for s in (iv.s_min, Fraction(0), iv.s_max):
+            value = bounds._shifted(profile, k, slope, tails.item(k), scale, s)
+            expected = 1 if k == 0 else Fraction(tails.item(k), scale) + (-1) ** k * slope * s
+            assert type(value) is Fraction and value == expected

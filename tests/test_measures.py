@@ -1,6 +1,7 @@
 """Unit tests for the one-parameter measure family and its invariants."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,25 @@ def test_subset_labels_follow_a_shuffled_input():
     assert list(subset_labels(profile))[-1] == "1,2,3,4"
     with pytest.raises(CapExceededError):
         next(subset_labels(from_raw([0.5] * 21)))
+
+
+def test_input_masks_are_filled_in_place():
+    """One int64 table of 2^n masks by doubling: concatenating a doubled copy
+    per event peaks at two tables."""
+    rng = random.Random(16)
+    values = [rng.random() for _ in range(16)]
+    profile = from_raw(values)
+    expected = [
+        sum(1 << (i - 1) for i in original_subset(profile, mask)) for mask in range(1 << 16)
+    ]
+    tracemalloc.start()
+    try:
+        masks = measures._input_masks(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.dtype == np.int64 and masks.tolist() == expected
+    assert peak <= 1.1 * masks.nbytes
 
 
 def test_s_interval_is_computed_once_per_profile(monkeypatch):

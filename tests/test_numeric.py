@@ -15,6 +15,7 @@ from nearwise.numeric import (
     binom_or_zero,
     close,
     cumulative_sums,
+    dense_blocks,
     format_scaled,
     format_scientific,
     is_exact,
@@ -159,6 +160,51 @@ def test_dense_tables_exact_on_mixed_denominators(dense, atoms):
         assert table.dtype == object and scale == ref_scale
         assert list(table) == list(ref)
         assert all(type(v) is int for v in table)
+
+
+def _joined_blocks(low, values, **kwargs):
+    """The blocks of :func:`dense_blocks` joined in mask order, checking the
+    starts on the way."""
+    parts, expected_start = [], 0
+    for start, block in dense_blocks(low, values, **kwargs):
+        assert start == expected_start
+        parts.append(block.copy())
+        expected_start += block.size
+    assert expected_start == 1 << len(values)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("dense, atoms", [(atom_products_dense, True), (subset_products_dense, False)])
+def test_dense_blocks_extend_a_low_table_bit_for_bit(dense, atoms):
+    """Blocks from a table over the first few values equal the whole table,
+    at every split, in both modes and with a factor."""
+    rng = random.Random(37)
+    for n in range(1, 11):
+        for values in ([rng.choice(_EDGE_MARGINALS) for _ in range(n)], [rng.random() for _ in range(n)]):
+            full, _ = dense(values)
+            for bits in range(n + 1):
+                low, _ = dense(values[:bits])
+                low.setflags(write=False)
+                joined = _joined_blocks(low, values, atoms=atoms)
+                assert joined.tobytes() == full.tobytes()
+    values = [Fraction(rng.randint(0, 12), 12) for _ in range(9)]
+    full, scale = dense(values)
+    low, low_scale = dense(values[:4])
+    assert scale == low_scale * math.prod(v.denominator for v in values[4:])
+    assert _joined_blocks(low, values, atoms=atoms, factor=7).tolist() == [7 * v for v in full.tolist()]
+
+
+def test_dense_blocks_above_one_superset_block():
+    """Above ``_CACHE_BITS`` the blocks are ``_SCRATCH`` entries of one
+    buffer, and every entry keeps the whole table's bits."""
+    rng = random.Random(41)
+    n = numeric._CACHE_BITS + 2
+    values = [rng.choice(_EDGE_MARGINALS) for _ in range(numeric._CACHE_BITS)]
+    values += [rng.random(), rng.random()]  # factors that round
+    low, _ = atom_products_dense(values[: numeric._CACHE_BITS])
+    sizes = {block.size for _, block in dense_blocks(low, values)}
+    assert sizes == {numeric._SCRATCH}
+    assert _joined_blocks(low, values).tobytes() == atom_products_dense(values)[0].tobytes()
 
 
 def _peak_bytes(call):

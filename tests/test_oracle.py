@@ -33,12 +33,15 @@ from nearwise import (
 from nearwise import oracle
 from nearwise.measures import mask_indices, product_atoms
 from nearwise.numeric import (
+    _CACHE_BITS,
     ABS_TOL,
+    atom_products_dense,
     close,
     format_scientific,
     over,
     poisson_binomial_pmf,
     popcount_table,
+    subset_products_dense,
     superset_sums,
 )
 
@@ -339,6 +342,72 @@ def test_cardinality_scatters_allocate_no_mask_sized_index():
     whole_cast = (1 << n) * np.dtype(np.intp).itemsize
     assert _traced_peak(lambda: oracle._tail_vector(measure)) < whole_cast / 2
     assert _traced_peak(lambda: verify_extremal_atoms(profile)) < whole_cast / 2
+
+
+def _dense_results(profile):
+    """Atoms, superset sums, tails and verify report of the family measures
+    at both endpoints and inside, and the extremal-atom verdict: every
+    result the capped tables feed, floats by their bits."""
+    iv = s_interval(profile)
+    out = [verify_extremal_atoms(profile)]
+    for s in (iv.s_min, (iv.s_min + 2 * iv.s_max) / 3, iv.s_max):
+        measure = build_measure(profile, s)
+        report = verify_measure(measure, profile)
+        fields = [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
+        arrays = (measure.numerators, superset_sums(measure.numerators, profile.n), oracle._tail_vector(measure))
+        out += [measure.scale, *fields]
+        out += [a.tolist() if profile.exact else a.tobytes() for a in arrays]
+    return out
+
+
+@pytest.mark.parametrize("n, exact", [(18, False), (20, False), (18, True)])
+def test_capped_tables_match_the_full_table_route(monkeypatch, n, exact):
+    """Above ``_CACHE_BITS`` the per-profile tables cover the first 17
+    events and every higher mask is extended block by block; every result
+    equals the route through whole ``2^n`` tables."""
+    rng = random.Random(n + exact)
+    if exact:
+        values = [Fraction(rng.randint(1, 9), 10) / rng.choice([1, 2]) for _ in range(n)]
+    else:
+        # ties and halves, and random largest values, whose bits are extended;
+        # below 1/2 at n = 18, so an atom gets smaller as its count grows
+        top = 0.5 if n == 18 else 1.0
+        values = [0.3, 0.3, 0.5, 0.5] + [rng.uniform(0, top) for _ in range(n - 4)]
+    profile = from_raw(values, exact=exact)
+    capped = _dense_results(profile)
+    assert product_atoms(profile)[0].size == oracle.subset_products(profile)[0].size == 1 << _CACHE_BITS
+
+    full = from_raw(values, exact=exact)
+    tables = {
+        "product_atoms": atom_products_dense(full.sorted_values),
+        "subset_products": subset_products_dense(full.sorted_values),
+    }
+    from nearwise import measures
+
+    for module, name in ((measures, "product_atoms"), (oracle, "product_atoms"), (oracle, "subset_products")):
+        monkeypatch.setattr(module, name, lambda profile, name=name: tables[name])
+    assert _dense_results(full) == capped
+
+
+def test_float_check_profile_keeps_no_table_above_one_superset_block():
+    """At n = 18 a float ``check_profile`` holds a measure's atoms and its
+    residuals, two 2^n arrays, and blocks of at most 2^17 entries besides;
+    the profile keeps no table larger than one block."""
+    n = 18
+    rng = random.Random(18)
+    profile = from_raw([rng.uniform(0.01, 0.99) for _ in range(n)])
+    popcount_table(n)
+    checks = []
+    peak = _traced_peak(lambda: checks.append(check_profile(profile)))
+    assert checks[0].passed, checks[0].failures
+    assert peak < 3.5 * (1 << n) * 8
+    kept = [
+        entry
+        for value in vars(profile).values()
+        for entry in (value if isinstance(value, tuple) else (value,))
+        if isinstance(entry, np.ndarray)
+    ]
+    assert kept and max(table.size for table in kept) <= 1 << _CACHE_BITS
 
 
 def test_scan_sharpness_known_cell():
