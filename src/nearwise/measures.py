@@ -420,12 +420,19 @@ def parity_construction(n: int, parity: str) -> AtomicMeasure:
 
 
 def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
-    """P(all events in ``mask`` occur): the sum of atoms over supersets."""
+    """P(all events in ``mask`` occur): the sum of atoms over supersets.
+
+    They are the atoms at index 1 on the mask's axes of the table viewed as
+    2 × ... × 2, highest bit first (``...`` keeps a full mask an array),
+    copied in increasing mask order: a boolean gather's order, so the sum
+    keeps its bits, with no 2^n temporary.
+    """
     n = measure.n
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} is not an {n}-bit subset mask")
-    sel = (np.arange(1 << n) & mask) == mask
-    return over(np.sum(measure.numerators[sel]), measure.scale)
+    axes = tuple(1 if mask >> bit & 1 else slice(None) for bit in reversed(range(n)))
+    supersets = measure.numerators.reshape((2,) * n)[axes + (...,)].ravel()
+    return over(np.sum(supersets), measure.scale)
 
 
 def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:

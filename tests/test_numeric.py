@@ -430,3 +430,50 @@ def test_format_scientific_rejects_no_digits():
             format_scientific(Fraction(1, 3), digits)
         with pytest.raises(ValueError, match="sig_digits must be >= 1"):
             format_scaled(1, 3, digits)
+
+
+def _pmf_by_event_slices(values):
+    """Reference: the convolution with views cut to ``i + 1`` for each event."""
+    pmf = np.zeros(len(values) + 1, dtype=numeric.mode_dtype(values))
+    pmf[0] = 1
+    scale = 1
+    for i, a in enumerate(values):
+        p, d = ratio(a)
+        up = pmf[: i + 1] * p
+        pmf[: i + 1] *= d - p
+        pmf[1 : i + 2] += up
+        scale *= d
+    return pmf, scale
+
+
+_W = numeric._WINDOW
+_KERNEL_SIZES = [0, 1, _W - 1, _W, _W + 1, 2 * _W + 1, 200]
+
+
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+@pytest.mark.parametrize("as_array", [False, True])
+def test_poisson_binomial_pmf_float_matches_the_per_event_loop(n, as_array):
+    """Same bits, sign bits of zeros included, on edge values and ties."""
+    rng = random.Random(n)
+    edges = [0.0, 1.0, 5e-324, 1 - 2.0**-53, 0.5, 0.5]
+    values = sorted(rng.choice(edges) if rng.random() < 0.4 else rng.random() for _ in range(n))
+    values = np.array(values, dtype=float) if as_array else tuple(values)
+    got, scale = poisson_binomial_pmf(values)
+    expected, _ = _pmf_by_event_slices(values)
+    assert scale == 1 and got.dtype == np.float64
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n", [k for k in _KERNEL_SIZES if k <= 40] + [40])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_poisson_binomial_pmf_exact_matches_the_per_event_loop(n, as_array):
+    rng = random.Random(n)
+    values = sorted(Fraction(rng.randint(0, 10**6), 10**6) for _ in range(n))
+    values = np.array(values, dtype=object) if as_array else tuple(values)
+    got, scale = poisson_binomial_pmf(values)
+    expected, expected_scale = _pmf_by_event_slices(values)
+    # an empty tuple holds no Fraction, so it convolves in floats
+    assert got.dtype == (object if n or as_array else np.float64)
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert scale == expected_scale and got.tolist() == expected.tolist()
