@@ -15,9 +15,9 @@ reverse.
 Also provided: the union (k=1) and intersection (k=n) specializations, the
 condition under which the union bound coincides with a truncated
 inclusion-exclusion bound, a comparison against the product lower bound used
-with the probabilistic method, and the standard two-marginal tail bounds
-computed from the Poisson-binomial law of the first n-1 events against the
-largest marginal.
+with the probabilistic method, and the standard two-marginal tail bounds:
+the Fréchet bounds over every coupling of the Poisson-binomial count of the
+first n-1 sorted events with the largest one.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .numeric import (
     binom_or_zero,
     cumulative_sums,
     is_exact,
+    mode_dtype,
     mode_scalar,
     over,
     poisson_binomial_pmf,
@@ -114,24 +115,11 @@ class LllComparison:
 
 @dataclass(frozen=True)
 class MakarovBounds:
-    """Standard tail bounds assuming nothing beyond the two marginal laws.
-
-    ``lower`` and ``upper`` evaluate the primary closed forms verbatim.
-    ``conv_lower`` and ``conv_upper`` evaluate the same two-point supremum
-    convolution with the complementary placement of the Bernoulli mass; the
-    pairs differ only when the largest marginal exceeds 1/2, and in that
-    regime only the convolution pair brackets the sharp bounds.  Both are
-    reported so the discrepancy is visible rather than silent.
-    """
+    """Sharp tail bounds given two marginal laws alone: the count of the n-1
+    smallest events and the largest event, coupled in any way."""
 
     lower: object
     upper: object
-    conv_lower: object
-    conv_upper: object
-
-    @property
-    def variants_differ(self) -> bool:
-        return self.lower != self.conv_lower or self.upper != self.conv_upper
 
 
 def _check_k(k: int, n: int, *, high: int) -> None:
@@ -329,35 +317,32 @@ def poisson_binomial_cdf(values: Sequence, *, exact: bool | None = None) -> Tail
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     """Standard bounds on P(at least k occur) from two marginal laws only.
 
-    Splits the count into the Poisson-binomial of the first n-1 sorted
-    marginals plus a Bernoulli at the largest marginal ``a_n``, and evaluates
-    the closed two-point supremum-convolution forms (with F(j) = 0 for
-    j < 0)::
+    Let X count the n-1 smallest events, a Poisson-binomial, and B be the
+    largest event, a Bernoulli at ``a_n``.  Under any coupling
+    P(X + B >= k) = P(X >= k) + P(X = k-1, B = 1), and the Fréchet bounds
+    on the last term give::
 
-        upper = min(2 - max(F(k-1) + a_n, F(k-2) + 1), 1)
-        lower = max(1 - min(F(k),   F(k-1) + a_n), 0)
+        lower = P(X >= k) + max(0, P(X = k-1) + a_n - 1)
+        upper = P(X >= k) + min(P(X = k-1), a_n)
 
-    plus the variant with the Bernoulli CDF value ``1 - a_n`` in place of
-    ``a_n`` (fields ``conv_lower`` / ``conv_upper``).  ``k = 0`` returns 1
-    for every field.  These hold under arbitrary dependence, hence they
-    always envelop the sharp family bounds — in the ``a_n > 1/2`` regime
-    that statement applies to the convolution variant.
+    Some coupling attains each, so they are sharp given the two laws; they
+    hold under any dependence, so they envelop the sharp family bounds.
+    ``k = 0`` returns 1 for both.
     """
     n = profile.n
     _check_k(k, n, high=n)
     a = profile.sorted_values
     one = mode_scalar(1, a)
     if k == 0:
-        return MakarovBounds(one, one, one, one)
-    a_n = a[-1]
-    f1 = poisson_binomial_cdf(a[:-1], exact=profile.exact)
-    two = one + one
-    upper = min(two - max(f1(k - 1) + a_n, f1(k - 2) + one), one)
-    lower = max(one - min(f1(k), f1(k - 1) + a_n), one - one)
-    co = one - a_n
-    conv_upper = min(two - max(f1(k - 1) + co, f1(k - 2) + one), one)
-    conv_lower = max(one - min(f1(k - 1), f1(k - 2) + co), one - one)
-    return MakarovBounds(lower, upper, conv_lower, conv_upper)
+        return MakarovBounds(one, one)
+    # an array, so that at n = 1 the empty vector keeps the profile's mode
+    pmf, scale = poisson_binomial_pmf(np.array(a[:-1], dtype=mode_dtype(a)))
+    at_least = over(suffix_sums(pmf).item(k), scale) if k < n else one - one
+    exactly, a_n = over(pmf.item(k - 1), scale), a[-1]
+    return MakarovBounds(
+        lower=at_least + max(one - one, exactly + a_n - one),
+        upper=at_least + min(exactly, a_n),
+    )
 
 
 def report_to_dict(report: BoundReport) -> dict:

@@ -34,7 +34,6 @@ from .marginals import MarginalError, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
 from .numeric import format_scaled, format_scientific
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
-from .reference import ROW_KINDS, reference_cell
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,9 @@ class TableSpec:
     k_lo: int
     k_hi: int
 
+
+#: Row kinds in the order they appear underneath each marginal level.
+ROW_KINDS = ("makarov_lower", "sharp_lower", "exact", "sharp_upper", "makarov_upper")
 
 TABLE_PRESETS = {
     "paper-table-1": TableSpec(8, ("0.1", "0.2", "0.3", "0.4", "0.5"), 1, 4),
@@ -308,14 +310,6 @@ def cmd_table(args, parser) -> Output:
         for kind, values in zip(ROW_KINDS, zip(*per_k)):
             rows += [(label, kind, k, value) for k, value in zip(ks, values)]
 
-    deviations = []  # with a preset: standard-bound cells that differ from the bundled ones
-    for label, kind, k, value in rows:
-        ref = args.preset and kind.startswith("makarov") and reference_cell(label, kind, k)
-        if ref and (computed := format_scientific(value, 5)) != ref:
-            deviations.append(
-                {"level": label, "kind": kind, "k": k, "computed": computed, "reference": ref}
-            )
-    flagged = {(d["level"], d["kind"], d["k"]) for d in deviations}
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
 
     def payload():
@@ -332,7 +326,6 @@ def cmd_table(args, parser) -> Output:
                 }
                 for label, level_rows in by_level
             },
-            "deviations": deviations,
         }
 
     def text():
@@ -344,12 +337,9 @@ def cmd_table(args, parser) -> Output:
             if kind == ROW_KINDS[0]:
                 lines.append(f"a = {label}")
             line = f"  {kind.replace('_', ' '):<{label_width - 2}}" + "".join(
-                f"{fmt(value):>{width - 1}}" + ("*" if (label, kind, k) in flagged else " ")
-                for _, _, k, value in cells
+                f"{fmt(value):>{width - 1}} " for *_, value in cells
             )
             lines.append(line.rstrip())
-        if flagged:
-            lines += ["", "* printed closed form; deviates from the bundled reference cell"]
         return lines
 
     return Output(payload, ("level", "kind", "k", "value"), lambda: rows, text)

@@ -404,26 +404,24 @@ def test_poisson_binomial_cdf_monotone_to_one():
         assert math.isclose(seq[-1], 1.0, rel_tol=1e-12)
 
 
-def test_makarov_bounds_printed_forms():
+def test_makarov_bounds_small_marginals():
+    # X ~ Bin(7, 0.1): lower = P(X >= 1), upper = P(X >= 1) + min(P(X = 0), 0.1)
     profile = from_raw([0.1] * 8)
     mk = makarov_bounds(profile, 1)
-    assert mk.upper == 1.0
-    assert close(mk.lower, 0.4217031, exact=False)
+    assert close(mk.lower, 1 - 0.9**7, exact=False)
+    assert close(mk.upper, 1 - 0.9**7 + 0.1, exact=False)
     zero = makarov_bounds(profile, 0)
-    assert zero.lower == zero.upper == zero.conv_lower == zero.conv_upper == 1.0
+    assert zero.lower == zero.upper == 1.0
 
 
-def test_makarov_variants_differ_when_largest_marginal_exceeds_half():
+def test_makarov_bounds_when_largest_marginal_exceeds_half():
     profile = from_raw([0.9, 0.95])
     mk = makarov_bounds(profile, 2)
     sharp = sharp_bounds(profile, 2)
-    # The printed upper form drops below the true value here...
-    assert mk.upper < sharp.sharp_lower
-    assert mk.variants_differ
-    # ...while the two-marginal convolution form stays valid and tight.
-    assert close(mk.conv_upper, 0.9, exact=False)
-    assert sharp.sharp_upper <= mk.conv_upper + 1e-12
-    assert mk.conv_lower <= sharp.sharp_lower + 1e-12
+    assert close(mk.lower, 0.85, exact=False)
+    assert close(mk.upper, 0.9, exact=False)
+    assert sharp.sharp_upper <= mk.upper + 1e-12
+    assert mk.lower <= sharp.sharp_lower + 1e-12
 
 
 def test_makarov_envelope_small_marginals():
@@ -433,27 +431,72 @@ def test_makarov_envelope_small_marginals():
         sharp = sharp_bounds(profile, k)
         assert mk.lower <= sharp.sharp_lower + 1e-12
         assert sharp.sharp_upper <= mk.upper + 1e-12
-        assert mk.conv_lower <= sharp.sharp_lower + 1e-12
-        assert sharp.sharp_upper <= mk.conv_upper + 1e-12
 
 
 def test_makarov_exact_mode():
     profile = from_raw([Fraction(1, 4), Fraction(1, 2)], exact=True)
     mk = makarov_bounds(profile, 2)
-    assert isinstance(mk.lower, Fraction) and isinstance(mk.conv_upper, Fraction)
+    assert isinstance(mk.lower, Fraction) and isinstance(mk.upper, Fraction)
     sharp = sharp_bounds(profile, 2)
-    assert mk.conv_lower <= sharp.sharp_lower
-    assert sharp.sharp_upper <= mk.conv_upper
+    assert mk.lower <= sharp.sharp_lower
+    assert sharp.sharp_upper <= mk.upper
 
 
-def test_makarov_lower_never_exceeds_convolution_lower():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        values = rng.random(rng.integers(2, 9)).tolist()
-        profile = from_raw(values)
-        for k in range(1, profile.n + 1):
-            mk = makarov_bounds(profile, k)
-            assert mk.lower <= mk.conv_lower + 1e-12
+def test_makarov_bounds_are_the_frechet_pair(frechet_pair):
+    """Exact, at every k: the pair equals Makarov's two-marginal bounds and
+    brackets the sharp bounds, also when the largest marginal is above 1/2."""
+    rng = random.Random(2211)
+    above_half = 0
+    for _ in range(200):
+        values = [Fraction(rng.randint(0, 1000), 1000) for _ in range(rng.randint(1, 9))]
+        profile = from_raw(values, exact=True)
+        above_half += max(values) > Fraction(1, 2)
+        for k in range(profile.n + 1):
+            mk, sharp = makarov_bounds(profile, k), sharp_bounds(profile, k)
+            assert (mk.lower, mk.upper) == frechet_pair(values, k), (values, k)
+            assert mk.lower <= sharp.sharp_lower, (values, k)
+            assert sharp.sharp_upper <= mk.upper, (values, k)
+    assert above_half >= 100
+
+
+def _dual_cells(values, ks, exact):
+    """For each k: (the bound report at k, that of the complement profile at
+    n - k + 1), with the two intervals."""
+    n = len(values)
+    profile, dual = from_raw(values, exact=exact), from_raw([1 - v for v in values], exact=exact)
+    pairs = [(sharp_bounds(profile, k), sharp_bounds(dual, n - k + 1)) for k in ks]
+    return s_interval(profile), s_interval(dual), pairs
+
+
+def test_complement_duality_exact():
+    """Complements of (n-1)-wise independent events are (n-1)-wise
+    independent, with s' = (-1)^n s: the interval maps onto itself, ends
+    swapped and negated at odd n, and P(at least k) onto 1 - P(at least
+    n - k + 1) of the complements, exactly at any n."""
+    rng = random.Random(1596)
+    cells = 0
+    for _ in range(100):
+        n = rng.randint(1, 40)
+        values = [Fraction(rng.randint(0, 1000), 1000) for _ in range(n)]
+        iv, dual_iv, pairs = _dual_cells(values, range(1, n + 1), exact=True)
+        expected = (iv.s_min, iv.s_max) if n % 2 == 0 else (-iv.s_max, -iv.s_min)
+        assert (dual_iv.s_min, dual_iv.s_max) == expected, values
+        for rep, dual in pairs:
+            assert rep.sharp_lower == 1 - dual.sharp_upper, (values, rep.k)
+            assert rep.sharp_upper == 1 - dual.sharp_lower, (values, rep.k)
+            assert rep.exact_mutual == 1 - dual.exact_mutual, (values, rep.k)
+            cells += 1
+    assert cells > 1500
+
+
+def test_complement_duality_float_at_n_1000():
+    rng = random.Random(1000)
+    values = [rng.random() for _ in range(1000)]
+    _, _, pairs = _dual_cells(values, (1, 2, 500, 999, 1000), exact=False)
+    for rep, dual in pairs:
+        assert abs(rep.sharp_lower - (1 - dual.sharp_upper)) <= 1e-12, rep.k
+        assert abs(rep.sharp_upper - (1 - dual.sharp_lower)) <= 1e-12, rep.k
+        assert abs(rep.exact_mutual - (1 - dual.exact_mutual)) <= 1e-12, rep.k
 
 
 def test_report_to_dict_schema():
@@ -482,14 +525,14 @@ def test_probability_at_s_rejects_non_finite_s(s):
 
 
 def test_makarov_single_event_exact_stays_exact():
-    # n = 1 hands an empty vector to the CDF; it must stay exact
+    # n = 1 convolves an empty vector; it must stay exact
     profile = from_raw([Fraction(1, 3)], exact=True)
     for k in (0, 1):
         mk = makarov_bounds(profile, k)
-        for value in (mk.lower, mk.upper, mk.conv_lower, mk.conv_upper):
+        for value in (mk.lower, mk.upper):
             assert type(value) is Fraction
     exact, floating = makarov_bounds(profile, 1), makarov_bounds(from_raw([1 / 3]), 1)
-    for field in ("lower", "upper", "conv_lower", "conv_upper"):
+    for field in ("lower", "upper"):
         assert float(getattr(exact, field)) == pytest.approx(getattr(floating, field))
     empty = poisson_binomial_cdf([], exact=True)
     assert empty.values == (1,) and type(empty.values[0]) is Fraction

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,6 @@ import pytest
 from nearwise import build_measure, from_raw, original_subset, s_interval
 from nearwise.cli import EncodedArray, _write_json, main
 from nearwise.numeric import format_scientific
-from nearwise.reference import REFERENCE_CELLS, reference_cell
 
 
 def run(capsys, *argv):
@@ -392,21 +392,69 @@ def test_table_preset_one_text(capsys):
     for label in ("0.1", "0.2", "0.3", "0.4", "0.5"):
         assert f"a = {label}" in out
     assert "sharp lower" in out and "makarov upper" in out
-    # deviating standard-bound cells are starred and footnoted
-    assert "* printed closed form; deviates from the bundled reference cell" in out
+    assert "*" not in out  # no cell is flagged or footnoted
 
 
-def test_table_preset_csv_matches_reference_rows(capsys):
+def test_table_preset_csv_matches_reference_rows(capsys, preset_cells):
     for preset, ks in (("paper-table-1", range(1, 5)), ("paper-table-2", range(5, 9))):
         code, out, _ = run(capsys, "table", "--preset", preset, "--format", "csv")
         assert code == 0
         rows = list(csv.reader(out.strip().splitlines()))
         assert rows[0] == ["level", "kind", "k", "value"]
         seen = {(r[0], r[1], int(r[2])): r[3] for r in rows[1:]}
-        for label in REFERENCE_CELLS:
+        for label in preset_cells:
             for kind in ("sharp_lower", "exact", "sharp_upper"):
                 for k in ks:
-                    assert seen[(label, kind, k)] == reference_cell(label, kind, k)
+                    assert seen[(label, kind, k)] == preset_cells[label][kind][k - 1]
+
+
+def test_stored_standard_rows_are_the_full_count_closed_forms(preset_cells):
+    """The 80 stored standard-bound cells are the older closed forms
+    ``max(1 - min(F(k), F(k-1) + a), 0)`` and
+    ``min(2 - max(F(k-1) + a, F(k-2) + 1), 1)`` with F the CDF of all 8
+    events, not of the first 7: exact evaluation reproduces 76 of them, and
+    the other 4 are one unit off in the last stored digit."""
+    mismatches = {}
+    for label in preset_cells:
+        a = Fraction(label)
+        pmf = [math.comb(8, i) * a**i * (1 - a) ** (8 - i) for i in range(9)]
+        cdf = lambda j: sum(pmf[: j + 1], Fraction(0)) if j >= 0 else Fraction(0)  # noqa: E731
+        for k in range(1, 9):
+            forms = {
+                "makarov_lower": max(1 - min(cdf(k), cdf(k - 1) + a), 0),
+                "makarov_upper": min(2 - max(cdf(k - 1) + a, cdf(k - 2) + 1), 1),
+            }
+            for kind, value in forms.items():
+                computed, stored = format_scientific(value, 5), preset_cells[label][kind][k - 1]
+                if computed != stored:
+                    mismatches[(label, kind, k)] = (computed, stored)
+    assert mismatches == {
+        ("0.1", "makarov_lower", 3): ("5.0244e-03", "5.0243e-03"),
+        ("0.1", "makarov_lower", 7): ("1.0000e-08", "9.9999e-09"),
+        ("0.4", "makarov_lower", 6): ("8.5197e-03", "8.5200e-03"),
+        ("0.5", "makarov_upper", 2): ("9.9609e-01", "9.9610e-01"),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "paper-table-1"],
+    ["--preset", "paper-table-2"],
+    ["--n", "2", "--levels", "0.9", "--k-range", "1", "2"],
+])
+def test_table_makarov_rows_bracket_the_sharp_rows(capsys, argv):
+    code, out, _ = run(capsys, "table", *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    for label, row in rows.items():
+        for lo, sharp_lo, sharp_hi, hi in zip(
+            *(map(float, row[kind]) for kind in
+              ("makarov_lower", "sharp_lower", "sharp_upper", "makarov_upper"))
+        ):
+            assert lo <= sharp_lo and sharp_hi <= hi, label
+    if argv[0] == "--n":
+        # P(both occur) at marginals 0.9: the Fréchet pair [0.8, 0.9]
+        assert rows["0.9"]["makarov_lower"][1] == "8.0000e-01"
+        assert rows["0.9"]["makarov_upper"][1] == "9.0000e-01"
 
 
 def test_table_preset_two_spot_values(capsys):
@@ -420,7 +468,7 @@ def test_table_preset_two_spot_values(capsys):
     assert row["exact"][1] == "1.1292e-02"
     assert row["sharp_upper"][1] == "1.4507e-02"
     assert payload["k_range"] == [5, 8]
-    assert payload["deviations"]  # the stored standard-bound rows never fully agree
+    assert list(payload) == ["preset", "n", "levels", "k_range", "rows"]
 
 
 def test_table_custom_k_zero(capsys):

@@ -7,18 +7,24 @@ change is intended, regenerate them with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
+The standard-bound cells of the ``table`` captures are also checked against
+an exact evaluation in ``conftest.py``, so a recapture cannot store a wrong
+pair.
 Argparse's own usage errors are left out: their text belongs to argparse
 and wraps with the terminal width.
 """
 
+import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nearwise.cli import main
+from nearwise.cli import TABLE_PRESETS, main
+from nearwise.numeric import format_scientific
 
 CAPTURES = Path(__file__).with_name("cli_golden.json")
 
@@ -76,6 +82,48 @@ def captures():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_output_matches_capture(captures, argv):
     assert run(argv) == captures[" ".join(argv)]
+
+
+def _table_cells(argv, stdout):
+    """(level, kind, k, cell) for every cell of a stored ``table`` capture."""
+    fmt = argv[argv.index("--format") + 1]
+    if fmt == "csv":
+        for level, kind, k, cell in csv.reader(stdout.splitlines()[1:]):
+            yield level, kind, int(k), cell
+    elif fmt == "json":
+        doc = json.loads(stdout)
+        ks = range(doc["k_range"][0], doc["k_range"][1] + 1)
+        for level, rows in doc["rows"].items():
+            for kind, cells in rows.items():
+                yield from ((level, kind, k, cell) for k, cell in zip(ks, cells))
+    else:
+        header, *lines = stdout.splitlines()
+        ks = [int(token) for token in header.split()[2::3]]  # "k = 1  k = 2 ..."
+        for line in lines:
+            if line.startswith("a = "):
+                level = line.removeprefix("a = ")
+                continue
+            words = line.split()
+            kind, cells = "_".join(words[: -len(ks)]), words[-len(ks):]
+            yield from ((level, kind, k, cell) for k, cell in zip(ks, cells))
+
+
+def test_table_captures_hold_the_frechet_pair(captures, frechet_pair):
+    """Every standard-bound cell of the stored ``table`` captures is the
+    two-marginal Fréchet pair, evaluated in ``Fraction``s and rounded once
+    to the printed digits."""
+    checked = 0
+    for argv in CASES:
+        if argv[0] != "table":
+            continue
+        n = int(argv[argv.index("--n") + 1]) if "--n" in argv else TABLE_PRESETS[argv[2]].n
+        for level, kind, k, cell in _table_cells(argv, captures[" ".join(argv)]["stdout"]):
+            if kind.startswith("makarov"):
+                pair = frechet_pair([Fraction(level)] * n, k)
+                assert cell == format_scientific(pair[kind == "makarov_upper"], 5), (argv, level, k)
+                checked += 1
+    # formats x (presets x levels x rows x ks + the custom table's levels x rows x ks)
+    assert checked == 3 * (2 * 5 * 2 * 4 + 3 * 2 * 3)
 
 
 if __name__ == "__main__":
