@@ -21,12 +21,11 @@ from .bounds import (
     BoundReport,
     LllComparison,
     MakarovBounds,
-    TailCdf,
     bonferroni_applicable,
+    bound_reports,
     intersection_bounds,
     lll_comparison,
     makarov_bounds,
-    poisson_binomial_cdf,
     probability_at_s,
     report_to_dict,
     sharp_bounds,
@@ -94,10 +93,10 @@ __all__ = [
     "SInterval",
     "SharpnessScan",
     "SuiteReport",
-    "TailCdf",
     "VerificationReport",
     "atom_product",
     "bonferroni_applicable",
+    "bound_reports",
     "build_measure",
     "check_profile",
     "enumerate_tail",
@@ -115,7 +114,6 @@ __all__ = [
     "measure_to_dict",
     "original_subset",
     "parity_construction",
-    "poisson_binomial_cdf",
     "probability_at_s",
     "profile_to_dict",
     "random_profiles",

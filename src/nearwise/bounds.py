@@ -25,16 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .marginals import MarginalProfile, _coerce
+from .marginals import MarginalProfile
 from .measures import _coerce_s, check_feasible, s_interval
 from .numeric import (
     binom_or_zero,
-    cumulative_sums,
-    is_exact,
     mode_dtype,
     mode_scalar,
     over,
@@ -62,30 +59,6 @@ class BoundReport:
     s_at_lower: object
     s_at_upper: object
     coefficient: int
-
-
-@dataclass(frozen=True)
-class TailCdf:
-    """Distribution function of a Poisson-binomial count.
-
-    ``values[j]`` is F(j) = P(count <= j) for 0 <= j <= N where N is the
-    number of trials; calling the object extends the function by F(j) = 0
-    for j < 0 and F(j) = 1 for j >= N.
-    """
-
-    values: tuple
-    exact: bool = False
-
-    def __call__(self, j: int):
-        if j < 0:
-            return mode_scalar(0, self.values)
-        if j >= len(self.values) - 1:
-            return mode_scalar(1, self.values)
-        return self.values[j]
-
-    @property
-    def support_max(self) -> int:
-        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -199,33 +172,54 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), tails.item(k), scale, s)
 
 
-def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
-    """Sharp lower and upper bounds on P(at least k occur) over the family.
+def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
+    """Sharp lower and upper bounds on P(at least k occur) over the family,
+    for every k in ``ks``, a range of consecutive thresholds in 0..n.
 
     Evaluates the family probability at the two interval endpoints and
     assigns them by the parity of k: odd k attains its minimum at ``s_max``
     and its maximum at ``s_min``; even k the reverse.  The results are
-    feasible probabilities by construction and are never clamped.
+    feasible probabilities by construction and are never clamped.  The
+    interval and the mass vector are read once for all of ``ks``, and the
+    slopes C(n-1, k-1) run by ``C(n-1, k) = C(n-1, k-1) * (n-k) // k`` from
+    one ``math.comb``, so every k costs one O(n^2) convolution together.
     """
     n = profile.n
-    _check_k(k, n, high=n)
+    if ks.step != 1:
+        raise ValueError(f"ks must be a range of consecutive thresholds, got {ks!r}")
+    if not ks:
+        return []
+    _check_k(ks[0], n, high=n)
+    _check_k(ks[-1], n, high=n)
     iv = s_interval(profile)
-    if k % 2 == 1:
-        s_lo, s_hi = iv.s_max, iv.s_min
-    else:
-        s_lo, s_hi = iv.s_min, iv.s_max
     tails, scale = _tail_numerators(profile)
-    tail = tails.item(k)
-    slope = binom_or_zero(n - 1, k - 1)
-    return BoundReport(
-        k=k,
-        exact_mutual=over(tail, scale),
-        sharp_lower=_shifted(profile, k, slope, tail, scale, s_lo),
-        sharp_upper=_shifted(profile, k, slope, tail, scale, s_hi),
-        s_at_lower=s_lo,
-        s_at_upper=s_hi,
-        coefficient=slope,
-    )
+    slope = binom_or_zero(n - 1, ks[0] - 1)
+    reports = []
+    for k in ks:
+        s_lo, s_hi = (iv.s_max, iv.s_min) if k % 2 else (iv.s_min, iv.s_max)
+        tail = tails.item(k)
+        reports.append(BoundReport(
+            k=k,
+            exact_mutual=over(tail, scale),
+            sharp_lower=_shifted(profile, k, slope, tail, scale, s_lo),
+            sharp_upper=_shifted(profile, k, slope, tail, scale, s_hi),
+            s_at_lower=s_lo,
+            s_at_upper=s_hi,
+            coefficient=slope,
+        ))
+        slope = slope * (n - k) // k if k else 1
+    return reports
+
+
+def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
+    """The one report of :func:`bound_reports` at ``k``.
+
+    Nothing is kept on the profile between calls, so each call convolves
+    the mass vector again; a caller that wants several k asks
+    :func:`bound_reports` for all of them at once.
+    """
+    _check_k(k, profile.n, high=profile.n)
+    return bound_reports(profile, range(k, k + 1))[0]
 
 
 def union_bounds(profile: MarginalProfile) -> BoundReport:
@@ -298,22 +292,6 @@ def lll_comparison(profile: MarginalProfile) -> LllComparison:
     )
 
 
-def poisson_binomial_cdf(values: Sequence, *, exact: bool | None = None) -> TailCdf:
-    """Distribution function of the count of successes among the trials.
-
-    Accumulates the same convolution used for tail probabilities into a CDF.
-    An empty vector is the constant-zero count: F(j) = 1 for all j >= 0.
-    An explicit ``exact`` wins, else any Fraction entry makes it exact
-    (:func:`numeric.is_exact`); each entry is validated as by :func:`from_raw`.
-    """
-    vals = list(values)
-    exact = is_exact(vals, exact)
-    coerced = [_coerce(v, i + 1, exact) for i, v in enumerate(vals)]
-    # an array, so that an empty exact vector keeps its mode
-    pmf, scale = poisson_binomial_pmf(np.array(coerced, dtype=object if exact else float))
-    return TailCdf(values=tuple(over(cumulative_sums(pmf), scale).tolist()), exact=exact)
-
-
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     """Standard bounds on P(at least k occur) from two marginal laws only.
 
@@ -340,7 +318,9 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     at_least = over(suffix_sums(pmf).item(k), scale) if k < n else one - one
     exactly, a_n = over(pmf.item(k - 1), scale), a[-1]
     return MakarovBounds(
-        lower=at_least + max(one - one, exactly + a_n - one),
+        # 1 - a_n is exact in float once a_n >= 1/2 (Sterbenz's lemma), so
+        # there the term rounds once, as exact mode's equal term would
+        lower=at_least + max(one - one, exactly - (one - a_n)),
         upper=at_least + min(exactly, a_n),
     )
 

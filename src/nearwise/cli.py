@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .bounds import makarov_bounds, report_to_dict, sharp_bounds
+from .bounds import bound_reports, makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
 from .numeric import format_scaled, format_scientific
@@ -161,12 +161,11 @@ def _require_profile(args, parser):
 def cmd_bound(args, parser) -> Output:
     profile = _require_profile(args, parser)
     if args.all_k:
-        ks = range(1, profile.n + 1)
+        reports = bound_reports(profile, range(1, profile.n + 1))
     elif args.k is not None:
-        ks = [args.k]
+        reports = [sharp_bounds(profile, args.k)]
     else:
         parser.error("one of --k or --all-k is required")
-    reports = [sharp_bounds(profile, k) for k in ks]
     rows = [(r.k, r.exact_mutual, r.sharp_lower, r.sharp_upper) for r in reports]
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
 
@@ -305,7 +304,7 @@ def cmd_table(args, parser) -> Output:
         profile = _level_profile(label, spec.n)
         per_k = [
             (m.lower, r.sharp_lower, r.exact_mutual, r.sharp_upper, m.upper)  # ROW_KINDS
-            for r, m in ((sharp_bounds(profile, k), makarov_bounds(profile, k)) for k in ks)
+            for r, m in zip(bound_reports(profile, ks), [makarov_bounds(profile, k) for k in ks])
         ]
         for kind, values in zip(ROW_KINDS, zip(*per_k)):
             rows += [(label, kind, k, value) for k, value in zip(ks, values)]
@@ -472,8 +471,14 @@ def _join_signed_values(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+    # Python 3.10.7+ limits int-to-str conversion to 4,300 digits; the limit
+    # guards parsing the inputs, but an exact coefficient C(n-1, k-1) has
+    # more digits from n = 14,293, so it is lifted once every input is in
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         result = args.handler(args, parser)
+        if digits_limit is not None:
+            sys.set_int_max_str_digits(0)
         if args.format == "json":
             _write_json(result.payload())
         else:
@@ -496,6 +501,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits_limit is not None:
+            sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ floating mode and ``object`` in exact mode.  :func:`is_exact` decides the
 mode of a vector from outside, and :func:`mode_dtype` reads it back off
 values of one type.  Every vector kernel returns numerators over one
 common denominator, its *scale*: the dense tables, the Poisson-binomial
-mass vector and the tails and CDFs summed from it.  A value ``a`` enters as
+mass vector and the tails summed from it.  A value ``a`` enters as
 :func:`ratio`, Python ``int``s in exact mode and the float itself over the
 scale 1 in floating mode, so exact kernels add and multiply integers with
 no gcd, and leaves by :func:`over` only where a layer reports it.
@@ -343,7 +343,7 @@ def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
     It convolves the numerators of :func:`ratio`, so exact mode convolves
     integers over the product of the denominators: growing ``Fraction``
     operands would cost a gcd per multiply.  Sums of the entries, such as
-    tails and CDFs, stay numerators over the same scale.
+    tails, stay numerators over the same scale.
 
     Event ``i`` moves ``p`` times each entry up by one and keeps ``d - p``
     times it in place, in three ufuncs into one scratch vector.  At small n
@@ -372,18 +372,13 @@ def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
     return pmf, scale
 
 
-def cumulative_sums(vec) -> np.ndarray:
-    """Running sums ``vec[0], vec[0] + vec[1], ...``, added left to right."""
-    return np.cumsum(np.asarray(vec, dtype=mode_dtype(vec)))
-
-
 def suffix_sums(vec) -> np.ndarray:
     """Entry ``t`` is ``vec[t] + ... + vec[-1]``, added from the last entry down.
 
     Applied to a mass vector this gives every tail P(count >= t); the terms
     are nonnegative, so the sum is numerically benign even deep in the tail.
     """
-    return cumulative_sums(vec[::-1])[::-1]
+    return np.cumsum(np.asarray(vec, dtype=mode_dtype(vec))[::-1])[::-1]
 
 
 def format_scientific(value, sig_digits: int = 5) -> str:

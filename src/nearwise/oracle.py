@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import _check_k, _tail_numerators, sharp_bounds
+from .bounds import _check_k, bound_reports
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -52,7 +52,6 @@ from .numeric import (
     _SCRATCH,
     ABS_TOL,
     as_numerators,
-    binom_or_zero,
     close,
     dense_blocks,
     is_exact,
@@ -468,12 +467,12 @@ def check_profile(
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
     min_atom_seen = mode_scalar(1, profile.sorted_values)
     measures_checked = 0
-    # the linear formula mutual + (-1)^k C(n-1, k-1) s, held as numerators:
-    # the mutual tails over their own scale, the signed slopes as they are
-    mutual, mutual_scale = _tail_numerators(profile)
-    slopes = np.array(
-        [(-1) ** k * binom_or_zero(n - 1, k - 1) for k in range(n + 1)], dtype=mutual.dtype
-    )
+    # the reports that bound --all-k prints, for every k, and from them the
+    # linear formula mutual + (-1)^k C(n-1, k-1) s, held as numerators: the
+    # mutual tails over their common denominator, the signed slopes as they are
+    reports = bound_reports(profile, range(n + 1))
+    mutual, mutual_scale = as_numerators([r.exact_mutual for r in reports])
+    slopes = np.array([(-1) ** r.k * r.coefficient for r in reports], dtype=mutual.dtype)
     # running extremes of the tail at each scan k over the grid
     lows = highs = None
 
@@ -521,7 +520,7 @@ def check_profile(
         failures.append(f"{label}: extremal-atom check failed")
 
     for k, empirical_min, empirical_max in zip(scan_ks, lows, highs):
-        report = sharp_bounds(profile, k)
+        report = reports[k]
         lo_gap = abs(empirical_min - report.sharp_lower)
         hi_gap = abs(empirical_max - report.sharp_upper)
         sharp_gap = max(sharp_gap, lo_gap, hi_gap)

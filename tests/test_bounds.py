@@ -15,13 +15,13 @@ import pytest
 from nearwise import (
     FeasibilityError,
     bonferroni_applicable,
+    bound_reports,
     from_raw,
     intersection_bounds,
     invariant_m,
     invariant_p,
     lll_comparison,
     makarov_bounds,
-    poisson_binomial_cdf,
     probability_at_s,
     report_to_dict,
     s_interval,
@@ -116,8 +116,59 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bounds, name, counting(name))
-    sharp_bounds(from_raw([0.1, 0.3, 0.5, 0.7, 0.9]), 3)
+    profile = from_raw([0.1, 0.3, 0.5, 0.7, 0.9])
+    sharp_bounds(profile, 3)
     assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1, "binom_or_zero": 1}
+    # and so does bound_reports, whatever the number of k
+    for ks in (range(1, 4), range(0, 6)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(bound_reports(profile, ks)) == len(ks)
+        assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1, "binom_or_zero": 1}
+
+
+def _sweep_profiles():
+    """The three float families of the benchmark sweep at n = 32, 64 and 128,
+    then seeded exact profiles with n <= 40."""
+    for low, high in ((0.0, 0.5), (0.0, 1.0), (0.45, 0.55)):
+        for n in (32, 64, 128):
+            rng = random.Random(n)
+            yield from_raw([rng.uniform(low, high) for _ in range(n)])
+    rng = random.Random(4017)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        yield from_raw([Fraction(rng.randint(0, 10**6), 10**6) for _ in range(n)], exact=True)
+
+
+def test_bound_reports_equal_sharp_bounds_at_every_k():
+    """The running slope C(n-1, k) = C(n-1, k-1) (n-k) / k and the one mass
+    vector give every field of the one-k route, in both modes."""
+    for profile in _sweep_profiles():
+        n = profile.n
+        reports = bound_reports(profile, range(0, n + 1))
+        assert reports == [sharp_bounds(profile, k) for k in range(0, n + 1)], profile.n
+        assert bound_reports(profile, range(n // 3, n)) == reports[n // 3 : n]
+
+
+def test_bound_reports_empty_range():
+    profile = from_raw([0.2, 0.5, 0.7])
+    assert bound_reports(profile, range(0)) == []
+    assert bound_reports(profile, range(2, 2)) == []
+
+
+@pytest.mark.parametrize("ks", [range(-1, 2), range(0, 5), range(4, 5), range(-3, -2)])
+def test_bound_reports_rejects_a_range_past_0_or_n(ks):
+    profile = from_raw([0.2, 0.5, 0.7])
+    k = ks[0] if ks[0] < 0 else ks[-1]
+    message = f"k out of range: expected 0 <= k <= 3 for n = 3, got {k}$"
+    with pytest.raises(ValueError, match=message):
+        bound_reports(profile, ks)
+    with pytest.raises(ValueError, match=message):
+        sharp_bounds(profile, k)
+
+
+def test_bound_reports_rejects_a_stepped_range():
+    with pytest.raises(ValueError, match="consecutive"):
+        bound_reports(from_raw([0.2, 0.5, 0.7]), range(0, 4, 2))
 
 
 def test_probability_at_s_linear_in_s():
@@ -358,52 +409,6 @@ def test_lll_comparison_vacuous_product_bound():
         lll_comparison(from_raw([0.4]))
 
 
-def test_poisson_binomial_cdf_values():
-    f = poisson_binomial_cdf([0.5])
-    assert f(0) == 0.5 and f(1) == 1.0
-    assert f(-1) == 0.0 and f(10) == 1.0
-    g = poisson_binomial_cdf([0.1] * 7)
-    assert close(g(0), 0.4782969, exact=False)
-    empty = poisson_binomial_cdf([])
-    assert empty(0) == 1.0 and empty(-1) == 0.0
-    assert empty.support_max == 0
-
-
-def test_poisson_binomial_cdf_exact_inference_and_validation():
-    f = poisson_binomial_cdf([Fraction(1, 2), Fraction(1, 3)])
-    assert f.exact
-    assert f(0) == Fraction(1, 3)
-    assert f(2) == 1
-    with pytest.raises(ValueError, match="index 1"):
-        poisson_binomial_cdf([1.5])
-
-
-@pytest.mark.parametrize(
-    "value, message",
-    [(True, "non-numeric"), (float("nan"), "non-finite"), (Fraction(1, 10**7), "denominators")],
-)
-def test_poisson_binomial_cdf_validates_each_entry_as_a_marginal(value, message):
-    with pytest.raises(ValueError, match=f"{message}.*index 2"):
-        poisson_binomial_cdf([Fraction(1, 2), value])
-
-
-@pytest.mark.parametrize("values", [[0.3, Fraction(1, 2)], [Fraction(1, 2), 0.3]])
-def test_poisson_binomial_cdf_mixed_input_is_exact(values):
-    f = poisson_binomial_cdf(values)
-    assert f.exact
-    assert f.values == (Fraction(7, 20), Fraction(17, 20), Fraction(1))
-
-
-def test_poisson_binomial_cdf_monotone_to_one():
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        vals = rng.random(rng.integers(1, 9)).tolist()
-        f = poisson_binomial_cdf(vals)
-        seq = [f(j) for j in range(-1, len(vals) + 2)]
-        assert all(x <= y + 1e-15 for x, y in zip(seq, seq[1:]))
-        assert math.isclose(seq[-1], 1.0, rel_tol=1e-12)
-
-
 def test_makarov_bounds_small_marginals():
     # X ~ Bin(7, 0.1): lower = P(X >= 1), upper = P(X >= 1) + min(P(X = 0), 0.1)
     profile = from_raw([0.1] * 8)
@@ -418,10 +423,10 @@ def test_makarov_bounds_when_largest_marginal_exceeds_half():
     profile = from_raw([0.9, 0.95])
     mk = makarov_bounds(profile, 2)
     sharp = sharp_bounds(profile, 2)
-    assert close(mk.lower, 0.85, exact=False)
+    # 1 - 0.95 is exact (Sterbenz), so the Fréchet term rounds once
+    assert mk.lower == sharp.sharp_lower == 0.85
     assert close(mk.upper, 0.9, exact=False)
     assert sharp.sharp_upper <= mk.upper + 1e-12
-    assert mk.lower <= sharp.sharp_lower + 1e-12
 
 
 def test_makarov_envelope_small_marginals():
@@ -534,9 +539,6 @@ def test_makarov_single_event_exact_stays_exact():
     exact, floating = makarov_bounds(profile, 1), makarov_bounds(from_raw([1 / 3]), 1)
     for field in ("lower", "upper"):
         assert float(getattr(exact, field)) == pytest.approx(getattr(floating, field))
-    empty = poisson_binomial_cdf([], exact=True)
-    assert empty.values == (1,) and type(empty.values[0]) is Fraction
-    assert type(empty(-1)) is Fraction and type(empty(3)) is Fraction
 
 
 def test_lll_product_bound_multiplies_left_to_right():

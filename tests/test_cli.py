@@ -593,6 +593,42 @@ def test_profile_from_files(tmp_path, capsys):
     assert from_csv == inline
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.10.7"
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bound_prints_a_coefficient_past_the_int_to_str_digit_limit(tmp_path, capsys, fmt):
+    """C(14292, 7146) has 4,301 digits, one more than Python's default limit
+    on int-to-str conversion: it prints in full, and the caller gets its
+    limit back."""
+    n, k = 14_293, 7_147
+    path = tmp_path / "m.csv"
+    path.write_text("0.25\n" * n)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bound", "--k", str(k), "--format", fmt, "--input", str(path))
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        coefficient = str(math.comb(n - 1, k - 1))
+        if fmt == "json":
+            assert json.loads(out)["coefficient"] == int(coefficient)
+        else:
+            assert f"coefficient  {coefficient}\n" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(coefficient) == 4301
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.10.7"
+)
+def test_input_parsing_keeps_the_int_to_str_digit_limit(capsys):
+    code, _, err = run(capsys, "bound", "--rational", "--k", "1", "--marginals", "1/1" + "0" * 5000)
+    assert code == 2
+    assert "could not parse value" in err
+
+
 def test_profile_input_errors(capsys):
     code, _, err = run(capsys, "bound", "--marginals", "0.1,oops", "--k", "1")
     assert code == 2

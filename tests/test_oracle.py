@@ -510,12 +510,11 @@ def test_check_profile_builds_each_measure_once(monkeypatch):
     counting(bounds, "poisson_binomial_pmf")
     counting(bounds, "probability_at_s")
     counting(bounds, "binom_or_zero")
-    counting(oracle, "binom_or_zero")
     check = check_profile(from_raw([0.15, 0.3, 0.45, 0.6, 0.75]), s_points=9, scan_ks=[1, 2, 5, 4])
     assert check.passed, check.failures
     assert check.measures_checked == 9
-    # one slope per k = 0..5 for the grid, and one per sharp_bounds call
-    assert calls == {"build_measure": 9, "poisson_binomial_pmf": 1 + 4, "binom_or_zero": 6 + 4}
+    # one bound_reports for every k: the grid's formula and the scan's bounds
+    assert calls == {"build_measure": 9, "poisson_binomial_pmf": 1, "binom_or_zero": 1}
 
 
 @pytest.mark.parametrize("exact", [False, True])
