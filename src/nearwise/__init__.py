@@ -61,7 +61,6 @@ from .measures import (
 from .oracle import (
     DEFAULT_SEED,
     ProfileCheck,
-    SharpnessScan,
     SuiteReport,
     VerificationReport,
     check_profile,
@@ -70,7 +69,6 @@ from .oracle import (
     kernel_residual,
     random_profiles,
     run_random_suite,
-    scan_sharpness,
     verify_extremal_atoms,
     verify_kernel,
     verify_measure,
@@ -91,7 +89,6 @@ __all__ = [
     "MarginalProfile",
     "ProfileCheck",
     "SInterval",
-    "SharpnessScan",
     "SuiteReport",
     "VerificationReport",
     "atom_product",
@@ -121,7 +118,6 @@ __all__ = [
     "run_random_suite",
     "s_interval",
     "subset_labels",
-    "scan_sharpness",
     "sharp_bounds",
     "subset_mask",
     "tail_probabilities",

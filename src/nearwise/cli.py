@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = command(cmd_table, "summary table: five rows per marginal level", [output_args])
     p_table.add_argument("--preset", choices=sorted(TABLE_PRESETS))
-    p_table.add_argument("--n", type=int, help="number of events (custom table)")
+    p_table.add_argument("--n", type=_positive_int, help="number of events (custom table)")
     p_table.add_argument("--levels", help="comma-separated uniform marginal levels (custom table)")
     p_table.add_argument(
         "--k-range", type=int, nargs=2, metavar=("LO", "HI"),

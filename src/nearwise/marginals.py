@@ -159,7 +159,7 @@ def load_profile(path, format: str | None = None, *, exact: bool = False) -> Mar
         format = "json" if ext == ".json" else "csv"
     if format not in ("json", "csv"):
         raise MarginalError(f"unknown profile format {format!r} (expected csv or json)")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     values = _parse_json(text, exact) if format == "json" else _parse_csv(text, exact)
     return from_raw(values, exact=exact)

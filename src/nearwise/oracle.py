@@ -16,10 +16,10 @@ shortcuts.  The checks:
   cardinality the prefix subset is minimal, and the overall odd/even
   cardinality minima sit at the two prefix atoms that define the feasible
   interval.
-* ``scan_sharpness``: sample the family on an s-grid and confirm the
-  claimed bounds are attained at the predicted endpoints and never beaten.
-* ``run_random_suite``: drive all of the above over a seeded cohort of
-  random profiles, in float or exact rational arithmetic.
+* ``check_profile``: the one scan of the family on an s-grid, running all
+  of the above and confirming that the claimed bounds are attained at the
+  predicted endpoints and never beaten; ``run_random_suite`` drives it over
+  a seeded cohort of random profiles, in float or exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,16 +118,6 @@ class VerificationReport:
                 for lemma, witness in self.lemma_violations
             ],
         }
-
-
-@dataclass(frozen=True)
-class SharpnessScan:
-    """Empirical extremes of P(at least k occur) over an s-grid."""
-
-    empirical_min: object
-    empirical_max: object
-    argmin_s: object
-    argmax_s: object
 
 
 def enumerate_tail(measure: AtomicMeasure, k: int):
@@ -359,24 +348,6 @@ def _grid_pass(profile: MarginalProfile, points: int, read: Callable):
         yield s, read(build_measure(profile, s))
 
 
-def scan_sharpness(profile: MarginalProfile, k: int, grid_points: int = 1001) -> SharpnessScan:
-    """Sample the family tail over an s-grid and record its extremes.
-
-    The tail is linear in s, so the grid is a redundancy check rather than
-    a search: the extremes must land on the interval endpoints, on the side
-    given by the parity of k.  Endpoints are always grid members.  Ties go
-    to the earliest grid point (relevant when the slope is zero).  The grid
-    is the one :func:`check_profile` builds.
-    """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    samples = list(_grid_pass(profile, grid_points, lambda measure: enumerate_tail(measure, k)))
-    # min and max each return the earliest of equal samples
-    arg_min, low = min(samples, key=itemgetter(1))
-    arg_max, high = max(samples, key=itemgetter(1))
-    return SharpnessScan(empirical_min=low, empirical_max=high, argmin_s=arg_min, argmax_s=arg_max)
-
-
 def random_profiles(count: int, max_n: int, seed: int, *, exact: bool = False):
     """Deterministic cohort of random profiles, n drawn from 1..max_n.
 
@@ -511,7 +482,7 @@ def check_profile(
                     f"at k = {k}, s = {s}"
                 )
                 break
-        tail_gap = max(tail_gap, over(max(gaps[: k + 1]), scale))
+        tail_gap = max(tail_gap, over(max(gaps), scale))
         values = [over(tails.item(k), scale) for k in scan_ks]
         lows = values if lows is None else list(map(min, lows, values))
         highs = values if highs is None else list(map(max, highs, values))

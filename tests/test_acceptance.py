@@ -22,6 +22,7 @@ from nearwise import (
     FeasibilityError,
     bonferroni_applicable,
     build_measure,
+    check_profile,
     enumerate_tail,
     from_raw,
     intersection_bounds,
@@ -32,7 +33,6 @@ from nearwise import (
     probability_at_s,
     random_profiles,
     s_interval,
-    scan_sharpness,
     sharp_bounds,
     tail_probabilities,
     tail_probability_dp,
@@ -142,16 +142,9 @@ def test_criterion_4_family_agrees_with_enumeration():
                     probability_at_s(profile, k, s),
                     exact=False,
                 ), (profile.sorted_values, s, k)
-        width = float(iv.s_max) - float(iv.s_min)
-        for k in _scan_ks(n):
-            rep = sharp_bounds(profile, k)
-            scan = scan_sharpness(profile, k, grid_points=11)
-            assert close(scan.empirical_min, rep.sharp_lower, exact=False)
-            assert close(scan.empirical_max, rep.sharp_upper, exact=False)
-            if rep.coefficient * width > 1e-9:
-                # slope large enough that the extremes are unambiguous
-                assert scan.argmin_s == rep.s_at_lower
-                assert scan.argmax_s == rep.s_at_upper
+        # the grid's extremes at each scanned k match the closed-form bounds
+        check = check_profile(profile, s_points=11, scan_ks=_scan_ks(n))
+        assert check.passed, (profile.sorted_values, check.failures)
 
     for profile in rational_cohort():
         n = profile.n
@@ -163,14 +156,9 @@ def test_criterion_4_family_agrees_with_enumeration():
             assert verify_measure(measure, profile).passed
             for k in range(n + 1):
                 assert enumerate_tail(measure, k) == probability_at_s(profile, k, s)
-        for k in _scan_ks(n):
-            rep = sharp_bounds(profile, k)
-            scan = scan_sharpness(profile, k, grid_points=11)
-            assert scan.empirical_min == rep.sharp_lower
-            assert scan.empirical_max == rep.sharp_upper
-            if rep.coefficient * width > 0:
-                assert scan.argmin_s == rep.s_at_lower
-                assert scan.argmax_s == rep.s_at_upper
+        check = check_profile(profile, s_points=11, scan_ks=_scan_ks(n))
+        assert check.passed, (profile.sorted_values, check.failures)
+        assert check.sharpness_gap == 0
     print("ACCEPTANCE 4: PASS")
 
 

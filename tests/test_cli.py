@@ -492,6 +492,16 @@ def test_table_custom_requires_all_parts(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_table_n_must_be_a_positive_integer(capsys, n):
+    code, out, err = run_exit(
+        capsys, "table", "--n", n, "--levels", "0.2", "--k-range", "1", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "argument --n: expected an integer >= 1" in err
+
+
 def test_table_unknown_preset(capsys):
     code, _, _ = run_exit(capsys, "table", "--preset", "no-such-table")
     assert code == 2

@@ -35,7 +35,6 @@ from nearwise import (
     measure_to_dict,
     run_random_suite,
     s_interval,
-    scan_sharpness,
     verify_kernel,
     verify_measure,
 )
@@ -102,7 +101,6 @@ def profile_results(values, exact: bool):
         _measure_results(profile, build_measure(profile, s), dense=exact and n <= 6)
         for s in _grid(profile)
     ]
-    out["scans"] = [scan_sharpness(profile, k, grid_points=21) for k in sorted({1, (n + 1) // 2, n})]
     return encode(out)
 
 

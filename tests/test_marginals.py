@@ -128,6 +128,20 @@ def test_load_profile_csv(tmp_path):
     assert profile.sorted_values == (0.2, 0.4)
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("profile.json", '{"marginals": [0.3, 0.1, 0.25]}'), ("profile.csv", "0.3\n0.1\n0.25\n")],
+)
+@pytest.mark.parametrize("exact", [False, True])
+def test_load_profile_skips_a_utf8_bom(tmp_path, name, text, exact):
+    plain = tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / f"bom-{name}"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_profile(marked, exact=exact) == load_profile(plain, exact=exact)
+
+
 def test_load_profile_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.4\nnot-a-number\n")

@@ -23,7 +23,6 @@ from nearwise import (
     random_profiles,
     run_random_suite,
     s_interval,
-    scan_sharpness,
     sharp_bounds,
     tail_probability_dp,
     verify_extremal_atoms,
@@ -410,33 +409,18 @@ def test_float_check_profile_keeps_no_table_above_one_superset_block():
     assert kept and max(table.size for table in kept) <= 1 << _CACHE_BITS
 
 
-def test_scan_sharpness_known_cell():
+def test_check_profile_known_cell():
     profile = from_raw([0.4] * 8)
-    scan = scan_sharpness(profile, 5, grid_points=101)
-    assert format_scientific(scan.empirical_min) == "1.3926e-01"
-    assert format_scientific(scan.empirical_max) == "1.9661e-01"
+    report = sharp_bounds(profile, 5)
+    assert format_scientific(report.sharp_lower) == "1.3926e-01"
+    assert format_scientific(report.sharp_upper) == "1.9661e-01"
     iv = s_interval(profile)
     # k = 5 is odd: minimized at s_max, maximized at s_min.
-    assert scan.argmin_s == iv.s_max
-    assert scan.argmax_s == iv.s_min
-    # the grid points are Python floats, not numpy scalars
-    assert type(scan.argmin_s) is float and type(scan.argmax_s) is float
-
-
-def test_scan_sharpness_matches_sharp_bounds_exactly_in_rational_mode():
-    profile = from_raw([Fraction(1, 4), Fraction(2, 5), Fraction(1, 2)], exact=True)
-    for k in (1, 2, 3):
-        scan = scan_sharpness(profile, k, grid_points=9)
-        report = sharp_bounds(profile, k)
-        assert scan.empirical_min == report.sharp_lower
-        assert scan.empirical_max == report.sharp_upper
-        assert scan.argmin_s == report.s_at_lower
-        assert scan.argmax_s == report.s_at_upper
-
-
-def test_scan_sharpness_grid_validation():
-    with pytest.raises(ValueError, match="grid_points"):
-        scan_sharpness(from_raw([0.5, 0.5]), 1, grid_points=1)
+    assert (report.s_at_lower, report.s_at_upper) == (iv.s_max, iv.s_min)
+    check = check_profile(profile, s_points=101, scan_ks=[5])
+    assert check.passed, check.failures
+    assert check.measures_checked == 101
+    assert check.sharpness_gap <= 1e-13
 
 
 def test_random_profiles_deterministic():
@@ -506,7 +490,6 @@ def test_check_profile_builds_each_measure_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(oracle, "build_measure")
-    counting(oracle, "scan_sharpness")
     counting(bounds, "poisson_binomial_pmf")
     counting(bounds, "probability_at_s")
     counting(bounds, "binom_or_zero")
@@ -531,21 +514,40 @@ def test_check_profile_computes_the_interval_once(monkeypatch, exact):
     assert calls == [profile]
 
 
-def test_check_profile_sharpness_extremes_match_scan_sharpness_exact():
-    profile = from_raw(
-        [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(5, 6)],
-        exact=True,
-    )
-    check = check_profile(profile, s_points=6, scan_ks=range(profile.n + 1))
+@pytest.mark.parametrize(
+    "values, points",
+    [
+        ([Fraction(1, 4), Fraction(2, 5), Fraction(1, 2)], 9),
+        ([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(5, 6)], 6),
+    ],
+)
+def test_check_profile_sharpness_extremes_match_sharp_bounds_exact(values, points):
+    profile = from_raw(values, exact=True)
+    check = check_profile(profile, s_points=points, scan_ks=range(profile.n + 1))
     assert check.passed, check.failures
+    assert check.scanned_ks == tuple(range(profile.n + 1))
     assert check.sharpness_gap == 0
-    for k in range(profile.n + 1):
-        scan = scan_sharpness(profile, k, 6)
-        report = sharp_bounds(profile, k)
-        assert (scan.empirical_min, scan.empirical_max) == (
-            report.sharp_lower,
-            report.sharp_upper,
-        )
+    assert check.tail_match_gap == 0
+
+
+def test_check_profile_tail_gap_covers_every_k(monkeypatch):
+    """A failing k stops the failure messages at one per s, not the gap."""
+    profile = from_raw([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)], exact=True)
+    n = profile.n
+    original = oracle._tail_vector
+
+    def off_by_some(measure):
+        tails = original(measure)
+        tails[1] += 1
+        tails[n] += 12
+        return tails
+
+    monkeypatch.setattr(oracle, "_tail_vector", off_by_some)
+    check = check_profile(profile, s_points=3)
+    tail_failures = [f for f in check.failures if "enumerated tail" in f]
+    assert len(tail_failures) == 3
+    assert all("at k = 1," in failure for failure in tail_failures)
+    assert check.tail_match_gap == Fraction(1, 10)
 
 
 def test_run_random_suite_small():
