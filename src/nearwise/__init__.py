@@ -23,15 +23,12 @@ from .bounds import (
     MakarovBounds,
     bonferroni_applicable,
     bound_reports,
-    intersection_bounds,
     lll_comparison,
     makarov_bounds,
     probability_at_s,
     report_to_dict,
     sharp_bounds,
     tail_probabilities,
-    tail_probability_dp,
-    union_bounds,
 )
 from .marginals import (
     MarginalError,
@@ -47,8 +44,6 @@ from .measures import (
     SInterval,
     atom_product,
     build_measure,
-    invariant_m,
-    invariant_p,
     joint_probability,
     mask_indices,
     measure_to_dict,
@@ -65,7 +60,6 @@ from .oracle import (
     VerificationReport,
     check_profile,
     enumerate_tail,
-    independence_order,
     kernel_residual,
     random_profiles,
     run_random_suite,
@@ -98,10 +92,6 @@ __all__ = [
     "check_profile",
     "enumerate_tail",
     "from_raw",
-    "independence_order",
-    "intersection_bounds",
-    "invariant_m",
-    "invariant_p",
     "joint_probability",
     "kernel_residual",
     "lll_comparison",
@@ -121,8 +111,6 @@ __all__ = [
     "sharp_bounds",
     "subset_mask",
     "tail_probabilities",
-    "tail_probability_dp",
-    "union_bounds",
     "verify_extremal_atoms",
     "verify_kernel",
     "verify_measure",

@@ -12,12 +12,11 @@ family sit at the two interval endpoints, on sides determined by the parity
 of k: odd k is minimized at ``s_max`` and maximized at ``s_min``, even k the
 reverse.
 
-Also provided: the union (k=1) and intersection (k=n) specializations, the
-condition under which the union bound coincides with a truncated
-inclusion-exclusion bound, a comparison against the product lower bound used
-with the probabilistic method, and the standard two-marginal tail bounds:
-the Fréchet bounds over every coupling of the Poisson-binomial count of the
-first n-1 sorted events with the largest one.
+Also provided: the condition under which the union bound (k=1) coincides
+with a truncated inclusion-exclusion bound, a comparison against the product
+lower bound used with the probabilistic method, and the standard
+two-marginal tail bounds: the Fréchet bounds over every coupling of the
+Poisson-binomial count of the first n-1 sorted events with the largest one.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .numeric import (
     over,
     poisson_binomial_pmf,
     prefix_atom,
-    ratio,
     suffix_sums,
 )
 
@@ -120,19 +118,6 @@ def tail_probabilities(profile: MarginalProfile):
     return over(*_tail_numerators(profile))
 
 
-def tail_probability_dp(profile: MarginalProfile, k: int):
-    """P(at least k of n events occur) under mutual independence.
-
-    Entry k of :func:`tail_probabilities`; ``k = 0`` gives the total mass
-    and ``k = n + 1`` gives 0.
-    """
-    _check_k(k, profile.n, high=profile.n + 1)
-    if k > profile.n:  # the empty sum
-        return mode_scalar(0, profile.sorted_values)
-    tails, scale = _tail_numerators(profile)
-    return over(tails.item(k), scale)
-
-
 def _shifted(profile: MarginalProfile, k: int, slope: int, tail, scale: int, s):
     """``P_0(k) + (-1)^k * slope * s``: the family tail at ``s``.
 
@@ -144,17 +129,13 @@ def _shifted(profile: MarginalProfile, k: int, slope: int, tail, scale: int, s):
     if k == 0:
         return mode_scalar(1, profile.sorted_values)
     sign = -1 if k % 2 else 1
+    s_num, s_den = s.as_integer_ratio()
     if profile.exact:
-        s_num, s_den = ratio(s)
         return Fraction(tail * s_den + sign * slope * s_num * scale, scale * s_den)
-    if slope.bit_length() <= 53:
-        term = slope * s
-    else:
-        # the slope can exceed float range at large n while the product
-        # stays a probability difference; int true division rounds the
-        # exact product once, as float(Fraction(slope) * Fraction(s)) does
-        s_num, s_den = s.as_integer_ratio()
-        term = slope * s_num / s_den
+    # int true division rounds the exact product once, as
+    # float(Fraction(slope) * Fraction(s)) does, even where the slope exceeds
+    # float range at large n while the product stays a probability difference
+    term = slope * s_num / s_den
     return tail + term if sign > 0 else tail - term
 
 
@@ -222,32 +203,6 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     return bound_reports(profile, range(k, k + 1))[0]
 
 
-def union_bounds(profile: MarginalProfile) -> BoundReport:
-    """Sharp bounds on P(at least one event occurs): the k = 1 case.
-
-    Identical, field by field, to ``sharp_bounds(profile, 1)``.  The closed
-    forms these values satisfy are::
-
-        lower = 1 - (prod_{i<=2p+1}(1-a_i) + prod_{i<=2p+1} a_i) * prod_{i>2p+1}(1-a_i)
-        upper = 1 - (prod_{i<=2m}(1-a_i) - prod_{i<=2m} a_i) * prod_{i>2m}(1-a_i)
-    """
-    return sharp_bounds(profile, 1)
-
-
-def intersection_bounds(profile: MarginalProfile) -> BoundReport:
-    """Sharp bounds on P(all n events occur): the k = n case.
-
-    Identical, field by field, to ``sharp_bounds(profile, n)``.  Depending
-    on the parity of n the values satisfy the closed forms::
-
-        n even:  lower = prod_{i<=2m} a_i * (prod_{i>2m} a_i - prod_{i>2m}(1-a_i))
-                 upper = prod_{i<=2p+1} a_i * (prod_{i>2p+1} a_i + prod_{i>2p+1}(1-a_i))
-        n odd:   lower = prod_{i<=2p+1} a_i * (prod_{i>2p+1} a_i - prod_{i>2p+1}(1-a_i))
-                 upper = prod_{i<=2m} a_i * (prod_{i>2m} a_i + prod_{i>2m}(1-a_i))
-    """
-    return sharp_bounds(profile, profile.n)
-
-
 def bonferroni_applicable(profile: MarginalProfile) -> BonferroniStatus:
     """When does a union bound coincide with truncated inclusion-exclusion?
 
@@ -285,7 +240,7 @@ def lll_comparison(profile: MarginalProfile) -> LllComparison:
         raise ValueError(f"need at least two events, got n = {n}")
     a = profile.sorted_values
     return LllComparison(
-        sharp_no_bad_event=1 - union_bounds(profile).sharp_upper,
+        sharp_no_bad_event=1 - sharp_bounds(profile, 1).sharp_upper,
         # left to right, as a loop from 1 would multiply; n >= 2 factors
         product_bound=math.prod(1 - 2 * ai for ai in a),
         positivity=bool(a[-1] < 1 and a[0] + a[1] < 1),

@@ -136,7 +136,11 @@ def _parse_value(token: str, rational: bool):
     try:
         return Fraction(token) if rational else float(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MarginalError(f"could not parse value {token!r}") from exc
+        message = f"could not parse value {token!r}"
+        if not rational:
+            _parse_value(token, True)  # raises the plain message unless the token is a fraction
+            message += "; fraction syntax needs --rational"
+        raise MarginalError(message) from exc
 
 
 def _profile_from_args(args):
@@ -271,6 +275,10 @@ def cmd_measure(args, parser) -> Output:
 
 def _table_spec_from_args(args, parser) -> TableSpec:
     if args.preset:
+        given = (("--n", args.n), ("--levels", args.levels), ("--k-range", args.k_range))
+        clashing = [flag for flag, value in given if value is not None]
+        if clashing:
+            parser.error(f"--preset cannot be combined with {', '.join(clashing)}")
         return TABLE_PRESETS[args.preset]
     if args.n is None or args.levels is None or args.k_range is None:
         parser.error("either --preset or all of --n, --levels, --k-range are required")
@@ -349,6 +357,9 @@ def cmd_verify(args, parser) -> Output:
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
     mode = "rational" if args.rational else "float"
     if profile is not None:
+        if args.seed is not None:
+            given = "--marginals" if args.marginals else "--input"
+            parser.error(f"--seed seeds the random suite and cannot be combined with {given}")
         report = check_profile(profile, s_points=101 if args.grid is None else args.grid)
         json_extra = {"n": profile.n, "mode": mode}
         iv = s_interval(profile)
@@ -427,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_measure = command(cmd_measure, "atom probabilities of the family measure at a chosen s")
     group = p_measure.add_mutually_exclusive_group()
-    group.add_argument("--s", help="family parameter value; may be negative, as in -1/8")
+    group.add_argument("--s", help="family parameter value; may be negative, "
+                       "as in -0.125, or -1/8 with --rational")
     group.add_argument(
         "--s-endpoint", choices=("min", "max", "zero"),
         help="use an interval endpoint or 0 instead of an explicit --s (default zero)",

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .marginals import MarginalProfile
+from .marginals import MarginalProfile, from_raw
 from .numeric import (
     _CACHE_BITS,
     ABS_TOL,
@@ -210,9 +210,15 @@ class AtomicMeasure:
 class SInterval:
     """Feasible range of the family parameter, with its locating invariants.
 
-    ``s_min = -prefix_atom(a, 2m)`` and ``s_max = prefix_atom(a, 2p+1)``;
-    both collapse to 0 when any marginal is degenerate (0 or 1), and for a
-    single event, where the marginal constraint pins s = 0.
+    ``p`` is the largest p with ``a_{2i} + a_{2i+1} <= 1`` for every i in
+    1..p, in {0, ..., floor((n-1)/2)}; it locates the smallest atom product
+    of odd cardinality, at the prefix subset of size 2p+1.  ``m`` is the
+    largest m with ``a_{2i-1} + a_{2i} <= 1`` for every i in 1..m, in
+    {0, ..., floor(n/2)}; it locates the smallest of even cardinality, at
+    the prefix subset of size 2m.  So ``s_min = -prefix_atom(a, 2m)`` and
+    ``s_max = prefix_atom(a, 2p+1)``; both collapse to 0 when any marginal
+    is degenerate (0 or 1), and for a single event, where the marginal
+    constraint pins s = 0.
     """
 
     s_min: object
@@ -244,26 +250,6 @@ def _leading_pairs(a) -> int:
     return next((i for i, (x, y) in enumerate(zip(a[::2], a[1::2])) if x + y > 1), len(a) // 2)
 
 
-def invariant_p(profile: MarginalProfile) -> int:
-    """Largest p with ``a_{2i} + a_{2i+1} <= 1`` for every i in 1..p.
-
-    Ranges over {0, ..., floor((n-1)/2)}; 0 when n < 3 or the first such
-    pair already violates the condition.  Locates the smallest atom product
-    of odd cardinality, at the prefix subset of size 2p+1.
-    """
-    return _leading_pairs(profile.sorted_values[1:])
-
-
-def invariant_m(profile: MarginalProfile) -> int:
-    """Largest m with ``a_{2i-1} + a_{2i} <= 1`` for every i in 1..m.
-
-    Ranges over {0, ..., floor(n/2)}; 0 when n < 2 or ``a_1 + a_2 > 1``.
-    Locates the smallest atom product of even cardinality, at the prefix
-    subset of size 2m.
-    """
-    return _leading_pairs(profile.sorted_values)
-
-
 def per_profile(build: Callable) -> Callable:
     """Decorator: ``build(profile)`` computed once per profile.
 
@@ -292,9 +278,9 @@ def s_interval(profile: MarginalProfile) -> SInterval:
     cardinality.  For n = 1 the marginal constraint alone pins s = 0, so the
     interval is the single point [0, 0].
     """
-    p = invariant_p(profile)
-    m = invariant_m(profile)
     values = profile.sorted_values
+    p = _leading_pairs(values[1:])
+    m = _leading_pairs(values)
     zero = mode_scalar(0, values)
     if profile.n == 1:
         return SInterval(s_min=zero, s_max=zero, p=p, m=m)
@@ -412,8 +398,6 @@ def parity_construction(n: int, parity: str) -> AtomicMeasure:
         raise ValueError(f"parity construction needs n >= 2, got n = {n}")
     if parity not in ("even", "odd"):
         raise ValueError(f'parity must be "even" or "odd", got {parity!r}')
-    from .marginals import from_raw
-
     profile = from_raw([0.5] * n)
     s = 2.0 ** -n
     return build_measure(profile, s if parity == "even" else -s)

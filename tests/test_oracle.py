@@ -24,7 +24,6 @@ from nearwise import (
     run_random_suite,
     s_interval,
     sharp_bounds,
-    tail_probability_dp,
     verify_extremal_atoms,
     verify_kernel,
     verify_measure,
@@ -505,13 +504,13 @@ def test_check_profile_computes_the_interval_once(monkeypatch, exact):
     from nearwise import measures
 
     calls = []
-    original = measures.invariant_p
-    monkeypatch.setattr(measures, "invariant_p", lambda p: calls.append(p) or original(p))
+    original = measures._leading_pairs
+    monkeypatch.setattr(measures, "_leading_pairs", lambda a: calls.append(a) or original(a))
     values = [Fraction(3, 20), Fraction(3, 10), Fraction(9, 20), Fraction(3, 5), Fraction(3, 4)]
     profile = from_raw(values if exact else [float(v) for v in values], exact=exact)
     check = check_profile(profile, s_points=9, scan_ks=[1, 2, 5, 4])
     assert check.passed, check.failures
-    assert calls == [profile]
+    assert len(calls) == 2  # p and m, once each
 
 
 @pytest.mark.parametrize(
@@ -589,8 +588,8 @@ def test_enumerated_tails_match_linear_formula_on_a_family():
 def test_enumerate_tail_agrees_with_dp_at_product_measure():
     profile = from_raw([Fraction(1, 7), Fraction(2, 7), Fraction(5, 7)], exact=True)
     measure = build_measure(profile, 0)
-    for k in range(profile.n + 2):
-        assert enumerate_tail(measure, k) == tail_probability_dp(profile, k)
+    for k in range(profile.n + 1):
+        assert enumerate_tail(measure, k) == sharp_bounds(profile, k).exact_mutual
 
 
 def test_exact_mode_scalars_are_fractions():
@@ -604,8 +603,8 @@ def test_exact_mode_scalars_are_fractions():
         iv.s_max,
         enumerate_tail(measure, n + 1),
         enumerate_tail(measure, 0),
-        tail_probability_dp(profile, n + 1),
-        tail_probability_dp(profile, 0),
+        sharp_bounds(profile, 0).exact_mutual,
+        sharp_bounds(profile, n).exact_mutual,
         measure.total(),
         measure.atom(0),
     ]
