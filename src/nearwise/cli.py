@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .bounds import bound_reports, makarov_bounds, report_to_dict, sharp_bounds
-from .marginals import MarginalError, from_raw, load_profile
+from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
 from .numeric import format_scaled, format_scientific
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
@@ -136,11 +136,8 @@ def _parse_value(token: str, rational: bool):
     try:
         return Fraction(token) if rational else float(token)
     except (ValueError, ZeroDivisionError) as exc:
-        message = f"could not parse value {token!r}"
-        if not rational:
-            _parse_value(token, True)  # raises the plain message unless the token is a fraction
-            message += "; fraction syntax needs --rational"
-        raise MarginalError(message) from exc
+        hint = "" if rational else _fraction_hint(token)
+        raise MarginalError(f"could not parse value {token!r}{hint}") from exc
 
 
 def _profile_from_args(args):

@@ -129,6 +129,15 @@ def _parse_json(text: str, exact: bool) -> list:
     return values
 
 
+def _fraction_hint(token: str) -> str:
+    """The note for a token that is no float: the flag it needs, if it is a fraction."""
+    try:
+        Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return ""
+    return "; fraction syntax needs --rational"
+
+
 def _parse_csv(text: str, exact: bool) -> list:
     values = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
@@ -140,7 +149,8 @@ def _parse_csv(text: str, exact: bool) -> list:
         try:
             values.append(Fraction(token) if exact else float(token))
         except (ValueError, ZeroDivisionError) as err:
-            raise MarginalError(f"CSV parse error at line {lineno}: {token!r}") from err
+            hint = "" if exact else _fraction_hint(token)
+            raise MarginalError(f"CSV parse error at line {lineno}: {token!r}{hint}") from err
     if not values:
         raise MarginalError("parse error: no values found")
     return values

@@ -44,8 +44,8 @@ import numpy as np
 from .marginals import MarginalProfile, from_raw
 from .numeric import (
     _CACHE_BITS,
-    ABS_TOL,
     ENUMERATION_CAP,
+    REL_TOL,
     as_numerators,
     atom_products_dense,
     dense_blocks,
@@ -328,13 +328,14 @@ def _signed_offsets(n: int, s, dtype) -> np.ndarray:
 def check_feasible(profile: MarginalProfile, s, atoms=None):
     """Raise :class:`FeasibilityError` unless ``s`` lies in the feasible interval.
 
-    The slack is 1e-12 in floating mode and 0 in exact mode; it is returned
-    so that a caller can clamp rounding dust.  Given the atoms of the family
-    measure at ``s`` (numerators over a positive scale are enough), the
-    message also names one that would be negative.
+    The slack is 0 in exact mode and, in floating mode, 1e-12 of the
+    interval's larger end, so a narrow interval gets a narrow band; it is
+    returned so that a caller can clamp rounding dust.  Given the atoms of
+    the family measure at ``s`` (numerators over a positive scale are
+    enough), the message also names one that would be negative.
     """
     iv = s_interval(profile)
-    slack = 0 if profile.exact else ABS_TOL
+    slack = 0 if profile.exact else REL_TOL * max(-iv.s_min, iv.s_max)
     if s < iv.s_min - slack or s > iv.s_max + slack:
         name, end = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
         detail = f"violates {name} = {end}"
@@ -351,11 +352,12 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
 
     Atom ``J`` receives ``atom_product(J) + (-1)^|J| * s``.  With
     ``validate=True`` (the default), ``s`` must lie in the feasible interval
-    — within an absolute slack of 1e-12 in floating mode, exactly in exact
-    mode — and negative rounding dust in (-slack, 0) is clamped to exact
-    zero, since endpoint measures legitimately contain zero atoms.  With
-    ``validate=False`` the atoms are returned as computed, which is how the
-    infeasibility of out-of-interval parameters is demonstrated.
+    — within the slack of :func:`check_feasible` in floating mode, 1e-12 of
+    the interval's larger end, exactly in exact mode — and negative rounding
+    dust in (-slack, 0) is clamped to exact zero, since endpoint measures
+    legitimately contain zero atoms.  With ``validate=False`` the atoms are
+    returned as computed, which is how the infeasibility of out-of-interval
+    parameters is demonstrated.
     """
     n = profile.n
     _check_cap(n)

@@ -219,7 +219,7 @@ def subset_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     return _dense_products(values, atoms=False)
 
 
-#: Entries of each per-call scratch buffer, 128 KB of ``float64`` or ``intp``.
+#: Entries of each :func:`dense_blocks` buffer: 128 KB of ``float64`` or object refs.
 _SCRATCH = 1 << 14
 
 

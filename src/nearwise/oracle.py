@@ -49,7 +49,6 @@ from .measures import (
 )
 from .numeric import (
     _CACHE_BITS,
-    _SCRATCH,
     ABS_TOL,
     as_numerators,
     close,
@@ -136,33 +135,13 @@ def enumerate_tail(measure: AtomicMeasure, k: int):
     return over(np.sum(measure.numerators[popcount_table(n) >= k]), measure.scale)
 
 
-def _at_counts(ufunc: np.ufunc, out: np.ndarray, values: np.ndarray, start: int = 0) -> None:
-    """``ufunc.at(out, popcount(start + i), values[i])`` for every ``i``:
-    fold each value into the entry of its mask's cardinality, in mask
-    order.  ``values`` covers the masks from ``start`` on, its size a power
-    of two that divides ``start``, so a count is the popcount table's plus
-    the popcount of ``start``.  ``ufunc.at`` scatters faster by an ``intp``
-    index than by the ``uint8`` table, which it casts through a buffer of
-    its own, so the counts are cast into one ``intp`` buffer of at most
-    ``_SCRATCH`` entries, refilled block by block."""
-    counts = popcount_table(values.size.bit_length() - 1)
-    high = start.bit_count()
-    index = np.empty(min(counts.size, _SCRATCH), dtype=np.intp)
-    for first in range(0, counts.size, index.size):
-        block = slice(first, first + index.size)
-        np.copyto(index, counts[block])
-        if high:
-            index += high
-        ufunc.at(out, index, values[block])
-
-
 def _tail_vector(measure: AtomicMeasure) -> np.ndarray:
     """All tails P(at least k occur), k = 0..n, from one pass over atoms, as
     numerators over the measure's scale."""
     atoms = measure.numerators
     by_count = np.zeros(measure.n + 1, dtype=atoms.dtype)
     # adds in mask order, as ``np.bincount`` would
-    _at_counts(np.add, by_count, atoms)
+    np.add.at(by_count, popcount_table(measure.n), atoms)
     return suffix_sums(by_count)
 
 
@@ -309,8 +288,9 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     # the entry at mask 2^t - 1, read from the block that holds it
     level_min = np.full(n + 1, math.inf, dtype=low.dtype)
     prefixes = level_min.copy()
+    counts = popcount_table(n)
     for start, block in dense_blocks(low, profile.sorted_values):
-        _at_counts(np.minimum, level_min, block, start)
+        np.minimum.at(level_min, counts[start : start + block.size], block)
         held = range(start.bit_length(), (start + block.size).bit_length())
         prefixes[held.start : held.stop] = block[[(1 << t) - 1 - start for t in held]]
     if np.any(level_min < prefixes - tol):

@@ -215,6 +215,14 @@ def test_probability_at_s_validates_s():
         probability_at_s(exact, 1, 0.1)
 
 
+def test_probability_at_s_refuses_s_far_outside_a_narrow_interval():
+    """The interval of twelve 0.01s ends at 9.9e-23, and the sharp upper
+    bound at k = 11 is 1.2e-21: at s = 5e-13 the tail would be -5.5e-12."""
+    profile = from_raw([0.01] * 12)
+    with pytest.raises(FeasibilityError, match="violates s_max"):
+        probability_at_s(profile, 11, 5e-13)
+
+
 def test_sharp_bounds_known_cells():
     profile = from_raw([0.3] * 8)
     report = sharp_bounds(profile, 4)

@@ -245,6 +245,24 @@ def test_fraction_syntax_without_rational_names_the_flag(capsys, argv, token):
     assert f"could not parse value '{token}'; fraction syntax needs --rational" in err
 
 
+def test_measure_refuses_s_far_outside_a_narrow_interval(capsys):
+    """Twelve 0.01s have the interval [-1e-24, 9.9e-23]; an s of 9e-13 is
+    refused, not printed with the atoms it would drive negative clamped."""
+    marginals = ",".join(["0.01"] * 12)
+    code, out, err = run(capsys, "measure", "--marginals", marginals, "--s", "9e-13", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "lies outside the feasible interval" in err
+
+
+def test_csv_fraction_without_rational_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0.5\n1/3\n")
+    code, out, err = run(capsys, "bound", "--input", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert "CSV parse error at line 2: '1/3'; fraction syntax needs --rational" in err
+    assert run(capsys, "bound", "--input", str(path), "--k", "1", "--rational")[0] == 0
+
+
 def _measure_by_mask(argv_profile, rational, s_arg):
     """``measure``'s output in every format, one ``original_subset`` call per mask."""
     values = [Fraction(v) if rational else float(v) for v in argv_profile.split(",")]

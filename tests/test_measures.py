@@ -295,9 +295,21 @@ def test_build_measure_rejects_infeasible_s():
 
 def test_build_measure_validation_slack_and_clamp():
     profile = from_raw([0.5, 0.5, 0.5])
-    # 0.5e-12 beyond the endpoint is inside the tolerance band and clamps to 0.
-    measure = build_measure(profile, 0.125 + 5e-13)
+    # 5e-13 of the interval's larger end beyond it is inside the tolerance
+    # band and clamps to 0; 5e-13 in absolute terms is 4e-12 of it, outside.
+    measure = build_measure(profile, 0.125 * (1 + 5e-13))
     assert float(np.min(measure.atom_probs)) == 0.0
+    with pytest.raises(FeasibilityError):
+        build_measure(profile, 0.125 + 5e-13)
+
+
+def test_float_band_is_relative_to_a_narrow_interval():
+    """At twelve marginals of 0.01 the interval is [-1e-24, 9.9e-23]: an s
+    of 5e-13 lies far outside it, however small it is in absolute terms."""
+    profile = from_raw([0.01] * 12)
+    assert s_interval(profile).s_max < 1e-22
+    with pytest.raises(FeasibilityError, match="violates s_max"):
+        build_measure(profile, 5e-13)
 
 
 def test_build_measure_unvalidated_shows_negative_atoms():
