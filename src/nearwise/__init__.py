@@ -42,13 +42,9 @@ from .measures import (
     CapExceededError,
     FeasibilityError,
     SInterval,
-    atom_product,
     build_measure,
-    joint_probability,
     mask_indices,
-    measure_to_dict,
     original_subset,
-    parity_construction,
     s_interval,
     subset_labels,
     subset_mask,
@@ -59,12 +55,9 @@ from .oracle import (
     SuiteReport,
     VerificationReport,
     check_profile,
-    enumerate_tail,
-    kernel_residual,
     random_profiles,
     run_random_suite,
     verify_extremal_atoms,
-    verify_kernel,
     verify_measure,
 )
 
@@ -85,22 +78,16 @@ __all__ = [
     "SInterval",
     "SuiteReport",
     "VerificationReport",
-    "atom_product",
     "bonferroni_applicable",
     "bound_reports",
     "build_measure",
     "check_profile",
-    "enumerate_tail",
     "from_raw",
-    "joint_probability",
-    "kernel_residual",
     "lll_comparison",
     "load_profile",
     "makarov_bounds",
     "mask_indices",
-    "measure_to_dict",
     "original_subset",
-    "parity_construction",
     "probability_at_s",
     "profile_to_dict",
     "random_profiles",
@@ -112,7 +99,6 @@ __all__ = [
     "subset_mask",
     "tail_probabilities",
     "verify_extremal_atoms",
-    "verify_kernel",
     "verify_measure",
     "__version__",
 ]

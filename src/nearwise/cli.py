@@ -170,7 +170,7 @@ def cmd_bound(args, parser) -> Output:
     rows = [(r.k, r.exact_mutual, r.sharp_lower, r.sharp_upper) for r in reports]
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
 
-    if len(reports) == 1:
+    if not args.all_k:
         (r,) = reports
         payload = lambda: {"n": profile.n, **report_to_dict(r)}  # noqa: E731
         text = lambda: [  # noqa: E731
@@ -248,7 +248,7 @@ def cmd_measure(args, parser) -> Output:
     atom_text = lambda num: format_scaled(num, scale, args.precision)  # noqa: E731
 
     def payload():
-        """``measure_to_dict``'s document, each atom encoded from one template."""
+        """The JSON document, atoms in mask order, each from one template."""
         labels = subset_labels(profile, ",", "\n        {}".format)
         atoms = (
             _JSON_ATOM % (f"{label}\n      " if label else "", num / scale)

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .marginals import MarginalProfile, from_raw
+from .marginals import MarginalProfile
 from .numeric import (
     _CACHE_BITS,
     ENUMERATION_CAP,
@@ -53,7 +53,6 @@ from .numeric import (
     over,
     prefix_atom,
     ratio,
-    subset_atom,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -232,19 +231,6 @@ class SInterval:
         return self.s_min == self.s_max
 
 
-def atom_product(profile: MarginalProfile, mask: SubsetMask):
-    """Product-measure probability of the atom ``mask``.
-
-    ``prod_{j in J} a_j * prod_{j not in J} (1 - a_j)`` over sorted values;
-    empty products are 1.  Accumulated in ascending index order, matching the
-    dense table built by :func:`build_measure` bit for bit.
-    """
-    values = profile.sorted_values
-    if mask < 0 or mask >> len(values):
-        raise ValueError(f"mask {mask:#x} is not an {len(values)}-bit subset mask")
-    return subset_atom(values, mask)
-
-
 def _leading_pairs(a) -> int:
     """How many pairs ``(a[0], a[1]), (a[2], a[3]), ...`` in a row, from the first, sum to <= 1."""
     return next((i for i, (x, y) in enumerate(zip(a[::2], a[1::2])) if x + y > 1), len(a) // 2)
@@ -325,17 +311,25 @@ def _signed_offsets(n: int, s, dtype) -> np.ndarray:
     return out
 
 
+@per_profile
+def feasibility_slack(profile: MarginalProfile):
+    """How far ``s``, and so a family atom, may pass its bound by rounding:
+    0 in exact mode and, in floating mode, 1e-12 of the interval's larger
+    end, so a narrow interval gets a narrow band."""
+    iv = s_interval(profile)
+    return 0 if profile.exact else REL_TOL * max(-iv.s_min, iv.s_max)
+
+
 def check_feasible(profile: MarginalProfile, s, atoms=None):
     """Raise :class:`FeasibilityError` unless ``s`` lies in the feasible interval.
 
-    The slack is 0 in exact mode and, in floating mode, 1e-12 of the
-    interval's larger end, so a narrow interval gets a narrow band; it is
-    returned so that a caller can clamp rounding dust.  Given the atoms of
-    the family measure at ``s`` (numerators over a positive scale are
-    enough), the message also names one that would be negative.
+    The slack is :func:`feasibility_slack`; it is returned so that a caller
+    can clamp rounding dust.  Given the atoms of the family measure at ``s``
+    (numerators over a positive scale are enough), the message also names
+    one that would be negative.
     """
     iv = s_interval(profile)
-    slack = 0 if profile.exact else REL_TOL * max(-iv.s_min, iv.s_max)
+    slack = feasibility_slack(profile)
     if s < iv.s_min - slack or s > iv.s_max + slack:
         name, end = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
         detail = f"violates {name} = {end}"
@@ -350,14 +344,13 @@ def check_feasible(profile: MarginalProfile, s, atoms=None):
 def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> AtomicMeasure:
     """Construct the family measure with parameter ``s``.
 
-    Atom ``J`` receives ``atom_product(J) + (-1)^|J| * s``.  With
-    ``validate=True`` (the default), ``s`` must lie in the feasible interval
-    — within the slack of :func:`check_feasible` in floating mode, 1e-12 of
-    the interval's larger end, exactly in exact mode — and negative rounding
-    dust in (-slack, 0) is clamped to exact zero, since endpoint measures
-    legitimately contain zero atoms.  With ``validate=False`` the atoms are
-    returned as computed, which is how the infeasibility of out-of-interval
-    parameters is demonstrated.
+    Atom ``J`` receives its product-measure probability plus
+    ``(-1)^|J| * s``.  With ``validate=True`` (the default), ``s`` must lie
+    in the feasible interval, within :func:`feasibility_slack`, and negative
+    rounding dust in (-slack, 0) is clamped to exact zero, since endpoint
+    measures legitimately contain zero atoms.  With ``validate=False`` the
+    atoms are returned as computed, which is how the infeasibility of
+    out-of-interval parameters is demonstrated.
     """
     n = profile.n
     _check_cap(n)
@@ -385,50 +378,3 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
 
     atoms.setflags(write=False)
     return AtomicMeasure(n, atoms, s, scale=scale)
-
-
-def parity_construction(n: int, parity: str) -> AtomicMeasure:
-    """The classical extremal example on uniform-1/2 marginals.
-
-    Uniform mass 1/2^(n-1) on the outcome patterns whose total number of
-    occurrences has the given parity, zero on the rest.  Equals the family
-    measure at ``s = +1/2^n`` (parity "even": all odd-cardinality atoms
-    vanish) or ``s = -1/2^n`` (parity "odd"); its independence order is
-    n-1, never n.
-    """
-    if n < 2:
-        raise ValueError(f"parity construction needs n >= 2, got n = {n}")
-    if parity not in ("even", "odd"):
-        raise ValueError(f'parity must be "even" or "odd", got {parity!r}')
-    profile = from_raw([0.5] * n)
-    s = 2.0 ** -n
-    return build_measure(profile, s if parity == "even" else -s)
-
-
-def joint_probability(measure: AtomicMeasure, mask: SubsetMask):
-    """P(all events in ``mask`` occur): the sum of atoms over supersets.
-
-    They are the atoms at index 1 on the mask's axes of the table viewed as
-    2 × ... × 2, highest bit first (``...`` keeps a full mask an array),
-    copied in increasing mask order: a boolean gather's order, so the sum
-    keeps its bits, with no 2^n temporary.
-    """
-    n = measure.n
-    if mask < 0 or mask >> n:
-        raise ValueError(f"mask {mask:#x} is not an {n}-bit subset mask")
-    axes = tuple(1 if mask >> bit & 1 else slice(None) for bit in reversed(range(n)))
-    supersets = measure.numerators.reshape((2,) * n)[axes + (...,)].ravel()
-    return over(np.sum(supersets), measure.scale)
-
-
-def measure_to_dict(measure: AtomicMeasure, profile: MarginalProfile) -> dict:
-    """JSON-ready form: atoms in mask order, subsets in original input indices."""
-    labels = subset_labels(profile, (), lambda i: (i,))
-    return {
-        "n": measure.n,
-        "s": None if measure.s is None else float(measure.s),
-        "atoms": [
-            {"subset": list(subset), "prob": num / measure.scale}
-            for subset, num in zip(labels, measure.numerators.tolist())
-        ],
-    }

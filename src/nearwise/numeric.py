@@ -151,32 +151,19 @@ def rescaled(nums: np.ndarray, factor: int) -> np.ndarray:
     return nums if factor == 1 else nums * factor
 
 
-def subset_atom(values: Sequence, mask: int):
-    """Product-measure probability of the atom ``mask``.
-
-    ``values[j]`` for each set bit ``j``, ``1 - values[j]`` for the others,
-    multiplied left to right in ascending index order; an empty product is
-    1.  It multiplies the numerators of :func:`ratio` over the product of
-    the denominators, as :func:`atom_products_dense` does, so its entries
-    match this bit for bit, and exact mode forms one ``Fraction``.
-    """
+def prefix_atom(values: Sequence, t: int):
+    """Product of the first ``t`` values times complements of the rest: the
+    product measure's probability that exactly the first t events occur, of
+    which the interval endpoints are signed instances.  It multiplies the
+    numerators of :func:`ratio` left to right, as :func:`atom_products_dense`
+    does, so it has the bits of that table's entry at mask ``2^t - 1``, and
+    exact mode forms one ``Fraction``."""
     num, scale = ratio(mode_scalar(1, values))
-    # the mask's bits, lowest first: one string, not a shift per value
-    for a, bit in zip(values, f"{mask:0{len(values)}b}"[::-1]):
+    for j, a in enumerate(values):
         p, d = ratio(a)
-        num *= p if bit == "1" else d - p
+        num *= p if j < t else d - p
         scale *= d
     return over(num, scale)
-
-
-def prefix_atom(values: Sequence, t: int):
-    """Product of the first ``t`` values times complements of the rest.
-
-    ``subset_atom`` at the mask of the first ``t`` events: the probability
-    the product measure assigns to "exactly the first t events occur".  The
-    interval endpoints are signed instances of it.
-    """
-    return subset_atom(values, (1 << t) - 1)
 
 
 def _dense_products(values: Sequence, atoms: bool) -> tuple[np.ndarray, int]:
@@ -206,9 +193,10 @@ def _dense_products(values: Sequence, atoms: bool) -> tuple[np.ndarray, int]:
 def atom_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     """Dense vector of product-measure atom probabilities, indexed by bitmask.
 
-    Returns (numerators, scale): entry ``mask`` over the scale is
-    :func:`subset_atom` at ``mask``.  The doubling reproduces its
-    left-associative ascending order bit for bit.
+    Returns (numerators, scale): entry ``mask`` over the scale is the
+    product of ``values[j]`` for each set bit ``j`` and ``1 - values[j]`` for
+    the others, multiplied left to right in ascending index order, as the
+    doubling does.
     """
     return _dense_products(values, atoms=True)
 

@@ -9,9 +9,6 @@ shortcuts.  The checks:
 * ``verify_measure``: normalization, atom nonnegativity, marginals, and the
   product rule P(all events in J occur) = prod_{j in J} a_j for every
   |J| <= n-1, straight from superset sums of the atom vector.
-* ``verify_kernel``: the signed offset vector (-1)^{|J|} s sums to zero over
-  every proper subset's supersets, which is why adding it preserves all
-  small-subset joint probabilities.
 * ``verify_extremal_atoms``: among product-measure atoms of equal
   cardinality the prefix subset is minimal, and the overall odd/even
   cardinality minima sit at the two prefix atoms that define the feasible
@@ -29,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +35,8 @@ from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
     _check_cap,
-    _coerce_s,
-    _signed_offsets,
     build_measure,
+    feasibility_slack,
     mask_indices,
     per_profile,
     product_atoms,
@@ -53,7 +49,6 @@ from .numeric import (
     as_numerators,
     close,
     dense_blocks,
-    is_exact,
     mode_scalar,
     over,
     popcount_table,
@@ -123,18 +118,6 @@ class VerificationReport:
         }
 
 
-def enumerate_tail(measure: AtomicMeasure, k: int):
-    """P(at least k events occur), summed atom by atom.
-
-    The dumb route: filter all 2^n outcome patterns by population count.
-    ``k = 0`` returns the total mass; ``k = n + 1`` the empty sum.
-    """
-    n = measure.n
-    _check_cap(n)
-    _check_k(k, n, high=n + 1)
-    return over(np.sum(measure.numerators[popcount_table(n) >= k]), measure.scale)
-
-
 def _tail_vector(measure: AtomicMeasure) -> np.ndarray:
     """All tails P(at least k occur), k = 0..n, from one pass over atoms, as
     numerators over the measure's scale."""
@@ -163,8 +146,7 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     atoms, atom_scale = measure.numerators, measure.scale
     product_scale = table_scale(profile)
     scale = math.lcm(atom_scale, product_scale)
-    slack = 0 if measure.exact else ABS_TOL
-    tol = slack * scale
+    tol = (0 if measure.exact else ABS_TOL) * scale
     # signed residual of every joint probability against the product rule;
     # superset_sums returns a fresh array, so the rest works in place, the
     # products a block at a time
@@ -183,9 +165,12 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     if abs(norm_residual) > tol:
         violations.append(("normalization", tuple(range(1, n + 1))))
 
-    # Nonnegativity; a negative atom's witness is the first minimal mask.
+    # Nonnegativity, within the band s may leave its interval by: a float
+    # atom misses 0 by rounding dust of s, not by an absolute 1e-12.  A
+    # negative atom's witness is the first minimal mask.
+    band = 0 if measure.exact else feasibility_slack(profile)
     min_atom = atoms.min(keepdims=True).item()
-    if min_atom < -slack * atom_scale:
+    if min_atom < -band * atom_scale:
         violations.append(("nonnegativity", tuple(mask_indices(int(np.argmin(atoms))))))
 
     # Marginals, reported in the caller's input order.
@@ -228,42 +213,6 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
         worst_product_residual=over(worst_product, scale),
         lemma_violations=tuple(violations),
     )
-
-
-def _kernel_numerator(offsets: np.ndarray, n: int):
-    """Largest |sum over supersets| of ``offsets`` across all proper subsets."""
-    sums = np.abs(superset_sums(offsets, n)[:-1])
-    return np.max(sums, initial=0, keepdims=True).item()
-
-
-def kernel_residual(offsets: Sequence, n: int):
-    """Largest |sum over supersets| across all proper subsets.
-
-    ``offsets`` is indexed by subset mask.  A vector lies in the kernel of
-    the joint-probability constraints exactly when this is zero: adding it
-    to any valid measure changes no P(all of J occur) for proper J.  Exact
-    offsets are summed as numerators over their common denominator.
-    """
-    _check_cap(n)
-    nums, scale = as_numerators(offsets)
-    return over(_kernel_numerator(nums, n), scale)
-
-
-def verify_kernel(n: int, s) -> bool:
-    """Does the signed offset vector (-1)^{|J|} s really sum away?
-
-    Builds the vector over all 2^n subsets and checks, for every proper
-    subset J, that the sum of entries over supersets of J vanishes — the
-    reason the whole family shares all joint probabilities below order n.
-    Exact for a Fraction s (:func:`numeric.is_exact`), on the numerator of
-    s; within tolerance for a float, which must be finite.
-    """
-    _check_cap(n)
-    exact = is_exact([s])
-    s = _coerce_s(s, exact)
-    num, _ = ratio(s)
-    worst = _kernel_numerator(_signed_offsets(n, num, object if exact else float), n)
-    return worst <= (0 if exact else ABS_TOL * max(1.0, abs(s)))
 
 
 def verify_extremal_atoms(profile: MarginalProfile) -> bool:

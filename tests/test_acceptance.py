@@ -17,13 +17,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import enumerate_tail
 from nearwise import (
     DEFAULT_SEED,
     FeasibilityError,
     bonferroni_applicable,
     build_measure,
     check_profile,
-    enumerate_tail,
     from_raw,
     lll_comparison,
     makarov_bounds,

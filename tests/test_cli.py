@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from nearwise import build_measure, from_raw, original_subset, s_interval
+from conftest import measure_to_dict
+from nearwise import build_measure, from_raw, s_interval
 from nearwise.cli import EncodedArray, _write_json, main
 from nearwise.numeric import format_scientific
 
@@ -86,6 +87,20 @@ def test_bound_all_k_text_and_json(capsys):
     first = payload["reports"][0]
     assert first["lower"] == pytest.approx(0.61)
     assert first["upper"] == pytest.approx(0.64)
+
+
+def test_bound_all_k_keeps_its_layout_at_one_event(capsys):
+    code, out, _ = run(capsys, "bound", "--marginals", "0.3", "--all-k", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"n", "reports"}
+    assert [r["k"] for r in payload["reports"]] == [1]
+
+    code, out, _ = run(capsys, "bound", "--marginals", "0.3", "--all-k")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n = 1" and lines[1].split() == ["k", "exact", "lower", "upper"]
+    assert lines[2].split() == ["1"] + ["3.0000e-01"] * 3
 
 
 def test_bound_json_single(capsys):
@@ -264,19 +279,16 @@ def test_csv_fraction_without_rational_names_the_flag(tmp_path, capsys):
 
 
 def _measure_by_mask(argv_profile, rational, s_arg):
-    """``measure``'s output in every format, one ``original_subset`` call per mask."""
+    """``measure``'s output in every format, from the JSON document of
+    :func:`conftest.measure_to_dict`, one ``original_subset`` call per mask."""
     values = [Fraction(v) if rational else float(v) for v in argv_profile.split(",")]
     profile = from_raw(values, exact=rational)
     iv = s_interval(profile)
     s = {"min": iv.s_min, "max": iv.s_max, "zero": 0}.get(s_arg)
     measure = build_measure(profile, (Fraction if rational else float)(s_arg) if s is None else s)
-    subsets = [original_subset(profile, mask) for mask in range(1 << profile.n)]
+    doc = measure_to_dict(measure, profile)
+    subsets = [atom["subset"] for atom in doc["atoms"]]
     probs = measure.atom_probs.tolist()
-    doc = {
-        "n": profile.n,
-        "s": float(measure.s),
-        "atoms": [{"subset": list(t), "prob": float(p)} for t, p in zip(subsets, probs)],
-    }
     labels = ["{" + ",".join(map(str, t)) + "}" if t else "(none)" for t in subsets]
     width = max(map(len, labels))
     return {

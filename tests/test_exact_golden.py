@@ -24,18 +24,20 @@ from pathlib import Path
 
 import pytest
 
+from conftest import (
+    enumerate_tail,
+    joint_probability,
+    kernel_residual,
+    measure_to_dict,
+    verify_kernel,
+)
 from nearwise import (
     AtomicMeasure,
     build_measure,
     check_profile,
-    enumerate_tail,
     from_raw,
-    joint_probability,
-    kernel_residual,
-    measure_to_dict,
     run_random_suite,
     s_interval,
-    verify_kernel,
     verify_measure,
 )
 from nearwise.numeric import popcount_table, superset_sums
