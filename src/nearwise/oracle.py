@@ -161,8 +161,9 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     violations = []
 
     # Normalization: total mass is the superset sum at the empty subset.
+    # Each check asks "within tolerance?", so a NaN fails it.
     norm_residual = residuals.item(0)
-    if abs(norm_residual) > tol:
+    if not abs(norm_residual) <= tol:
         violations.append(("normalization", tuple(range(1, n + 1))))
 
     # Nonnegativity, within the band s may leave its interval by: a float
@@ -170,7 +171,7 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     # negative atom's witness is the first minimal mask.
     band = 0 if measure.exact else feasibility_slack(profile)
     min_atom = atoms.min(keepdims=True).item()
-    if min_atom < -band * atom_scale:
+    if not min_atom >= -band * atom_scale:
         violations.append(("nonnegativity", tuple(mask_indices(int(np.argmin(atoms))))))
 
     # Marginals, reported in the caller's input order.
@@ -178,7 +179,7 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     marginal_residuals = [None] * n
     for j in range(n):
         marginal_residuals[profile.permutation[j]] = over(sorted_residuals[j], scale)
-    bad = [j for j in range(n) if abs(sorted_residuals[j]) > tol]
+    bad = [j for j in range(n) if not abs(sorted_residuals[j]) <= tol]
     if bad:
         violations.append(("marginal", (bad[0] + 1,)))
 
@@ -194,7 +195,7 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     # the full set is within tolerance (a NaN is not), only the full set
     # can be off, so the 2^n compare is skipped
     start = residuals.size - 1 if worst_product <= tol else 1
-    bad_masks = np.flatnonzero(residuals[start:] > tol) + start
+    bad_masks = np.flatnonzero(~(residuals[start:] <= tol)) + start
     if bad_masks.size:
         bad_levels = pc[bad_masks]
         first_bad_level = int(bad_levels.min())

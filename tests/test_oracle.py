@@ -13,6 +13,7 @@ import pytest
 from conftest import enumerate_tail, kernel_residual, parity_construction, verify_kernel
 from nearwise import (
     AtomicMeasure,
+    CapExceededError,
     build_measure,
     check_profile,
     from_raw,
@@ -126,6 +127,20 @@ def test_verify_measure_bounds_negative_atoms_by_the_interval_band():
     assert report.min_atom == pytest.approx(-5e-13)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_verify_measure_fails_a_non_finite_atom(value):
+    """A NaN compares false with every tolerance, so each check asks whether
+    a residual is within it, never whether it is past it."""
+    profile = from_raw([0.3, 0.5, 0.6])
+    atoms = build_measure(profile, 0.0).atom_probs.copy()
+    atoms[0b101] = value
+    report = verify_measure(AtomicMeasure(n=3, atom_probs=atoms), profile)
+    assert not report.passed
+    kinds = [v[0] for v in report.lemma_violations]
+    assert kinds[0] == "normalization" and "marginal" in kinds and "product-rule" in kinds
+    assert report.independence_order == 0
+
+
 def test_verify_measure_exact_mode_is_strict():
     profile = from_raw([Fraction(1, 3), Fraction(1, 2)], exact=True)
     measure = build_measure(profile, Fraction(1, 100))
@@ -183,6 +198,14 @@ def test_verify_measure_n_mismatch():
     measure = build_measure(from_raw([0.5, 0.5]), 0.0)
     with pytest.raises(ValueError, match="profile has n"):
         verify_measure(measure, from_raw([0.5]))
+
+
+def test_oracle_refuses_measures_above_the_cap():
+    profile = from_raw([0.5] * 21)
+    with pytest.raises(CapExceededError, match="n <= 20"):
+        verify_measure(AtomicMeasure(n=21, atom_probs=np.zeros(1)), profile)
+    with pytest.raises(CapExceededError, match="n <= 20"):
+        check_profile(profile)
 
 
 def test_verification_report_to_dict():
