@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 from .bounds import bound_reports, makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
-from .numeric import format_scaled, format_scientific
+from .numeric import _SCRATCH, format_scaled, format_scientific
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
 
 
@@ -220,16 +220,12 @@ def cmd_interval(args, parser) -> Output:
 _JSON_ATOM = '    {\n      "subset": [%s],\n      "prob": %r\n    }'
 
 
-#: Atom numerators converted to Python numbers per numpy call.
-_NUMERATOR_BATCH = 1 << 14
-
-
 def _numerators(measure) -> Iterator:
     """The atoms' numerators over ``measure.scale`` as Python numbers, in mask
-    order, taken from the array a batch at a time."""
+    order, taken from the array ``numeric._SCRATCH`` at a time."""
     nums = measure.numerators
-    for start in range(0, nums.size, _NUMERATOR_BATCH):
-        yield from nums[start:start + _NUMERATOR_BATCH].tolist()
+    for start in range(0, nums.size, _SCRATCH):
+        yield from nums[start:start + _SCRATCH].tolist()
 
 
 def cmd_measure(args, parser) -> Output:

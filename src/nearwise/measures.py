@@ -44,6 +44,7 @@ import numpy as np
 from .marginals import MarginalProfile
 from .numeric import (
     _CACHE_BITS,
+    _SCRATCH,
     ENUMERATION_CAP,
     REL_TOL,
     as_numerators,
@@ -109,10 +110,6 @@ def original_subset(profile: MarginalProfile, mask: SubsetMask) -> tuple[int, ..
     return tuple(sorted(profile.permutation[i - 1] + 1 for i in mask_indices(mask)))
 
 
-#: Masks labelled per numpy pass in :func:`subset_labels`.
-_LABEL_BATCH = 1 << 14
-
-
 def _half_labels(indices: range, sep, item) -> list:
     """Labels of the subsets of ``indices``, by bit over them, each index led by ``sep``."""
     table = [sep[:0]]
@@ -142,7 +139,8 @@ def subset_labels(profile: MarginalProfile, sep=",", item=str) -> Iterator:
     tuples themselves).  numpy maps every mask to its input-order mask; a
     label then joins the labels of the low and the high half of that mask,
     each from a table of about 2^(n/2) entries, so the only per-mask Python
-    work is one concatenation.  Labels are generated in batches.
+    work is one concatenation.  Labels are generated ``numeric._SCRATCH``
+    masks at a time.
     """
     n = profile.n
     _check_cap(n)
@@ -151,8 +149,8 @@ def subset_labels(profile: MarginalProfile, sep=",", item=str) -> Iterator:
     low = _half_labels(range(1, half + 1), sep, item)
     high = _half_labels(range(half + 1, n + 1), sep, item)
     cut = len(sep)  # every half label starts with sep; drop the first one
-    for start in range(0, 1 << n, _LABEL_BATCH):
-        batch = input_masks[start:start + _LABEL_BATCH]
+    for start in range(0, 1 << n, _SCRATCH):
+        batch = input_masks[start:start + _SCRATCH]
         yield from [
             (low[a] + high[b])[cut:]
             for a, b in zip((batch & ((1 << half) - 1)).tolist(), (batch >> half).tolist())

@@ -207,7 +207,10 @@ def subset_products_dense(values: Sequence) -> tuple[np.ndarray, int]:
     return _dense_products(values, atoms=False)
 
 
-#: Entries of each :func:`dense_blocks` buffer: 128 KB of ``float64`` or object refs.
+#: Masks of a 2^n pass held at once: the entries of each :func:`dense_blocks`
+#: buffer (128 KB of ``float64`` or object refs), the labels of each numpy
+#: pass in :func:`measures.subset_labels`, and the numerators of each
+#: ``tolist`` in the ``measure`` command.
 _SCRATCH = 1 << 14
 
 
