@@ -31,6 +31,7 @@ from .marginals import MarginalProfile
 from .measures import _coerce_s, check_feasible, s_interval
 from .numeric import (
     binom_or_zero,
+    json_fields,
     mode_dtype,
     mode_scalar,
     over,
@@ -47,7 +48,7 @@ class BoundReport:
     ``exact_mutual`` is the mutual-independence value ``P_0(k)``;
     ``coefficient`` is the integer C(n-1, k-1) scaling the linear term.
     ``s_at_lower`` / ``s_at_upper`` are the interval endpoints at which the
-    bounds are attained.
+    bounds are attained, ``Fraction``s in both modes (:class:`SInterval`).
     """
 
     k: int
@@ -144,10 +145,12 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
 
     Linear in s with integer slope magnitude C(n-1, k-1); the coefficient
     convention C(n-1, -1) = 0 makes ``k = 0`` return exactly 1 for every
-    feasible s.
+    feasible s.  A ``Fraction`` s stays exact in floating mode too, so at an
+    endpoint below the least double this is the bound that
+    :func:`bound_reports` gives.
     """
     _check_k(k, profile.n, high=profile.n)
-    s = _coerce_s(s, profile.exact)
+    s = s if isinstance(s, Fraction) else _coerce_s(s, profile.exact)
     check_feasible(profile, s)
     tails, scale = _tail_numerators(profile)
     return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), tails.item(k), scale, s)
@@ -281,13 +284,13 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    """JSON-ready form of a bound report."""
+    """JSON-ready form of a bound report, each endpoint by :func:`numeric.json_fields`."""
     return {
         "k": report.k,
         "exact": float(report.exact_mutual),
         "lower": float(report.sharp_lower),
         "upper": float(report.sharp_upper),
-        "s_at_lower": float(report.s_at_lower),
-        "s_at_upper": float(report.s_at_upper),
+        **json_fields("s_at_lower", report.s_at_lower),
+        **json_fields("s_at_upper", report.s_at_upper),
         "coefficient": report.coefficient,
     }

@@ -23,6 +23,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 from .bounds import bound_reports, makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
-from .numeric import _SCRATCH, format_scaled, format_scientific
+from .numeric import _SCRATCH, format_scaled, format_scientific, held_float, json_fields
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
 
 
@@ -73,6 +74,12 @@ class Output:
     code: int = 0
 
 
+def _endpoint(s, rational: bool):
+    """``s`` as text and CSV show it: in floating mode the float wherever that
+    holds it (:func:`numeric.held_float`), so the digits are the float's."""
+    return s if rational else held_float(s)
+
+
 def _cell(value, precision: int) -> str:
     """Ints (and bools) and strings as they are; other numbers at ``precision`` digits."""
     return str(value) if isinstance(value, (int, str)) else format_scientific(value, precision)
@@ -102,20 +109,33 @@ def _write_batched(items: Iterable[str], sep: str, lead: str = "") -> bool:
     return wrote
 
 
+def _bare_number(value: Fraction) -> str:
+    """``json`` hook: a ``Fraction`` as a number of 17 significant digits, led
+    by a NUL (no argument, and so no payload string, holds one) that marks
+    the string for :func:`_write_json` to unquote."""
+    return "\0" + format_scaled(*value.as_integer_ratio(), 17)
+
+
 def _write_json(payload: dict) -> None:
     """``json.dumps(payload, indent=2)`` and a newline, never held as one string.
 
     Each top-level value goes through ``json.JSONEncoder(indent=2)``, except
     an :class:`EncodedArray`, whose items go through :func:`_write_batched`.
+    A ``Fraction`` (:func:`numeric.json_fields`) is written as the number
+    :func:`_bare_number` gives, which ``float`` reads.
     """
-    encode = json.JSONEncoder(indent=2).encode
+    # by id: every all-k report holds the same two endpoints, each a Fraction
+    # whose hash and decimal digits cost far more than the lookup
+    texts = {}
+    bare = lambda v: texts.get(id(v)) or texts.setdefault(id(v), _bare_number(v))  # noqa: E731
+    encode = json.JSONEncoder(indent=2, default=bare).encode
     write = sys.stdout.write
     opening = "{"
     for key, value in payload.items():
         write(f"{opening}\n  {encode(key)}: ")
         opening = ","
         if not isinstance(value, EncodedArray):
-            write(encode(value).replace("\n", "\n  "))
+            write(re.sub(r'"\\u0000([^"]*)"', r"\1", encode(value).replace("\n", "\n  ")))
         else:
             write("\n  ]" if _write_batched(value.items, ",\n", "[\n") else "[]")
     write("{}\n" if opening == "{" else "\n}\n")
@@ -169,15 +189,16 @@ def cmd_bound(args, parser) -> Output:
         parser.error("one of --k or --all-k is required")
     rows = [(r.k, r.exact_mutual, r.sharp_lower, r.sharp_upper) for r in reports]
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
+    fmt_s = lambda v: fmt(_endpoint(v, args.rational))  # noqa: E731
 
     if not args.all_k:
         (r,) = reports
         payload = lambda: {"n": profile.n, **report_to_dict(r)}  # noqa: E731
         text = lambda: [  # noqa: E731
             f"n = {profile.n}  k = {r.k}",
-            f"sharp lower  {fmt(r.sharp_lower)}  (at s = {fmt(r.s_at_lower)})",
+            f"sharp lower  {fmt(r.sharp_lower)}  (at s = {fmt_s(r.s_at_lower)})",
             f"exact        {fmt(r.exact_mutual)}",
-            f"sharp upper  {fmt(r.sharp_upper)}  (at s = {fmt(r.s_at_upper)})",
+            f"sharp upper  {fmt(r.sharp_upper)}  (at s = {fmt_s(r.s_at_upper)})",
             f"coefficient  {r.coefficient}",
         ]
     else:
@@ -199,17 +220,18 @@ def cmd_bound(args, parser) -> Output:
 def cmd_interval(args, parser) -> Output:
     profile = _require_profile(args, parser)
     iv = s_interval(profile)
+    s_min, s_max = (_endpoint(s, args.rational) for s in (iv.s_min, iv.s_max))
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
     return Output(
         payload=lambda: {
-            "n": profile.n, "s_min": float(iv.s_min), "s_max": float(iv.s_max),
+            "n": profile.n, **json_fields("s_min", iv.s_min), **json_fields("s_max", iv.s_max),
             "p": iv.p, "m": iv.m, "collapsed": iv.is_collapsed,
         },
         columns=("s_min", "s_max", "p", "m"),
-        rows=lambda: [(iv.s_min, iv.s_max, iv.p, iv.m)],
+        rows=lambda: [(s_min, s_max, iv.p, iv.m)],
         text=lambda: [
             f"n = {profile.n}",
-            f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]",
+            f"s interval  [{fmt(s_min)}, {fmt(s_max)}]",
             f"p = {iv.p}  m = {iv.m}",
         ],
     )
@@ -250,7 +272,7 @@ def cmd_measure(args, parser) -> Output:
             _JSON_ATOM % (f"{label}\n      " if label else "", num / scale)
             for label, num in zip(labels, _numerators(measure))
         )
-        return {"n": measure.n, "s": float(measure.s), "atoms": EncodedArray(atoms)}
+        return {"n": measure.n, **json_fields("s", s), "atoms": EncodedArray(atoms)}
 
     def rows():
         """(subset in input indices joined by ';', probability as text) in mask order."""
@@ -259,7 +281,8 @@ def cmd_measure(args, parser) -> Output:
     def text():
         # the full subset has the longest label
         width = max(len("(none)"), len(",".join(map(str, range(1, measure.n + 1)))) + 2)
-        yield f"n = {measure.n}  s = {format_scientific(measure.s, args.precision)}"
+        shown = format_scientific(_endpoint(s, args.rational), args.precision)
+        yield f"n = {measure.n}  s = {shown}"
         for label, num in zip(subset_labels(profile), _numerators(measure)):
             yield f"{'{' + label + '}' if label else '(none)':<{width}}  {atom_text(num)}"
 
@@ -356,9 +379,8 @@ def cmd_verify(args, parser) -> Output:
         report = check_profile(profile, s_points=101 if args.grid is None else args.grid)
         json_extra = {"n": profile.n, "mode": mode}
         iv = s_interval(profile)
-        heading = [
-            f"n = {profile.n}  mode: {mode}", f"s interval  [{fmt(iv.s_min)}, {fmt(iv.s_max)}]"
-        ]
+        lo, hi = (fmt(_endpoint(s, args.rational)) for s in (iv.s_min, iv.s_max))
+        heading = [f"n = {profile.n}  mode: {mode}", f"s interval  [{lo}, {hi}]"]
     else:
         report = run_random_suite(
             count=40 if args.rational else 200,

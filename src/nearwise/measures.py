@@ -50,10 +50,10 @@ from .numeric import (
     as_numerators,
     atom_products_dense,
     dense_blocks,
-    mode_scalar,
     over,
-    prefix_atom,
+    held_float,
     ratio,
+    wide_prefix_atom,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -216,6 +216,9 @@ class SInterval:
     ``s_max = prefix_atom(a, 2p+1)``; both collapse to 0 when any marginal
     is degenerate (0 or 1), and for a single event, where the marginal
     constraint pins s = 0.
+    Both are ``Fraction``s in both modes, in floating mode the float product
+    with its own exponent (:func:`numeric.wide_prefix_atom`), so neither
+    reads 0 below 2^-1074; a float consumer converts once, with ``float``.
     """
 
     s_min: object
@@ -265,13 +268,10 @@ def s_interval(profile: MarginalProfile) -> SInterval:
     values = profile.sorted_values
     p = _leading_pairs(values[1:])
     m = _leading_pairs(values)
-    zero = mode_scalar(0, values)
     if profile.n == 1:
-        return SInterval(s_min=zero, s_max=zero, p=p, m=m)
-    s_min = -prefix_atom(values, 2 * m)
-    s_max = prefix_atom(values, 2 * p + 1)
-    if s_min == 0:
-        s_min = zero  # canonicalize -0.0
+        return SInterval(s_min=Fraction(0), s_max=Fraction(0), p=p, m=m)
+    s_min = -wide_prefix_atom(values, 2 * m)
+    s_max = wide_prefix_atom(values, 2 * p + 1)
     return SInterval(s_min=s_min, s_max=s_max, p=p, m=m)
 
 
@@ -313,9 +313,13 @@ def _signed_offsets(n: int, s, dtype) -> np.ndarray:
 def feasibility_slack(profile: MarginalProfile):
     """How far ``s``, and so a family atom, may pass its bound by rounding:
     0 in exact mode and, in floating mode, 1e-12 of the interval's larger
-    end, so a narrow interval gets a narrow band."""
+    end, so a narrow interval gets a narrow band, but not below n units of
+    2^-1074: a subnormal table entry, rounded at each of n factors, and the
+    float of the endpoint, rounded once, can differ by that much."""
     iv = s_interval(profile)
-    return 0 if profile.exact else REL_TOL * max(-iv.s_min, iv.s_max)
+    if profile.exact:
+        return 0
+    return max(REL_TOL * max(-iv.s_min, iv.s_max), profile.n * math.ulp(0.0))
 
 
 def check_feasible(profile: MarginalProfile, s, atoms=None):
@@ -330,7 +334,7 @@ def check_feasible(profile: MarginalProfile, s, atoms=None):
     slack = feasibility_slack(profile)
     if s < iv.s_min - slack or s > iv.s_max + slack:
         name, end = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
-        detail = f"violates {name} = {end}"
+        detail = f"violates {name} = {end if profile.exact else held_float(end)}"
         if atoms is not None:
             bad = np.flatnonzero(atoms < -slack)
             first_bad = int(bad[0]) if bad.size else int(np.argmin(atoms))

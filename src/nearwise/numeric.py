@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -164,6 +165,48 @@ def prefix_atom(values: Sequence, t: int):
         num *= p if j < t else d - p
         scale *= d
     return over(num, scale)
+
+
+def wide_prefix_atom(values: Sequence, t: int) -> Fraction:
+    """:func:`prefix_atom` as a ``Fraction`` that cannot underflow.
+
+    Floating mode multiplies the same factors in the same order, but
+    renormalizes the product by ``math.frexp`` after each one and keeps its
+    binary exponent in an ``int``.  Scaling by a power of two is exact, so
+    wherever ``prefix_atom`` is a normal double this is its value, bit for
+    bit; below that, every step still rounds to 53 bits.
+    """
+    if mode_dtype(values) is _OBJECT:
+        return prefix_atom(values, t)
+    mantissa, exponent = 1.0, 0
+    for j, a in enumerate(values):
+        mantissa, shift = math.frexp(mantissa * (a if j < t else 1 - a))
+        exponent += shift
+    return Fraction(mantissa) * Fraction(2) ** exponent
+
+
+def held_float(value):
+    """``float(value)`` where it holds ``value``, exactly or as a normal
+    double; else ``value``, a ``Fraction`` whose float would be subnormal or 0."""
+    f = float(value)
+    # compared as integer ratios: exact, with no Fraction formed per call
+    exact = f.as_integer_ratio() == value.as_integer_ratio()
+    return f if exact or abs(f) >= sys.float_info.min else value
+
+
+def json_fields(key: str, value) -> dict:
+    """``{key: held_float(value)}`` for a JSON payload.  Where that is still a
+    ``Fraction`` (the CLI writes it as 17 significant digits),
+    ``key + "_frexp"`` follows with its ``math.frexp`` mantissa and exponent."""
+    held = held_float(value)
+    if isinstance(held, float):
+        return {key: held}
+    num, den = value.as_integer_ratio()
+    if den.bit_count() != 1:  # not dyadic: shift it near 1 (a positive shift, below 2^-1022)
+        shift = den.bit_length() - abs(num).bit_length()
+        num, den = (num << shift) / den, 1 << shift
+    mantissa, exponent = math.frexp(num)  # a dyadic float endpoint has a 53-bit numerator
+    return {key: value, f"{key}_frexp": [mantissa, exponent - den.bit_length() + 1]}
 
 
 def _dense_products(values: Sequence, atoms: bool) -> tuple[np.ndarray, int]:

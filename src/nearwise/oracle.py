@@ -265,7 +265,7 @@ def _grid_pass(profile: MarginalProfile, points: int, read: Callable):
         width = iv.s_max - iv.s_min
         grid = [iv.s_min + width * Fraction(i, points - 1) for i in range(points)]
     else:
-        grid = np.linspace(iv.s_min, iv.s_max, points).tolist()
+        grid = np.linspace(float(iv.s_min), float(iv.s_max), points).tolist()
     for s in grid:
         yield s, read(build_measure(profile, s))
 

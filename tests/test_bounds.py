@@ -173,11 +173,16 @@ def test_probability_at_s_tiny_upper_tail():
 
 
 def test_huge_slope_coefficients_do_not_overflow():
-    # C(9999, 4999) cannot convert to float; the endpoints underflow to 0,
-    # so all three values collapse onto the product-measure tail
+    # C(9999, 4999) cannot convert to float, and the endpoints +-2^-10000 lie
+    # far below the least double; their product is still a visible shift of
+    # the product-measure tail, rounded once
     profile = from_raw([0.5] * 10000)
     report = sharp_bounds(profile, 5000)
-    assert report.sharp_lower == report.exact_mutual == report.sharp_upper
+    shift = float(Fraction(report.coefficient, 2**10000))
+    assert report.s_at_upper == -report.s_at_lower == Fraction(1, 2**10000)
+    assert report.sharp_lower < report.exact_mutual < report.sharp_upper
+    assert report.sharp_lower == report.exact_mutual - shift
+    assert report.sharp_upper == report.exact_mutual + shift
 
     # at n = 60 the slope already exceeds 2^53 while s = 2^-60 is still a
     # normal float: the shift is a visible probability, and the float route
@@ -515,6 +520,33 @@ def test_prefix_atom_consistency_with_interval():
     a = profile.sorted_values
     assert iv.s_max == prefix_atom(a, 2 * iv.p + 1)
     assert iv.s_min == -prefix_atom(a, 2 * iv.m)
+
+
+@pytest.mark.parametrize("n", [1075, 1100, 2000])
+def test_float_bounds_at_one_half_keep_endpoints_below_the_least_double(n):
+    """At marginals 1/2 the endpoints are -+2^-n, below 2^-1074 here.  The
+    float bounds must not collapse onto the mutual tail: each is within
+    4 ulps of exact mode, and the endpoints are exact."""
+    k = n // 2
+    got = sharp_bounds(from_raw([0.5] * n), k)
+    want = sharp_bounds(from_raw([Fraction(1, 2)] * n), k)
+    assert (got.s_at_lower, got.s_at_upper) == (want.s_at_lower, want.s_at_upper)
+    assert sorted([got.s_at_lower, got.s_at_upper]) == [-Fraction(1, 2**n), Fraction(1, 2**n)]
+    assert got.sharp_lower < got.exact_mutual < got.sharp_upper
+    for name in ("sharp_lower", "exact_mutual", "sharp_upper"):
+        value, exact = getattr(got, name), getattr(want, name)
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(value)), name
+
+
+def test_probability_at_s_reads_an_endpoint_below_the_least_double():
+    """At 1,100 marginals of 1/2, the family tail at each reported endpoint
+    is the reported bound, off the mutual tail."""
+    profile = from_raw([0.5] * 1100)
+    for report in bound_reports(profile, range(549, 552)):
+        lower = probability_at_s(profile, report.k, report.s_at_lower)
+        upper = probability_at_s(profile, report.k, report.s_at_upper)
+        assert (lower, upper) == (report.sharp_lower, report.sharp_upper)
+        assert lower < report.exact_mutual < upper
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])

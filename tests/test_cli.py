@@ -171,6 +171,50 @@ def test_interval_precision_flag(capsys):
     assert "[-1.25e-01, 1.25e-01]" in out
 
 
+def test_interval_keeps_endpoints_below_the_least_double(capsys):
+    """The interval [-5e-401, 5e-401] is not collapsed, and no format prints
+    0.0 for its ends: JSON writes a number that float reads, with the exact
+    mantissa and exponent in an added field."""
+    args = ("interval", "--marginals", "1e-200,1e-200,0.5")
+    iv = s_interval(from_raw([1e-200, 1e-200, 0.5]))
+    code, out, _ = run(capsys, *args, "--format", "json")
+    payload = interval = json.loads(out)
+    assert code == 0 and payload["collapsed"] is False
+    assert '"s_min": -4.9999999999999996e-401,' in out
+    assert '"s_max": 4.9999999999999996e-401,' in out
+    for key, end in (("s_min", iv.s_min), ("s_max", iv.s_max)):
+        mantissa, exponent = payload[f"{key}_frexp"]
+        assert 0.5 <= abs(mantissa) < 1 and Fraction(mantissa) * Fraction(2) ** exponent == end
+    assert "s interval  [-5.0000e-401, 5.0000e-401]" in run(capsys, *args)[1]
+    assert "-5.0000e-401,5.0000e-401,1,1" in run(capsys, *args, "--format", "csv")[1]
+    code, out, _ = run(capsys, "measure", "--s-endpoint", "max", *args[1:], "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and '"s": 4.9999999999999996e-401,' in out
+    assert payload["s_frexp"] == interval["s_max_frexp"]
+    code, out, _ = run(capsys, "measure", "--s-endpoint", "min", *args[1:])
+    assert code == 0 and out.startswith("n = 3  s = -5.0000e-401\n")
+
+
+def test_bound_json_at_two_thousand_halves_matches_rational_mode(capsys, tmp_path):
+    """The benchmark's underflow probe: at n = 2,000, k = 1,000 the float
+    bounds bracket the mutual tail and match rational mode to 1e-12, and the
+    endpoints +-2^-2000 carry their exponent."""
+    path = tmp_path / "halves.csv"
+    path.write_text("0.5\n" * 2000, encoding="utf-8")
+    docs = []
+    for mode in ([], ["--rational"]):
+        code, out, _ = run(capsys, "bound", "--k", "1000", "--format", "json",
+                           "--input", str(path), *mode)
+        assert code == 0 and '"s_at_lower": 0.0' not in out
+        docs.append(json.loads(out))
+    got, want = docs
+    assert got["lower"] < got["exact"] < got["upper"]
+    for key in ("lower", "exact", "upper"):
+        assert math.isclose(got[key], want[key], rel_tol=1e-12)
+    assert got["s_at_lower_frexp"] == want["s_at_lower_frexp"] == [-0.5, -1999]
+    assert got["s_at_upper_frexp"] == want["s_at_upper_frexp"] == [0.5, -1999]
+
+
 def test_measure_at_negative_endpoint(capsys):
     code, out, _ = run(
         capsys, "measure", "--marginals", "0.5,0.5,0.5", "--s", "-0.125"

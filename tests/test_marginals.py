@@ -60,8 +60,10 @@ def test_from_raw_turns_numpy_scalars_into_python_numbers():
     floats = from_raw(np.array([0.4, 0.2, 0.3]))
     assert floats.sorted_values == (0.2, 0.3, 0.4)
     iv, report = s_interval(floats), sharp_bounds(floats, 2)
-    results = (iv.s_min, iv.s_max, report.sharp_lower, report.exact_mutual, report.sharp_upper)
+    results = (report.sharp_lower, report.exact_mutual, report.sharp_upper)
     assert all(type(v) is float for v in floats.sorted_values + results)
+    # the endpoints are Fractions in both modes, so they keep their exponent
+    assert all(type(v) is Fraction for v in (iv.s_min, iv.s_max, report.s_at_lower))
     ints = from_raw(np.array([0, 1, 1]))
     assert ints.sorted_values == (0.0, 1.0, 1.0)
     assert all(type(v) is float for v in ints.sorted_values)

@@ -1,6 +1,8 @@
 """Unit tests for the one-parameter measure family and its invariants."""
 
+import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -162,6 +164,33 @@ def test_s_interval_degenerate_and_single_event():
     assert exact.s_min == -Fraction(1, 32)
 
 
+def test_float_endpoints_keep_the_bits_of_the_plain_product():
+    """Each float endpoint is the ascending product of its prefix atom's
+    factors.  Where the plain float product (the conftest reference) is a
+    normal double, the endpoint is that double; on profiles with marginals
+    near 1e-200 it is subnormal or 0.0, and the endpoint still keeps the
+    exact product of the float factors to a relative n * 2^-53."""
+    rng = random.Random(1075)
+    normal = 0
+    for i in range(400):
+        n = rng.randint(2, 60)
+        tiny = i >= 300  # the last 100 profiles lead with marginals near 1e-200
+        values = [10.0 ** -rng.uniform(150, 250) if tiny and j < 3 else rng.random()
+                  for j in range(n)]
+        profile = from_raw(values)
+        iv = s_interval(profile)
+        for endpoint, t in ((-iv.s_min, 2 * iv.m), (iv.s_max, 2 * iv.p + 1)):
+            assert type(endpoint) is Fraction
+            plain = atom_product(profile, (1 << t) - 1)
+            if plain >= sys.float_info.min:
+                normal += 1
+                assert endpoint == plain
+            factors = [a if j < t else 1 - a for j, a in enumerate(profile.sorted_values)]
+            exact = math.prod(map(Fraction, factors))
+            assert abs(endpoint - exact) <= Fraction(n, 2**53) * exact
+    assert normal >= 600
+
+
 def test_build_measure_product_at_zero():
     profile = from_raw([0.2, 0.7])
     measure = build_measure(profile, 0.0)
@@ -191,7 +220,8 @@ def _reference_atoms(profile, s):
     signs = [1 - 2 * (bin(mask).count("1") % 2) for mask in range(1 << profile.n)]
     if profile.exact:
         return [b + sign * s for b, sign in zip(table, signs)]
-    return table + np.asarray(signs, dtype=float) * s
+    # a float s, as build_measure reads a Fraction endpoint in floating mode
+    return table + np.asarray(signs, dtype=float) * float(s)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,22 @@ def test_verify_measure_bounds_negative_atoms_by_the_interval_band():
     assert report.min_atom == pytest.approx(-5e-13)
 
 
+def test_oracle_passes_endpoints_in_the_subnormal_range():
+    """Here s_max is subnormal, and its float, rounded once from the exact
+    product, is one ulp off the dense table's entry, rounded at every
+    factor.  The band of n subnormal ulps absorbs the vanishing atom's dust,
+    so the endpoint measures still pass."""
+    profile = from_raw([5.374703982777161e-161, 2.2146080850865508e-160,
+                        0.9168162261800614, 0.4965066990299619])
+    iv = s_interval(profile)
+    table, _ = product_atoms(profile)
+    assert 0 < float(iv.s_max) < 2.0**-1022
+    assert float(iv.s_max) != table[(1 << 2 * iv.p + 1) - 1]
+    for s in (iv.s_min, iv.s_max):
+        assert verify_measure(build_measure(profile, s), profile).passed
+    assert check_profile(profile).passed
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_verify_measure_fails_a_non_finite_atom(value):
     """A NaN compares false with every tolerance, so each check asks whether
