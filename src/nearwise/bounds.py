@@ -31,7 +31,7 @@ from .marginals import MarginalProfile
 from .measures import _coerce_s, check_feasible, s_interval
 from .numeric import (
     binom_or_zero,
-    json_fields,
+    held_float,
     mode_dtype,
     mode_scalar,
     over,
@@ -221,8 +221,7 @@ def bonferroni_applicable(profile: MarginalProfile) -> BonferroniStatus:
         raise ValueError(f"need at least two events, got n = {n}")
     a = profile.sorted_values
     if a[-2] + a[-1] <= 1:
-        none_occur = prefix_atom(a, 0)
-        all_occur = prefix_atom(a, n)
+        none_occur, all_occur = (mode_scalar(prefix_atom(a, t), a) for t in (0, n))
         if n % 2 == 0:
             return BonferroniStatus("upper-coincides", 1 - none_occur + all_occur)
         return BonferroniStatus("lower-coincides", 1 - none_occur - all_occur)
@@ -284,13 +283,14 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    """JSON-ready form of a bound report, each endpoint by :func:`numeric.json_fields`."""
+    """JSON-ready form of a bound report; an endpoint no double holds stays a
+    ``Fraction`` (:func:`numeric.held_float`), which the CLI writes as a number."""
     return {
         "k": report.k,
         "exact": float(report.exact_mutual),
         "lower": float(report.sharp_lower),
         "upper": float(report.sharp_upper),
-        **json_fields("s_at_lower", report.s_at_lower),
-        **json_fields("s_at_upper", report.s_at_upper),
+        "s_at_lower": held_float(report.s_at_lower),
+        "s_at_upper": held_float(report.s_at_upper),
         "coefficient": report.coefficient,
     }

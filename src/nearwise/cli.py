@@ -27,13 +27,14 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .bounds import bound_reports, makarov_bounds, report_to_dict, sharp_bounds
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
-from .numeric import _SCRATCH, format_scaled, format_scientific, held_float, json_fields
+from .numeric import _SCRATCH, format_scaled, format_scientific, held_float
 from .oracle import DEFAULT_SEED, check_profile, run_random_suite
 
 
@@ -109,10 +110,12 @@ def _write_batched(items: Iterable[str], sep: str, lead: str = "") -> bool:
     return wrote
 
 
+@lru_cache(maxsize=2)
 def _bare_number(value: Fraction) -> str:
     """``json`` hook: a ``Fraction`` as a number of 17 significant digits, led
     by a NUL (no argument, and so no payload string, holds one) that marks
-    the string for :func:`_write_json` to unquote."""
+    the string for :func:`_write_json` to unquote.  Cached by value: the
+    reports of ``bound --all-k`` repeat the interval's two endpoints."""
     return "\0" + format_scaled(*value.as_integer_ratio(), 17)
 
 
@@ -121,21 +124,20 @@ def _write_json(payload: dict) -> None:
 
     Each top-level value goes through ``json.JSONEncoder(indent=2)``, except
     an :class:`EncodedArray`, whose items go through :func:`_write_batched`.
-    A ``Fraction`` (:func:`numeric.json_fields`) is written as the number
-    :func:`_bare_number` gives, which ``float`` reads.
+    A ``Fraction``, an endpoint no double holds (:func:`numeric.held_float`),
+    is written as the number :func:`_bare_number` gives, which ``float`` reads.
     """
-    # by id: every all-k report holds the same two endpoints, each a Fraction
-    # whose hash and decimal digits cost far more than the lookup
-    texts = {}
-    bare = lambda v: texts.get(id(v)) or texts.setdefault(id(v), _bare_number(v))  # noqa: E731
-    encode = json.JSONEncoder(indent=2, default=bare).encode
+    encode = json.JSONEncoder(indent=2, default=_bare_number).encode
     write = sys.stdout.write
     opening = "{"
     for key, value in payload.items():
         write(f"{opening}\n  {encode(key)}: ")
         opening = ","
         if not isinstance(value, EncodedArray):
-            write(re.sub(r'"\\u0000([^"]*)"', r"\1", encode(value).replace("\n", "\n  ")))
+            text = encode(value).replace("\n", "\n  ")
+            if "\\u0000" in text:  # a Fraction's digits, which the encoder quoted
+                text = re.sub(r'"\\u0000([^"]*)"', r"\1", text)
+            write(text)
         else:
             write("\n  ]" if _write_batched(value.items, ",\n", "[\n") else "[]")
     write("{}\n" if opening == "{" else "\n}\n")
@@ -224,7 +226,7 @@ def cmd_interval(args, parser) -> Output:
     fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
     return Output(
         payload=lambda: {
-            "n": profile.n, **json_fields("s_min", iv.s_min), **json_fields("s_max", iv.s_max),
+            "n": profile.n, "s_min": held_float(iv.s_min), "s_max": held_float(iv.s_max),
             "p": iv.p, "m": iv.m, "collapsed": iv.is_collapsed,
         },
         columns=("s_min", "s_max", "p", "m"),
@@ -272,7 +274,7 @@ def cmd_measure(args, parser) -> Output:
             _JSON_ATOM % (f"{label}\n      " if label else "", num / scale)
             for label, num in zip(labels, _numerators(measure))
         )
-        return {"n": measure.n, **json_fields("s", s), "atoms": EncodedArray(atoms)}
+        return {"n": measure.n, "s": held_float(s), "atoms": EncodedArray(atoms)}
 
     def rows():
         """(subset in input indices joined by ';', probability as text) in mask order."""

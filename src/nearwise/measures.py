@@ -50,10 +50,10 @@ from .numeric import (
     as_numerators,
     atom_products_dense,
     dense_blocks,
-    over,
     held_float,
+    over,
+    prefix_atom,
     ratio,
-    wide_prefix_atom,
 )
 
 #: An event subset encoded as an n-bit mask in sorted index space:
@@ -217,8 +217,8 @@ class SInterval:
     is degenerate (0 or 1), and for a single event, where the marginal
     constraint pins s = 0.
     Both are ``Fraction``s in both modes, in floating mode the float product
-    with its own exponent (:func:`numeric.wide_prefix_atom`), so neither
-    reads 0 below 2^-1074; a float consumer converts once, with ``float``.
+    with its own exponent (:func:`numeric.prefix_atom`), so neither reads 0
+    below 2^-1074; a float consumer converts once, with ``float``.
     """
 
     s_min: object
@@ -270,8 +270,8 @@ def s_interval(profile: MarginalProfile) -> SInterval:
     m = _leading_pairs(values)
     if profile.n == 1:
         return SInterval(s_min=Fraction(0), s_max=Fraction(0), p=p, m=m)
-    s_min = -wide_prefix_atom(values, 2 * m)
-    s_max = wide_prefix_atom(values, 2 * p + 1)
+    s_min = -prefix_atom(values, 2 * m)
+    s_max = prefix_atom(values, 2 * p + 1)
     return SInterval(s_min=s_min, s_max=s_max, p=p, m=m)
 
 
@@ -313,13 +313,17 @@ def _signed_offsets(n: int, s, dtype) -> np.ndarray:
 def feasibility_slack(profile: MarginalProfile):
     """How far ``s``, and so a family atom, may pass its bound by rounding:
     0 in exact mode and, in floating mode, 1e-12 of the interval's larger
-    end, so a narrow interval gets a narrow band, but not below n units of
+    end, so a narrow interval gets a narrow band.  Where a dense table can
+    be formed (n up to ``ENUMERATION_CAP``), the band is at least n units of
     2^-1074: a subnormal table entry, rounded at each of n factors, and the
-    float of the endpoint, rounded once, can differ by that much."""
-    iv = s_interval(profile)
+    float of the endpoint, rounded once, can differ by that much.  Past the
+    cap no table is formed, and a floor would let ``probability_at_s``
+    scale an s far outside a tiny interval by C(n-1, k-1)."""
     if profile.exact:
         return 0
-    return max(REL_TOL * max(-iv.s_min, iv.s_max), profile.n * math.ulp(0.0))
+    iv = s_interval(profile)
+    band = REL_TOL * max(-iv.s_min, iv.s_max)
+    return max(band, profile.n * math.ulp(0.0)) if profile.n <= ENUMERATION_CAP else band
 
 
 def check_feasible(profile: MarginalProfile, s, atoms=None):
@@ -332,7 +336,8 @@ def check_feasible(profile: MarginalProfile, s, atoms=None):
     """
     iv = s_interval(profile)
     slack = feasibility_slack(profile)
-    if s < iv.s_min - slack or s > iv.s_max + slack:
+    band = Fraction(slack)  # exact: a float sum rounds an endpoint below 2^-1074 to 0
+    if s < iv.s_min - band or s > iv.s_max + band:
         name, end = ("s_min", iv.s_min) if s < iv.s_min else ("s_max", iv.s_max)
         detail = f"violates {name} = {end if profile.exact else held_float(end)}"
         if atoms is not None:

@@ -92,7 +92,7 @@ def mode_dtype(values) -> np.dtype:
     return _OBJECT if exact else _FLOAT64
 
 
-def mode_scalar(value: int, values):
+def mode_scalar(value: int | Fraction, values):
     """``value`` in the arithmetic of ``values``: a ``Fraction`` or a float.
 
     An empty object-array sum, or ``np.zeros(dtype=object)``, holds a plain
@@ -152,32 +152,27 @@ def rescaled(nums: np.ndarray, factor: int) -> np.ndarray:
     return nums if factor == 1 else nums * factor
 
 
-def prefix_atom(values: Sequence, t: int):
+def prefix_atom(values: Sequence, t: int) -> Fraction:
     """Product of the first ``t`` values times complements of the rest: the
     product measure's probability that exactly the first t events occur, of
-    which the interval endpoints are signed instances.  It multiplies the
-    numerators of :func:`ratio` left to right, as :func:`atom_products_dense`
-    does, so it has the bits of that table's entry at mask ``2^t - 1``, and
-    exact mode forms one ``Fraction``."""
-    num, scale = ratio(mode_scalar(1, values))
-    for j, a in enumerate(values):
-        p, d = ratio(a)
-        num *= p if j < t else d - p
-        scale *= d
-    return over(num, scale)
+    which the interval endpoints are signed instances, as a ``Fraction``.
 
-
-def wide_prefix_atom(values: Sequence, t: int) -> Fraction:
-    """:func:`prefix_atom` as a ``Fraction`` that cannot underflow.
-
-    Floating mode multiplies the same factors in the same order, but
-    renormalizes the product by ``math.frexp`` after each one and keeps its
-    binary exponent in an ``int``.  Scaling by a power of two is exact, so
-    wherever ``prefix_atom`` is a normal double this is its value, bit for
-    bit; below that, every step still rounds to 53 bits.
+    Exact mode multiplies the numerators of :func:`ratio` and forms one
+    ``Fraction``.  Floating mode multiplies the floats left to right, as
+    :func:`atom_products_dense` does, but renormalizes the product by
+    ``math.frexp`` after each factor and keeps its binary exponent in an
+    ``int``.  Scaling by a power of two is exact, so wherever that table's
+    entry at mask ``2^t - 1`` is a normal double this is its value, bit for
+    bit; below that, every step still rounds to 53 bits and nothing
+    underflows.
     """
     if mode_dtype(values) is _OBJECT:
-        return prefix_atom(values, t)
+        num, scale = 1, 1
+        for j, a in enumerate(values):
+            p, d = ratio(a)
+            num *= p if j < t else d - p
+            scale *= d
+        return Fraction(num, scale)
     mantissa, exponent = 1.0, 0
     for j, a in enumerate(values):
         mantissa, shift = math.frexp(mantissa * (a if j < t else 1 - a))
@@ -192,21 +187,6 @@ def held_float(value):
     # compared as integer ratios: exact, with no Fraction formed per call
     exact = f.as_integer_ratio() == value.as_integer_ratio()
     return f if exact or abs(f) >= sys.float_info.min else value
-
-
-def json_fields(key: str, value) -> dict:
-    """``{key: held_float(value)}`` for a JSON payload.  Where that is still a
-    ``Fraction`` (the CLI writes it as 17 significant digits),
-    ``key + "_frexp"`` follows with its ``math.frexp`` mantissa and exponent."""
-    held = held_float(value)
-    if isinstance(held, float):
-        return {key: held}
-    num, den = value.as_integer_ratio()
-    if den.bit_count() != 1:  # not dyadic: shift it near 1 (a positive shift, below 2^-1022)
-        shift = den.bit_length() - abs(num).bit_length()
-        num, den = (num << shift) / den, 1 << shift
-    mantissa, exponent = math.frexp(num)  # a dyadic float endpoint has a 53-bit numerator
-    return {key: value, f"{key}_frexp": [mantissa, exponent - den.bit_length() + 1]}
 
 
 def _dense_products(values: Sequence, atoms: bool) -> tuple[np.ndarray, int]:

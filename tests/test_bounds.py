@@ -549,6 +549,17 @@ def test_probability_at_s_reads_an_endpoint_below_the_least_double():
         assert lower < report.exact_mutual < upper
 
 
+def test_probability_at_s_refuses_s_past_an_interval_below_the_least_double():
+    """At 1,100 marginals of 1/2 the interval is [-2^-1100, 2^-1100].  An s of
+    1e-321 lies far past it; scaled by C(1099, 549) it would give a
+    'probability' near 1.6e8, so it is refused, as is the least double."""
+    profile = from_raw([0.5] * 1100)
+    for s in (1e-321, math.ulp(0.0), -math.ulp(0.0)):
+        with pytest.raises(FeasibilityError, match="outside the feasible interval"):
+            probability_at_s(profile, 550, s)
+    assert probability_at_s(profile, 550, 0.0) == sharp_bounds(profile, 550).exact_mutual
+
+
 @pytest.mark.parametrize("s", [float("nan"), float("inf")])
 def test_probability_at_s_rejects_non_finite_s(s):
     with pytest.raises(ValueError, match="s must be finite"):

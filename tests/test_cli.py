@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -173,24 +174,21 @@ def test_interval_precision_flag(capsys):
 
 def test_interval_keeps_endpoints_below_the_least_double(capsys):
     """The interval [-5e-401, 5e-401] is not collapsed, and no format prints
-    0.0 for its ends: JSON writes a number that float reads, with the exact
-    mantissa and exponent in an added field."""
+    0.0 for its ends: JSON writes a number of 17 significant digits with its
+    own exponent, which float reads."""
     args = ("interval", "--marginals", "1e-200,1e-200,0.5")
     iv = s_interval(from_raw([1e-200, 1e-200, 0.5]))
     code, out, _ = run(capsys, *args, "--format", "json")
-    payload = interval = json.loads(out)
-    assert code == 0 and payload["collapsed"] is False
+    payload = json.loads(out, parse_float=Decimal)
+    assert code == 0 and payload["collapsed"] is False and json.loads(out)["s_max"] == 0.0
     assert '"s_min": -4.9999999999999996e-401,' in out
     assert '"s_max": 4.9999999999999996e-401,' in out
     for key, end in (("s_min", iv.s_min), ("s_max", iv.s_max)):
-        mantissa, exponent = payload[f"{key}_frexp"]
-        assert 0.5 <= abs(mantissa) < 1 and Fraction(mantissa) * Fraction(2) ** exponent == end
+        assert abs(Fraction(payload[key]) - end) <= abs(end) / 10**16
     assert "s interval  [-5.0000e-401, 5.0000e-401]" in run(capsys, *args)[1]
     assert "-5.0000e-401,5.0000e-401,1,1" in run(capsys, *args, "--format", "csv")[1]
     code, out, _ = run(capsys, "measure", "--s-endpoint", "max", *args[1:], "--format", "json")
-    payload = json.loads(out)
     assert code == 0 and '"s": 4.9999999999999996e-401,' in out
-    assert payload["s_frexp"] == interval["s_max_frexp"]
     code, out, _ = run(capsys, "measure", "--s-endpoint", "min", *args[1:])
     assert code == 0 and out.startswith("n = 3  s = -5.0000e-401\n")
 
@@ -199,6 +197,7 @@ def test_bound_json_at_two_thousand_halves_matches_rational_mode(capsys, tmp_pat
     """The benchmark's underflow probe: at n = 2,000, k = 1,000 the float
     bounds bracket the mutual tail and match rational mode to 1e-12, and the
     endpoints +-2^-2000 carry their exponent."""
+    ends = {"s_at_lower": -Fraction(1, 2**2000), "s_at_upper": Fraction(1, 2**2000)}
     path = tmp_path / "halves.csv"
     path.write_text("0.5\n" * 2000, encoding="utf-8")
     docs = []
@@ -206,13 +205,30 @@ def test_bound_json_at_two_thousand_halves_matches_rational_mode(capsys, tmp_pat
         code, out, _ = run(capsys, "bound", "--k", "1000", "--format", "json",
                            "--input", str(path), *mode)
         assert code == 0 and '"s_at_lower": 0.0' not in out
+        exact = json.loads(out, parse_float=Decimal)
+        for key, end in ends.items():
+            assert abs(Fraction(exact[key]) - end) <= abs(end) / 10**16
         docs.append(json.loads(out))
     got, want = docs
     assert got["lower"] < got["exact"] < got["upper"]
     for key in ("lower", "exact", "upper"):
         assert math.isclose(got[key], want[key], rel_tol=1e-12)
-    assert got["s_at_lower_frexp"] == want["s_at_lower_frexp"] == [-0.5, -1999]
-    assert got["s_at_upper_frexp"] == want["s_at_upper_frexp"] == [0.5, -1999]
+
+
+@pytest.mark.parametrize("command", [["interval"], ["bound", "--k", "400"]])
+def test_rational_json_writes_endpoints_with_wide_numerators(capsys, command):
+    """At 801 marginals of 3/8, s_max = (3/8)^801 lies below 2^-1022 and its
+    numerator 3^801 has 1,270 bits, more than a float's range: JSON still
+    writes it, to 17 significant digits."""
+    profile = from_raw([Fraction(3, 8)] * 801)
+    iv = s_interval(profile)
+    assert iv.s_max.numerator.bit_length() > 1024 and iv.s_max < 2.0**-1022
+    code, out, _ = run(capsys, *command, "--marginals", ",".join(["0.375"] * 801),
+                       "--rational", "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_float=Decimal)
+    key = "s_max" if command == ["interval"] else "s_at_upper"
+    assert abs(Fraction(payload[key]) - iv.s_max) <= iv.s_max / 10**16
 
 
 def test_measure_at_negative_endpoint(capsys):
