@@ -104,19 +104,32 @@ def _check_k(k: int, n: int, *, high: int) -> None:
 def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
     """Every tail P(at least k occur), k = 0..n, as (numerators, scale): the
     suffix sums of the Poisson-binomial mass vector of the sorted marginals,
-    added from k = n down."""
+    added from k = n down.
+
+    A float profile keeps its tails, read-only, in its ``__dict__`` as
+    :func:`measures.per_profile` does: n + 1 doubles, so a per-k loop
+    convolves once.  An exact profile convolves on every call, since its
+    suffix sums grow by O(n^2) bits.
+    """
+    cache = profile.__dict__
+    if "_tail_numerators" in cache:
+        return cache["_tail_numerators"]
     pmf, scale = poisson_binomial_pmf(profile.sorted_values)
-    return suffix_sums(pmf), scale
+    tails = suffix_sums(pmf)
+    if not profile.exact:
+        tails.setflags(write=False)
+        cache["_tail_numerators"] = tails, scale
+    return tails, scale
 
 
 def tail_probabilities(profile: MarginalProfile):
     """All tails P(at least k occur) for k = 0..n from one O(n^2) pass.
 
-    Returns a vector indexed by k.  Every tail in the package is read from
-    the same suffix sums, so a bound and the mutual tail it shifts agree
-    to the last bit.
+    Returns a fresh vector indexed by k, which the caller may write into.
+    Every tail in the package is read from the same suffix sums, so a bound
+    and the mutual tail it shifts agree to the last bit.
     """
-    return over(*_tail_numerators(profile))
+    return np.array(over(*_tail_numerators(profile)))
 
 
 def _shifted(profile: MarginalProfile, k: int, slope: int, tail, scale: int, s):
@@ -198,8 +211,9 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
 def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     """The one report of :func:`bound_reports` at ``k``.
 
-    Nothing is kept on the profile between calls, so each call convolves
-    the mass vector again; a caller that wants several k asks
+    A float profile keeps its tails between calls, so a per-k loop costs
+    one convolution in all.  An exact profile convolves the mass vector
+    again on every call; a caller that wants several k asks
     :func:`bound_reports` for all of them at once.
     """
     _check_k(k, profile.n, high=profile.n)

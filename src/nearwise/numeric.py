@@ -27,7 +27,6 @@ exactly at an interval endpoint) then hold bit-for-bit even in floating mode.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
 from fractions import Fraction
@@ -414,9 +413,9 @@ def format_scaled(num, scale, sig_digits: int = 5) -> str:
     """:func:`format_scientific` of ``num / scale``, formed with no ``Fraction``.
 
     A float numerator is over the scale 1 and formats as the float.  An
-    ``int`` numerator over an ``int`` scale is divided exactly and rounded
-    once, so a pair not in lowest terms gives the same digits as the
-    reduced ``Fraction``.
+    ``int`` numerator over a positive ``int`` scale is divided exactly and
+    rounded once, in integers, so a pair not in lowest terms gives the same
+    digits as the reduced ``Fraction``.
     """
     if sig_digits < 1:
         raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
@@ -426,10 +425,19 @@ def format_scaled(num, scale, sig_digits: int = 5) -> str:
         return f"{num:.{sig_digits - 1}e}"
     if num == 0:
         return f"{0.0:.{sig_digits - 1}e}"
-    context = decimal.Context(prec=sig_digits, rounding=decimal.ROUND_HALF_UP)
-    quotient = context.divide(decimal.Decimal(num), decimal.Decimal(scale))
-    # the quotient already carries at most sig_digits digits, so this
-    # formatting step only places the exponent; it never rounds again
-    rendered = f"{quotient:.{sig_digits - 1}e}"
-    mantissa, _, exponent = rendered.partition("e")
-    return f"{mantissa}e{int(exponent):+03d}"
+    sign, num = ("-" if num < 0 else ""), abs(num)
+    # 10^low <= num / scale < 10^(low + 3), from the bit lengths, so the
+    # quotient truncated to sig_digits + 1 to 3 digits is one int division
+    low = math.floor((num.bit_length() - scale.bit_length()) * math.log10(2)) - 1
+    shift = sig_digits - low
+    digits = num * 10**shift // scale if shift >= 0 else num // (scale * 10**-shift)
+    extra = len(str(digits)) - sig_digits
+    digits, dropped = divmod(digits, 10**extra)
+    if dropped >= 5 * 10 ** (extra - 1):  # at or past half: away from zero
+        digits += 1
+    exp = low + extra - 1
+    if digits == 10**sig_digits:  # the rounding carried into a new digit
+        digits, exp = digits // 10, exp + 1
+    text = str(digits)
+    mantissa = f"{text[0]}.{text[1:]}" if sig_digits > 1 else text
+    return f"{sign}{mantissa}e{exp:+03d}"

@@ -49,6 +49,7 @@ from .numeric import (
     as_numerators,
     close,
     dense_blocks,
+    format_scientific,
     mode_scalar,
     over,
     popcount_table,
@@ -258,16 +259,20 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
 def _grid_pass(profile: MarginalProfile, points: int, read: Callable):
     """Yield ``(s, read(measure))`` for the family measure at each of
     ``points`` evenly spaced s over the feasible interval, endpoints
-    included: ``s`` a ``Fraction`` or a Python float, each measure built
-    once and freed before the next build."""
+    included: ``s`` a ``Fraction`` or a Python float.  Equal s are
+    neighbours, and each distinct s builds its measure once, freed before
+    the next build."""
     iv = s_interval(profile)
     if profile.exact:
         width = iv.s_max - iv.s_min
         grid = [iv.s_min + width * Fraction(i, points - 1) for i in range(points)]
     else:
         grid = np.linspace(float(iv.s_min), float(iv.s_max), points).tolist()
+    last = None
     for s in grid:
-        yield s, read(build_measure(profile, s))
+        if last is None or s != last[0]:
+            last = s, read(build_measure(profile, s))
+        yield last
 
 
 def random_profiles(count: int, max_n: int, seed: int, *, exact: bool = False):
@@ -372,8 +377,10 @@ def check_profile(
     def read(measure):
         return verify_measure(measure, profile), _tail_vector(measure), measure.scale
 
+    distinct = set()
     for s, (report, tails, scale) in _grid_pass(profile, s_points, read):
         measures_checked += 1
+        distinct.add(s)
         if not report.passed:
             failures.append(
                 f"{label}: verify_measure failed at s = {s}: "
@@ -409,6 +416,13 @@ def check_profile(
         lows = values if lows is None else list(map(min, lows, values))
         highs = values if highs is None else list(map(max, highs, values))
 
+    iv = s_interval(profile)
+    if len(distinct) < s_points and iv.s_min != iv.s_max:
+        failures.append(
+            f"{label}: the float grid over [{format_scientific(iv.s_min)}, "
+            f"{format_scientific(iv.s_max)}] has {len(distinct)} distinct s, not "
+            f"{s_points}; check this profile with --rational"
+        )
     if not verify_extremal_atoms(profile):
         failures.append(f"{label}: extremal-atom check failed")
 

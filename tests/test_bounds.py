@@ -5,6 +5,7 @@ compared against the library — exactly in rational mode, to tolerance in
 float — so the delegation inside the library cannot mask an algebra error.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -88,6 +89,10 @@ def test_every_tail_route_agrees_bit_for_bit():
 
 
 def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
+    """A float profile convolves once, however many ``sharp_bounds``,
+    ``bound_reports`` and ``probability_at_s`` calls read it; an exact profile
+    convolves once per call.  Every call reads the slope once, and every
+    bound call the interval once."""
     calls = {"poisson_binomial_pmf": 0, "s_interval": 0, "binom_or_zero": 0}
 
     def counting(name):
@@ -99,38 +104,77 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
 
         return wrapper
 
+    def counted(read):
+        calls.update(dict.fromkeys(calls, 0))
+        read()
+        return list(calls.values())
+
     for name in calls:
         monkeypatch.setattr(bounds, name, counting(name))
-    profile = from_raw([0.1, 0.3, 0.5, 0.7, 0.9])
-    sharp_bounds(profile, 3)
-    assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1, "binom_or_zero": 1}
-    # and so does bound_reports, whatever the number of k
+    values = [0.1, 0.3, 0.5, 0.7, 0.9]
+    profile = from_raw(values)
+    assert counted(lambda: sharp_bounds(profile, 3)) == [1, 1, 1]
+    # the tails stay on the profile, whatever the number of k
     for ks in (range(1, 4), range(0, 6)):
-        calls.update(dict.fromkeys(calls, 0))
-        assert len(bound_reports(profile, ks)) == len(ks)
-        assert calls == {"poisson_binomial_pmf": 1, "s_interval": 1, "binom_or_zero": 1}
+        assert counted(lambda: bound_reports(profile, ks)) == [0, 1, 1]
+    assert counted(lambda: [sharp_bounds(profile, k) for k in range(6)]) == [0, 6, 6]
+    assert counted(lambda: [probability_at_s(profile, k, 0.0) for k in range(6)]) == [0, 0, 6]
+
+    def mixed(p, s):
+        probability_at_s(p, 2, s)
+        bound_reports(p, range(0, 6))
+        sharp_bounds(p, 4)
+
+    assert counted(lambda: mixed(from_raw(values), 0.0)) == [1, 2, 3]
+    exact = from_raw([Fraction(v).limit_denominator(10) for v in values], exact=True)
+    assert counted(lambda: mixed(exact, Fraction(0))) == [3, 2, 3]
+    assert counted(lambda: [sharp_bounds(exact, k) for k in range(6)]) == [6, 6, 6]
+
+
+def test_writing_into_tail_probabilities_leaves_the_bounds_unchanged():
+    for exact in (False, True):
+        profile = from_raw([Fraction(1, 10), Fraction(1, 4), Fraction(3, 5)], exact=exact)
+        before = sharp_bounds(profile, 2)
+        tails = tail_probabilities(profile)
+        want = list(tails)
+        tails[:] = 0
+        assert sharp_bounds(profile, 2) == before
+        assert list(tail_probabilities(profile)) == want
+    cached, _ = bounds._tail_numerators(from_raw([0.1, 0.4]))
+    with pytest.raises(ValueError, match="read-only"):
+        cached[1] = 0.0
 
 
 def _sweep_profiles():
     """The three float families of the benchmark sweep at n = 32, 64 and 128,
-    then seeded exact profiles with n <= 40."""
+    one float profile at n = 1,000, then seeded exact profiles with n <= 40."""
     for low, high in ((0.0, 0.5), (0.0, 1.0), (0.45, 0.55)):
         for n in (32, 64, 128):
             rng = random.Random(n)
             yield from_raw([rng.uniform(low, high) for _ in range(n)])
+    rng = random.Random(1000)
+    yield from_raw([rng.uniform(0.0, 0.5) for _ in range(1000)])
     rng = random.Random(4017)
     for _ in range(40):
         n = rng.randint(1, 40)
         yield from_raw([Fraction(rng.randint(0, 10**6), 10**6) for _ in range(n)], exact=True)
 
 
+def _bits(report):
+    """Every field of a report, floats by their bits."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
 def test_bound_reports_equal_sharp_bounds_at_every_k():
     """The running slope C(n-1, k) = C(n-1, k-1) (n-k) / k and the one mass
-    vector give every field of the one-k route, in both modes."""
+    vector give every field of the one-k route, floats by their bits, in
+    both modes: a per-k loop, which on a float profile reads the tails kept
+    there, against one sweep of a fresh profile."""
     for profile in _sweep_profiles():
         n = profile.n
-        reports = bound_reports(profile, range(0, n + 1))
-        assert reports == [sharp_bounds(profile, k) for k in range(0, n + 1)], profile.n
+        per_k = [sharp_bounds(profile, k) for k in range(0, n + 1)]
+        reports = bound_reports(from_raw(profile.sorted_values), range(0, n + 1))
+        assert list(map(_bits, reports)) == list(map(_bits, per_k)), n
         assert bound_reports(profile, range(n // 3, n)) == reports[n // 3 : n]
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the shared numeric helpers."""
 
+import decimal
 import math
 import random
 import tracemalloc
@@ -380,6 +381,49 @@ def test_format_scaled_reads_an_unreduced_pair_as_its_fraction():
     assert format_scaled(256, 65536) == format_scientific(Fraction(1, 256)) == "3.9063e-03"
     assert format_scaled(0, 7) == format_scaled(-0.0, 1) == "0.0000e+00"
     assert format_scaled(0.56953279, 1, 3) == format_scientific(0.56953279, 3)
+
+
+def _decimal_format_scaled(num: int, scale: int, sig_digits: int) -> str:
+    """Reference: the ``decimal`` routine ``format_scaled`` used for int
+    pairs, one correctly rounded ``Decimal`` quotient, ties away from zero."""
+    if num == 0:
+        return f"{0.0:.{sig_digits - 1}e}"
+    context = decimal.Context(prec=sig_digits, rounding=decimal.ROUND_HALF_UP)
+    quotient = context.divide(decimal.Decimal(num), decimal.Decimal(scale))
+    mantissa, _, exponent = f"{quotient:.{sig_digits - 1}e}".partition("e")
+    return f"{mantissa}e{int(exponent):+03d}"
+
+
+def test_format_scaled_gives_the_digits_of_the_decimal_routine():
+    cases = [
+        (1, 256, 5),  # a tie: 3.90625e-03
+        (-1, 256, 5),
+        (999995, 100000, 5),  # a carry: 9.99995 -> 1.0000e+01
+        (-999995, 100000, 5),
+        (999995, 10**7, 5),
+        (95, 10, 1),  # a carry at one digit: 9.5 -> 1e+01
+        (1, 3, 17),
+        (10**300, 1, 5),
+        (1, 10**300, 5),
+        (5, 2**1100, 17),  # past float range
+        (10**20 - 1, 10**20, 5),  # just below a power of ten
+        (10**20 + 1, 10**20, 5),  # just above one
+    ]
+    rng = random.Random(2435)
+    for _ in range(3000):
+        bits = rng.choice([8, 64, 400, 4000])
+        scale = rng.randint(1, 2**bits)
+        num = rng.randint(-scale, scale) * rng.choice([1, 1, 10**rng.randint(1, 40)])
+        cases.append((num, scale, rng.randint(1, 17)))
+    # the 18,372-bit scale of exact sharp_bounds at n = 1,000, k = 500
+    scale = 10**6 * 2**18352
+    cases += [(scale // 3, scale, 5), (-(scale // 7), scale, 17), (1, scale, 5)]
+    for num, scale, digits in cases:
+        assert format_scaled(num, scale, digits) == _decimal_format_scaled(num, scale, digits), (
+            num, scale, digits,
+        )
+    assert format_scaled(999995, 100000) == "1.0000e+01"
+    assert format_scaled(-1, 256) == "-3.9063e-03"
 
 
 def _pmf_by_enumeration(values):

@@ -661,6 +661,31 @@ def test_exact_mode_scalars_are_fractions():
         assert type(value) is Fraction, value
 
 
+def test_float_grid_that_collapses_fails_and_builds_each_distinct_s_once(monkeypatch):
+    """An interval below the least double gives a float grid of fewer
+    distinct s than asked for: that fails and points to exact mode.  A
+    collapsed interval has one s, built once, and passes."""
+    builds = []
+    original = oracle.build_measure
+
+    def counting(profile, s):
+        builds.append(s)
+        return original(profile, s)
+
+    monkeypatch.setattr(oracle, "build_measure", counting)
+    for value, distinct in ((1e-200, 1), (3e-162, 3)):
+        builds.clear()
+        check = check_profile(from_raw([value, value, 0.5]), s_points=11)
+        assert check.measures_checked == 11
+        assert len(builds) == len(set(builds)) == distinct
+        (failure,) = check.failures
+        assert f"has {distinct} distinct s, not 11" in failure and "--rational" in failure
+    for raw in ([0.3], [Fraction(3, 10)], [0.0, 0.4, 0.7]):
+        builds.clear()
+        check = check_profile(from_raw(raw), s_points=11)
+        assert check.passed and check.measures_checked == 11 and builds == [0], raw
+
+
 def _exact_profile(n: int, seed: int):
     rng = random.Random(seed)
     return from_raw([Fraction(rng.randint(0, 10**6), 10**6) for _ in range(n)], exact=True)
