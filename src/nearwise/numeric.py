@@ -415,7 +415,10 @@ def format_scaled(num, scale, sig_digits: int = 5) -> str:
     A float numerator is over the scale 1 and formats as the float.  An
     ``int`` numerator over a positive ``int`` scale is divided exactly and
     rounded once, in integers, so a pair not in lowest terms gives the same
-    digits as the reduced ``Fraction``.
+    digits as the reduced ``Fraction``.  Its digits are one ``str`` of an
+    int, so ``sig_digits`` past ``sys.get_int_max_str_digits()`` (4,300 by
+    default) raises Python's ``ValueError`` unless the caller lifts that
+    limit, as the CLI does while it renders.
     """
     if sig_digits < 1:
         raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
@@ -431,7 +434,7 @@ def format_scaled(num, scale, sig_digits: int = 5) -> str:
     low = math.floor((num.bit_length() - scale.bit_length()) * math.log10(2)) - 1
     shift = sig_digits - low
     digits = num * 10**shift // scale if shift >= 0 else num // (scale * 10**-shift)
-    extra = len(str(digits)) - sig_digits
+    extra = 1 + (digits >= 10 ** (sig_digits + 1)) + (digits >= 10 ** (sig_digits + 2))
     digits, dropped = divmod(digits, 10**extra)
     if dropped >= 5 * 10 ** (extra - 1):  # at or past half: away from zero
         digits += 1

@@ -22,6 +22,7 @@ shortcuts.  The checks:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, fields
@@ -256,23 +257,19 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     )
 
 
-def _grid_pass(profile: MarginalProfile, points: int, read: Callable):
-    """Yield ``(s, read(measure))`` for the family measure at each of
-    ``points`` evenly spaced s over the feasible interval, endpoints
-    included: ``s`` a ``Fraction`` or a Python float.  Equal s are
-    neighbours, and each distinct s builds its measure once, freed before
-    the next build."""
-    iv = s_interval(profile)
+def _grid_pass(profile: MarginalProfile, iv, points: int, read: Callable):
+    """Yield ``(s, count, read(measure))`` for each distinct s among
+    ``points`` evenly spaced s over the feasible interval ``iv``, endpoints
+    included: ``s`` a ``Fraction`` or a Python float, ``count`` the grid
+    points at s, each measure built once and freed before the next build."""
     if profile.exact:
         width = iv.s_max - iv.s_min
         grid = [iv.s_min + width * Fraction(i, points - 1) for i in range(points)]
     else:
         grid = np.linspace(float(iv.s_min), float(iv.s_max), points).tolist()
-    last = None
-    for s in grid:
-        if last is None or s != last[0]:
-            last = s, read(build_measure(profile, s))
-        yield last
+    # the grid ascends, so equal s are neighbours
+    for s, same in itertools.groupby(grid):
+        yield s, len(list(same)), read(build_measure(profile, s))
 
 
 def random_profiles(count: int, max_n: int, seed: int, *, exact: bool = False):
@@ -346,12 +343,12 @@ def check_profile(
     """Run the full oracle battery against one profile.
 
     Builds the measure at ``s_points`` evenly spaced parameter values
-    including both endpoints, once each, and reads three checks from it and
-    its enumerated tails: verification; the tail against the linear-in-s
-    formula for every k; and, for each k in ``scan_ks`` (default: 1, a
-    middle k, and n), the running extremes of the tail over the grid, which
-    must match the closed-form bounds — exactly in rational mode, to
-    tolerance in float.  Also checks the extremal-atom claims.
+    including both endpoints, once per distinct value, and reads three
+    checks from it and its enumerated tails: verification; the tail against
+    the linear-in-s formula for every k; and, for each k in ``scan_ks``
+    (default: 1, a middle k, and n), the running extremes of the tail over
+    the grid, which must match the closed-form bounds — exactly in rational
+    mode, to tolerance in float.  Also checks the extremal-atom claims.
     """
     n = profile.n
     exact = profile.exact
@@ -377,10 +374,11 @@ def check_profile(
     def read(measure):
         return verify_measure(measure, profile), _tail_vector(measure), measure.scale
 
-    distinct = set()
-    for s, (report, tails, scale) in _grid_pass(profile, s_points, read):
-        measures_checked += 1
-        distinct.add(s)
+    iv = s_interval(profile)
+    distinct = 0
+    for s, count, (report, tails, scale) in _grid_pass(profile, iv, s_points, read):
+        measures_checked += count
+        distinct += 1
         if not report.passed:
             failures.append(
                 f"{label}: verify_measure failed at s = {s}: "
@@ -416,12 +414,11 @@ def check_profile(
         lows = values if lows is None else list(map(min, lows, values))
         highs = values if highs is None else list(map(max, highs, values))
 
-    iv = s_interval(profile)
-    if len(distinct) < s_points and iv.s_min != iv.s_max:
+    if distinct < s_points and iv.s_min != iv.s_max:
         failures.append(
             f"{label}: the float grid over [{format_scientific(iv.s_min)}, "
-            f"{format_scientific(iv.s_max)}] has {len(distinct)} distinct s, not "
-            f"{s_points}; check this profile with --rational"
+            f"{format_scientific(iv.s_max)}] has {distinct} distinct s, not "
+            f"{s_points}; float mode cannot resolve this interval"
         )
     if not verify_extremal_atoms(profile):
         failures.append(f"{label}: extremal-atom check failed")

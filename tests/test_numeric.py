@@ -3,6 +3,7 @@
 import decimal
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -424,6 +425,25 @@ def test_format_scaled_gives_the_digits_of_the_decimal_routine():
         )
     assert format_scaled(999995, 100000) == "1.0000e+01"
     assert format_scaled(-1, 256) == "-3.9063e-03"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.10.7"
+)
+def test_format_scaled_past_the_int_to_str_digit_limit_needs_it_lifted():
+    """Digits past Python's int-to-str limit raise its ``ValueError``; with
+    the limit lifted they are the ``decimal`` routine's."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert format_scientific(Fraction(1, 3), 4300) == _decimal_format_scaled(1, 3, 4300)
+        with pytest.raises(ValueError, match="integer string conversion"):
+            format_scientific(Fraction(1, 3), 4301)
+        sys.set_int_max_str_digits(0)
+        for num, scale in ((1, 3), (-2, 3), (10**6 * 2**18352 // 7, 10**6 * 2**18352)):
+            assert format_scaled(num, scale, 5000) == _decimal_format_scaled(num, scale, 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _pmf_by_enumeration(values):

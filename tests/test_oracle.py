@@ -663,7 +663,7 @@ def test_exact_mode_scalars_are_fractions():
 
 def test_float_grid_that_collapses_fails_and_builds_each_distinct_s_once(monkeypatch):
     """An interval below the least double gives a float grid of fewer
-    distinct s than asked for: that fails and points to exact mode.  A
+    distinct s than asked for: that fails and says so.  A
     collapsed interval has one s, built once, and passes."""
     builds = []
     original = oracle.build_measure
@@ -679,7 +679,9 @@ def test_float_grid_that_collapses_fails_and_builds_each_distinct_s_once(monkeyp
         assert check.measures_checked == 11
         assert len(builds) == len(set(builds)) == distinct
         (failure,) = check.failures
-        assert f"has {distinct} distinct s, not 11" in failure and "--rational" in failure
+        assert failure.endswith(
+            f"has {distinct} distinct s, not 11; float mode cannot resolve this interval"
+        )
     for raw in ([0.3], [Fraction(3, 10)], [0.0, 0.4, 0.7]):
         builds.clear()
         check = check_profile(from_raw(raw), s_points=11)
