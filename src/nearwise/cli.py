@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .bounds import bound_reports, makarov_bounds, report_to_dict, sharp_bounds
+from .bounds import _makarov_range, bound_reports, report_to_dict, sharp_bounds
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
 from .numeric import _SCRATCH, format_scaled, format_scientific, held_float
@@ -330,7 +330,7 @@ def cmd_table(args, parser) -> Output:
         profile = _level_profile(label, spec.n)
         per_k = [
             (m.lower, r.sharp_lower, r.exact_mutual, r.sharp_upper, m.upper)  # ROW_KINDS
-            for r, m in zip(bound_reports(profile, ks), [makarov_bounds(profile, k) for k in ks])
+            for r, m in zip(bound_reports(profile, ks), _makarov_range(profile, ks))
         ]
         for kind, values in zip(ROW_KINDS, zip(*per_k)):
             rows += [(label, kind, k, value) for k, value in zip(ks, values)]

@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -47,9 +48,14 @@ class MarginalProfile:
     def n(self) -> int:
         return len(self.sorted_values)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
-        """True when the profile carries exact rationals rather than floats."""
+        """True when the profile carries exact rationals rather than floats.
+
+        Read once and kept in the instance ``__dict__``, as
+        :func:`measures.per_profile` keeps its values, so it is no field:
+        ``==``, ``hash`` and ``repr`` see the values alone.
+        """
         return mode_dtype(self.sorted_values) == object
 
     def to_input_order(self) -> tuple:

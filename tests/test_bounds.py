@@ -6,6 +6,7 @@ float — so the delegation inside the library cannot mask an algebra error.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -91,8 +92,9 @@ def test_every_tail_route_agrees_bit_for_bit():
 def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     """A float profile convolves once, however many ``sharp_bounds``,
     ``bound_reports`` and ``probability_at_s`` calls read it; an exact profile
-    convolves once per call.  Every call reads the slope once, and every
-    bound call the interval once."""
+    convolves once per call.  A profile steps its last slope to the next k,
+    so a per-k loop makes one fresh slope, and every bound call reads the
+    interval once."""
     calls = {"poisson_binomial_pmf": 0, "s_interval": 0, "binom_or_zero": 0}
 
     def counting(name):
@@ -117,8 +119,8 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     # the tails stay on the profile, whatever the number of k
     for ks in (range(1, 4), range(0, 6)):
         assert counted(lambda: bound_reports(profile, ks)) == [0, 1, 1]
-    assert counted(lambda: [sharp_bounds(profile, k) for k in range(6)]) == [0, 6, 6]
-    assert counted(lambda: [probability_at_s(profile, k, 0.0) for k in range(6)]) == [0, 0, 6]
+    assert counted(lambda: [sharp_bounds(profile, k) for k in range(6)]) == [0, 6, 1]
+    assert counted(lambda: [probability_at_s(profile, k, 0.0) for k in range(6)]) == [0, 0, 1]
 
     def mixed(p, s):
         probability_at_s(p, 2, s)
@@ -128,7 +130,7 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     assert counted(lambda: mixed(from_raw(values), 0.0)) == [1, 2, 3]
     exact = from_raw([Fraction(v).limit_denominator(10) for v in values], exact=True)
     assert counted(lambda: mixed(exact, Fraction(0))) == [3, 2, 3]
-    assert counted(lambda: [sharp_bounds(exact, k) for k in range(6)]) == [6, 6, 6]
+    assert counted(lambda: [sharp_bounds(exact, k) for k in range(6)]) == [6, 6, 1]
 
 
 def test_writing_into_tail_probabilities_leaves_the_bounds_unchanged():
@@ -176,6 +178,36 @@ def test_bound_reports_equal_sharp_bounds_at_every_k():
         reports = bound_reports(from_raw(profile.sorted_values), range(0, n + 1))
         assert list(map(_bits, reports)) == list(map(_bits, per_k)), n
         assert bound_reports(profile, range(n // 3, n)) == reports[n // 3 : n]
+
+
+def test_per_k_loops_in_any_order_equal_bound_reports():
+    """The slope a profile keeps steps to a neighbouring k and is recomputed
+    for any other, so per-k calls in every order, repeats and calls
+    interleaved across two profiles included, give every field of the sweep,
+    floats by their bits, in both modes and at k = 0 and k = n."""
+    rng = random.Random(24)
+    profiles = [p for p in _sweep_profiles() if p.n <= 128][:19]
+    assert {p.exact for p in profiles} == {False, True}
+    for profile, other in zip(profiles, profiles[1:] + profiles[:1]):
+        n = profile.n
+        reports = bound_reports(from_raw(profile.sorted_values), range(n + 1))
+        want = list(map(_bits, reports))
+        other_want = list(map(_bits, bound_reports(other, range(other.n + 1))))
+        ks = list(range(n + 1))
+        repeated = [k for k in ks for _ in range(2)] + [n // 2] * 3 + [0, n, 0]
+        for order in (ks, ks[::-1], rng.sample(ks, len(ks)), repeated):
+            assert [_bits(sharp_bounds(profile, k)) for k in order] == [want[k] for k in order]
+        for k, j in zip(ks, itertools.cycle(range(other.n, -1, -1))):
+            assert _bits(sharp_bounds(profile, k)) == want[k]
+            assert _bits(sharp_bounds(other, j)) == other_want[j]
+        for k in rng.sample(ks, len(ks)):
+            r = reports[k]
+            at_ends = dataclasses.replace(
+                r,
+                sharp_lower=probability_at_s(profile, k, r.s_at_lower),
+                sharp_upper=probability_at_s(profile, k, r.s_at_upper),
+            )
+            assert _bits(at_ends) == want[k], k
 
 
 def test_bound_reports_empty_range():
@@ -505,6 +537,34 @@ def test_makarov_bounds_are_the_frechet_pair(frechet_pair):
             assert mk.lower <= sharp.sharp_lower, (values, k)
             assert sharp.sharp_upper <= mk.upper, (values, k)
     assert above_half >= 100
+
+
+def test_makarov_range_equals_makarov_bounds_at_every_k(monkeypatch):
+    """``table``'s one convolution per level gives every k's pair with the
+    bits of a ``makarov_bounds`` call at that k, in both modes."""
+    rng = random.Random(1612)
+    profiles = [from_raw([rng.random() for _ in range(200)])]
+    for _ in range(30):
+        values = [Fraction(rng.randint(0, 1000), 1000) for _ in range(rng.randint(1, 12))]
+        profiles += [from_raw(values, exact=True), from_raw([float(v) for v in values])]
+    pmf_calls = []
+    convolve = bounds.poisson_binomial_pmf
+    monkeypatch.setattr(bounds, "poisson_binomial_pmf", lambda a: pmf_calls.append(len(a)) or convolve(a))
+    for profile in profiles:
+        n = profile.n
+        per_k = [_bits(makarov_bounds(profile, k)) for k in range(n + 1)]
+        pmf_calls.clear()
+        swept = bounds._makarov_range(profile, range(n + 1))
+        assert pmf_calls == [n - 1]
+        assert list(map(_bits, swept)) == per_k
+        for lo, hi in ((1, n), (n // 2, n // 2 + 1), (n, n + 1)):
+            assert list(map(_bits, bounds._makarov_range(profile, range(lo, hi)))) == per_k[lo:hi]
+        assert bounds._makarov_range(profile, range(3, 3)) == []
+        for ks in (range(-1, 1), range(0, n + 2)):
+            with pytest.raises(ValueError, match="k out of range"):
+                bounds._makarov_range(profile, ks)
+        with pytest.raises(ValueError, match="consecutive"):
+            bounds._makarov_range(profile, range(0, n + 1, 2))
 
 
 def _dual_cells(values, ks, exact):

@@ -1,5 +1,6 @@
 """Unit tests for marginal-profile ingestion and normalization."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearwise import marginals
 from nearwise import (
     MarginalError,
     from_raw,
@@ -204,3 +206,22 @@ def test_exact_mode_round_trip(values):
     profile = from_raw(values, exact=True)
     assert profile.exact
     assert sorted(profile.to_input_order()) == sorted(values)
+
+
+def test_exact_is_read_once_per_profile_and_is_no_field(monkeypatch):
+    """Equal float and exact profiles each keep their own mode once read;
+    ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the values alone."""
+    reads = []
+    mode_dtype = marginals.mode_dtype
+    monkeypatch.setattr(marginals, "mode_dtype", lambda values: reads.append(1) or mode_dtype(values))
+    floating = from_raw([0.25, 0.5, 0.75])
+    exact = from_raw([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    before = [floating == exact, hash(floating), hash(exact), repr(floating), repr(exact)]
+    assert before[:3] == [True, hash(exact), hash(floating)]
+    for _ in range(3):
+        assert (floating.exact, exact.exact) == (False, True)
+    assert len(reads) == 2
+    assert [floating == exact, hash(floating), hash(exact), repr(floating), repr(exact)] == before
+    assert "exact" not in {field.name for field in dataclasses.fields(floating)}
+    copy = dataclasses.replace(exact)
+    assert copy == exact and "exact" not in copy.__dict__ and copy.exact
