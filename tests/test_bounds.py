@@ -92,9 +92,8 @@ def test_every_tail_route_agrees_bit_for_bit():
 def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     """A float profile convolves once, however many ``sharp_bounds``,
     ``bound_reports`` and ``probability_at_s`` calls read it; an exact profile
-    convolves once per call.  A profile steps its last slope to the next k,
-    so a per-k loop makes one fresh slope, and every bound call reads the
-    interval once."""
+    convolves once per call.  Every call reads the slope once, and every
+    bound call the interval once."""
     calls = {"poisson_binomial_pmf": 0, "s_interval": 0, "binom_or_zero": 0}
 
     def counting(name):
@@ -119,8 +118,8 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     # the tails stay on the profile, whatever the number of k
     for ks in (range(1, 4), range(0, 6)):
         assert counted(lambda: bound_reports(profile, ks)) == [0, 1, 1]
-    assert counted(lambda: [sharp_bounds(profile, k) for k in range(6)]) == [0, 6, 1]
-    assert counted(lambda: [probability_at_s(profile, k, 0.0) for k in range(6)]) == [0, 0, 1]
+    assert counted(lambda: [sharp_bounds(profile, k) for k in range(6)]) == [0, 6, 6]
+    assert counted(lambda: [probability_at_s(profile, k, 0.0) for k in range(6)]) == [0, 0, 6]
 
     def mixed(p, s):
         probability_at_s(p, 2, s)
@@ -130,7 +129,7 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     assert counted(lambda: mixed(from_raw(values), 0.0)) == [1, 2, 3]
     exact = from_raw([Fraction(v).limit_denominator(10) for v in values], exact=True)
     assert counted(lambda: mixed(exact, Fraction(0))) == [3, 2, 3]
-    assert counted(lambda: [sharp_bounds(exact, k) for k in range(6)]) == [6, 6, 1]
+    assert counted(lambda: [sharp_bounds(exact, k) for k in range(6)]) == [6, 6, 6]
 
 
 def test_writing_into_tail_probabilities_leaves_the_bounds_unchanged():
@@ -181,10 +180,9 @@ def test_bound_reports_equal_sharp_bounds_at_every_k():
 
 
 def test_per_k_loops_in_any_order_equal_bound_reports():
-    """The slope a profile keeps steps to a neighbouring k and is recomputed
-    for any other, so per-k calls in every order, repeats and calls
-    interleaved across two profiles included, give every field of the sweep,
-    floats by their bits, in both modes and at k = 0 and k = n."""
+    """Per-k calls in every order, repeats and calls interleaved across two
+    profiles included, give every field of the sweep, floats by their bits,
+    in both modes and at k = 0 and k = n."""
     rng = random.Random(24)
     profiles = [p for p in _sweep_profiles() if p.n <= 128][:19]
     assert {p.exact for p in profiles} == {False, True}
@@ -557,6 +555,13 @@ def test_makarov_range_equals_makarov_bounds_at_every_k(monkeypatch):
         swept = bounds._makarov_range(profile, range(n + 1))
         assert pmf_calls == [n - 1]
         assert list(map(_bits, swept)) == per_k
+        # k = 0 alone needs no mass vector
+        pmf_calls.clear()
+        assert _bits(makarov_bounds(profile, 0)) == per_k[0]
+        assert list(map(_bits, bounds._makarov_range(profile, range(0, 1)))) == per_k[:1]
+        assert pmf_calls == []
+        assert list(map(_bits, bounds._makarov_range(profile, range(0, 2)))) == per_k[:2]
+        assert pmf_calls == [n - 1]
         for lo, hi in ((1, n), (n // 2, n // 2 + 1), (n, n + 1)):
             assert list(map(_bits, bounds._makarov_range(profile, range(lo, hi)))) == per_k[lo:hi]
         assert bounds._makarov_range(profile, range(3, 3)) == []
