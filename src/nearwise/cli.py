@@ -314,12 +314,17 @@ def _level_profile(label: str, n: int):
 
     Exact when the label allows it, so cells that land exactly half way
     between two renderings round from the true decimal value rather than
-    from its float approximation; falls back to floats otherwise.
+    from its float approximation; falls back to floats otherwise.  A label
+    that is no probability raises a ``ValueError`` that names the flag.
     """
     try:
         return from_raw([Fraction(label)] * n)
     except (ValueError, ZeroDivisionError):
+        pass
+    try:
         return from_raw([float(label)] * n)
+    except ValueError:
+        raise ValueError(f"--levels: {label!r} is not a probability in [0, 1]") from None
 
 
 def cmd_table(args, parser) -> Output:

@@ -70,15 +70,18 @@ def _coerce(value, index: int, exact: bool):
     """Validate one raw entry (1-based ``index`` for error messages).
 
     numpy integer and floating scalars become Python ``int`` and ``float``,
-    so no numpy scalar reaches a result; bools, numpy's included, are rejected.
+    and so does a ``float`` subclass, so no numpy scalar reaches a result;
+    bools, numpy's included, are rejected.  A plain ``float``, the common
+    input, skips these tests.
     """
-    if isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise MarginalError(f"non-numeric value at index {index}")
-    if isinstance(value, float):
+    if type(value) is not float:
+        if isinstance(value, np.integer):
+            value = int(value)
+        elif isinstance(value, (float, np.floating)):
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+            raise MarginalError(f"non-numeric value at index {index}")
+    if type(value) is float:
         if not math.isfinite(value):
             raise MarginalError(f"non-finite value at index {index}")
         x = Fraction(str(value)) if exact else value

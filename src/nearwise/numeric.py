@@ -163,7 +163,8 @@ def prefix_atom(values: Sequence, t: int) -> Fraction:
     ``int``.  Scaling by a power of two is exact, so wherever that table's
     entry at mask ``2^t - 1`` is a normal double this is its value, bit for
     bit; below that, every step still rounds to 53 bits and nothing
-    underflows.
+    underflows.  The result is one ``Fraction``, the mantissa's integer
+    ratio with the kept exponent shifted into its numerator or denominator.
     """
     if mode_dtype(values) is _OBJECT:
         num, scale = 1, 1
@@ -176,7 +177,10 @@ def prefix_atom(values: Sequence, t: int) -> Fraction:
     for j, a in enumerate(values):
         mantissa, shift = math.frexp(mantissa * (a if j < t else 1 - a))
         exponent += shift
-    return Fraction(mantissa) * Fraction(2) ** exponent
+    num, den = mantissa.as_integer_ratio()
+    if exponent < 0:
+        return Fraction(num, den << -exponent)
+    return Fraction(num << exponent, den)
 
 
 def held_float(value):
@@ -359,7 +363,9 @@ def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
     tails, stay numerators over the same scale.
 
     Event ``i`` moves ``p`` times each entry up by one and keeps ``d - p``
-    times it in place, in three ufuncs into one scratch vector.  At small n
+    times it in place, in three ufuncs into one scratch vector, each given
+    its output by position: an ``out=`` keyword or an in-place operator
+    dispatches the same ufunc at a higher fixed cost per call.  At small n
     a call costs more than its arithmetic, so the views are cut once per
     window of ``_WINDOW`` events, to the length that the last event of the
     window needs, not once per event.  Entries past ``i + 1`` are still
@@ -378,9 +384,9 @@ def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
         low, high, moved = pmf[:stop], pmf[1 : stop + 1], scratch[:stop]
         for a in values[start:stop]:
             p, d = ratio(a)
-            np.multiply(low, p, out=moved)
-            low *= d - p
-            high += moved
+            np.multiply(low, p, moved)
+            np.multiply(low, d - p, low)
+            np.add(high, moved, high)
             scale *= d
     return pmf, scale
 

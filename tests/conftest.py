@@ -6,6 +6,7 @@ computes one way, kept here so that the package holds one route each.
 """
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,18 @@ def atom_product(profile, mask):
         num *= p if mask >> j & 1 else d - p
         scale *= d
     return over(num, scale)
+
+
+def frexp_prefix_atom(values, t):
+    """Floating :func:`numeric.prefix_atom` by its first route: the product
+    of the first ``t`` values and the complements of the rest, multiplied
+    left to right and renormalized by ``math.frexp`` after each factor, then
+    the mantissa's ``Fraction`` times ``Fraction(2) ** exponent``."""
+    mantissa, exponent = 1.0, 0
+    for j, a in enumerate(values):
+        mantissa, shift = math.frexp(mantissa * (a if j < t else 1 - a))
+        exponent += shift
+    return Fraction(mantissa) * Fraction(2) ** exponent
 
 
 def parity_construction(n, parity):

@@ -5,9 +5,11 @@ compared against the library — exactly in rational mode, to tolerance in
 float — so the delegation inside the library cannot mask an algebra error.
 """
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from nearwise import (
+    BoundReport,
     FeasibilityError,
     bonferroni_applicable,
     bound_reports,
@@ -620,6 +623,35 @@ def test_report_to_dict_schema():
     ]
     assert doc["k"] == 1 and doc["coefficient"] == 1
     assert isinstance(doc["lower"], float)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_bound_report_is_still_a_frozen_dataclass(exact):
+    """The written-out ``__init__`` gives the record of the generated one."""
+    report = sharp_bounds(from_raw([0.1, 0.2, 0.3, 0.4], exact=exact), 2)
+    names = [field.name for field in dataclasses.fields(BoundReport)]
+    assert names == [
+        "k", "exact_mutual", "sharp_lower", "sharp_upper", "s_at_lower", "s_at_upper", "coefficient"
+    ]
+    fields = {name: getattr(report, name) for name in names}
+    assert vars(report) == fields and dataclasses.asdict(report) == fields
+    twins = [
+        BoundReport(*fields.values()),
+        BoundReport(**fields),
+        dataclasses.replace(report),
+        copy.copy(report),
+        pickle.loads(pickle.dumps(report)),
+    ]
+    for twin in twins:
+        assert type(twin) is BoundReport and vars(twin) == fields
+        assert (twin, hash(twin), repr(twin)) == (report, hash(report), repr(report))
+    assert repr(report) == "BoundReport(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    assert dataclasses.replace(report, k=3).k == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.k = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del report.coefficient
+    assert vars(report) == fields
 
 
 def test_prefix_atom_consistency_with_interval():

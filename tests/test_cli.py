@@ -602,6 +602,15 @@ def test_table_n_must_be_a_positive_integer(capsys, n):
     assert "argument --n: expected an integer >= 1" in err
 
 
+@pytest.mark.parametrize("level", ["abc", "1.5", "nan", "1/0", "-0.1"])
+def test_table_level_errors_name_the_flag_and_the_token(capsys, level):
+    code, out, err = run(
+        capsys, "table", "--n", "3", "--levels", f"0.2,{level}", "--k-range", "1", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --levels: {level!r} is not a probability in [0, 1]\n"
+
+
 def test_table_preset_refuses_custom_parts(capsys):
     custom = ["--n", "3", "--levels", "0.9", "--k-range", "1", "1"]
     code, out, err = run_exit(capsys, "table", "--preset", "paper-table-1", *custom)

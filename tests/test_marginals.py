@@ -73,6 +73,23 @@ def test_from_raw_turns_numpy_scalars_into_python_numbers():
     assert exact.sorted_values == (0, 1, 1) and exact.permutation == (1, 0, 2)
     assert all(type(v) is Fraction for v in exact.sorted_values)
 
+    # numpy floats of both widths and a float subclass enter as plain floats
+    class Probability(float):
+        pass
+
+    mixed = from_raw([np.float32(0.25), np.float64(0.1), Probability(0.5), np.int8(1)])
+    assert mixed.sorted_values == (0.1, 0.25, 0.5, 1.0)
+    assert from_raw([np.float32(0.1)]).sorted_values == (float(np.float32(0.1)),)
+    # np.float64 enters exact mode by its decimal repr, as a float does
+    raw = [np.float64(0.1), np.float32(0.25), Probability(0.5), np.uint8(1)]
+    mixed_exact = from_raw(raw, exact=True)
+    assert mixed_exact.sorted_values == (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), 1)
+    for profile, kind in ((mixed, float), (mixed_exact, Fraction)):
+        assert all(type(v) is kind for v in profile.sorted_values)
+    for exact_mode in (False, True):
+        with pytest.raises(MarginalError, match="non-numeric value at index 2"):
+            from_raw([0.5, np.bool_(True)], exact=exact_mode)
+
 
 def test_exact_mode_converts_floats_via_decimal_repr():
     profile = from_raw([0.1, 0.3], exact=True)

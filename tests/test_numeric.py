@@ -67,6 +67,30 @@ def test_prefix_atom_float():
     assert prefix_atom([], 0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 0.3, 0.6],
+        [0.2, 0.7, 1.0],
+        [0.0, 0.0],
+        [1.0, 1.0],
+        [1e-300] * 6 + [0.4, 0.9],
+        [0.5] * 2000,
+    ],
+    ids=["zero", "one", "zeros", "ones", "1e-300", "2000-halves"],
+)
+def test_prefix_atom_float_equals_the_frexp_route(values):
+    """One ``Fraction`` from the mantissa's integer ratio and the kept
+    exponent equals the mantissa times ``Fraction(2) ** exponent``, at t = 0,
+    t = n and between, for exponents above 0 and past -1074."""
+    from conftest import frexp_prefix_atom
+
+    n = len(values)
+    for t in sorted({0, 1, n // 2, n - 1, n}):
+        got = prefix_atom(values, t)
+        assert type(got) is Fraction and got == frexp_prefix_atom(values, t)
+
+
 def test_prefix_atom_exact():
     values = [Fraction(1, 10), Fraction(1, 5)]
     assert prefix_atom(values, 1) == Fraction(1, 10) * Fraction(4, 5)
