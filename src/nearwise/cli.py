@@ -317,14 +317,12 @@ def _level_profile(label: str, n: int):
     from its float approximation; falls back to floats otherwise.  A label
     that is no probability raises a ``ValueError`` that names the flag.
     """
-    try:
-        return from_raw([Fraction(label)] * n)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return from_raw([float(label)] * n)
-    except ValueError:
-        raise ValueError(f"--levels: {label!r} is not a probability in [0, 1]") from None
+    for parse in (Fraction, float):
+        try:
+            return from_raw([parse(label)] * n)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"--levels: {label!r} is not a probability in [0, 1]")
 
 
 def cmd_table(args, parser) -> Output:
