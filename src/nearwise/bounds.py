@@ -108,19 +108,19 @@ class MakarovBounds:
     upper: object
 
 
-def _check_k(k: int, n: int, *, high: int) -> None:
+def _check_k(k: int, n: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0 or k > high:
-        raise ValueError(f"k out of range: expected 0 <= k <= {high} for n = {n}, got {k}")
+    if k < 0 or k > n:
+        raise ValueError(f"k out of range: expected 0 <= k <= {n} for n = {n}, got {k}")
 
 
 def _check_ks(ks: range, n: int) -> None:
     if ks.step != 1:
         raise ValueError(f"ks must be a range of consecutive thresholds, got {ks!r}")
     if ks:
-        _check_k(ks[0], n, high=n)
-        _check_k(ks[-1], n, high=n)
+        _check_k(ks[0], n)
+        _check_k(ks[-1], n)
 
 
 def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
@@ -184,7 +184,7 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     endpoint below the least double this is the bound that
     :func:`bound_reports` gives.
     """
-    _check_k(k, profile.n, high=profile.n)
+    _check_k(k, profile.n)
     s = s if isinstance(s, Fraction) else _coerce_s(s, profile.exact)
     check_feasible(profile, s)
     tails, scale = _tail_numerators(profile)
@@ -245,7 +245,7 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     of them at once.
     """
     n = profile.n
-    _check_k(k, n, high=n)
+    _check_k(k, n)
     iv = s_interval(profile)
     tails, scale = _tail_numerators(profile)
     return _report(profile, iv, tails, scale, k, binom_or_zero(n - 1, k - 1))
@@ -339,7 +339,7 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     convolves the n-1 smallest marginals, and ``table`` reads every k of a
     level from one convolution.
     """
-    _check_k(k, profile.n, high=profile.n)
+    _check_k(k, profile.n)
     return _makarov_range(profile, range(k, k + 1))[0]
 
 

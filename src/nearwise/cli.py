@@ -35,7 +35,7 @@ from .bounds import _makarov_range, bound_reports, report_to_dict, sharp_bounds
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
 from .numeric import _SCRATCH, format_scaled, format_scientific, held_float
-from .oracle import DEFAULT_SEED, check_profile, run_random_suite
+from .oracle import DEFAULT_SEED, STATISTICS, check_profile, run_random_suite
 
 
 @dataclass(frozen=True)
@@ -400,15 +400,13 @@ def cmd_verify(args, parser) -> Output:
             f"max n = {report.max_n}  mode: {mode}",
         ]
     payload = report.to_dict()
-    keys = ("measures_checked", "worst_normalization", "worst_marginal", "worst_product",
-            "min_atom_seen", "tail_match_gap", "sharpness_gap")
     return Output(
         payload=lambda: {**payload, **json_extra},
         columns=("key", "value"),
         # the key-value table gives every scalar in full, not at --precision
         rows=lambda: [(k, str(v)) for k, v in payload.items() if not isinstance(v, list)],
         text=lambda: heading
-        + [f"{key.replace('_', ' '):<22}{_cell(payload[key], args.precision)}" for key in keys]
+        + [f"{k.replace('_', ' '):<22}{_cell(payload[k], args.precision)}" for k in STATISTICS]
         + [f"failure: {f}" for f in report.failures]
         + [f"result: {'PASS' if report.passed else 'FAIL'}"],
         code=0 if report.passed else 1,

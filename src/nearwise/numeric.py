@@ -133,12 +133,10 @@ def as_numerators(values) -> tuple[np.ndarray, int]:
     """``values`` as (numerators, scale) over their least common denominator.
 
     Exact values (:func:`is_exact`; a float among them by its binary value)
-    give ints in an ``object`` array; floats give a ``float64`` array over
-    1, and a read-only one is taken as it is.
+    give ints in an ``object`` array; floats give a new ``float64`` array
+    over 1.
     """
     if not is_exact(values):
-        if isinstance(values, np.ndarray) and not values.flags.writeable:
-            return values, 1
         return np.array(values, dtype=_FLOAT64), 1
     fracs = [Fraction(v) if isinstance(v, float) else v for v in values]
     scale = math.lcm(*(v.denominator for v in fracs))

@@ -27,7 +27,6 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -158,7 +157,6 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     for start, block in dense_blocks(low, profile.sorted_values, atoms=False, factor=factor):
         part = residuals[start : start + block.size]
         np.subtract(part, block, out=part)
-    pc = popcount_table(n)
 
     violations = []
 
@@ -187,7 +185,6 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
 
     # Product rule across every subset; only |J| <= n-1 counts against the
     # measure, but the full subset decides whether the order reaches n.
-    first_bad_mask = None
     order = n
     # Only the full set, the last mask, has |J| = n.
     residuals = np.abs(residuals, out=residuals)
@@ -199,14 +196,12 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     start = residuals.size - 1 if worst_product <= tol else 1
     bad_masks = np.flatnonzero(~(residuals[start:] <= tol)) + start
     if bad_masks.size:
-        bad_levels = pc[bad_masks]
+        bad_levels = popcount_table(n)[bad_masks]
         first_bad_level = int(bad_levels.min())
         order = first_bad_level - 1
         if first_bad_level <= n - 1:
-            at_level = bad_masks[bad_levels == first_bad_level]
-            first_bad_mask = int(at_level.min())
-    if first_bad_mask is not None:
-        violations.append(("product-rule", tuple(mask_indices(first_bad_mask))))
+            first_bad_mask = int(bad_masks[bad_levels == first_bad_level].min())
+            violations.append(("product-rule", tuple(mask_indices(first_bad_mask))))
 
     return VerificationReport(
         normalization_residual=over(norm_residual, scale),
@@ -234,8 +229,8 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     _check_cap(n)
     exact = profile.exact
 
-    low, scale = product_atoms(profile)
-    tol = (0 if exact else ABS_TOL) * scale
+    low, _ = product_atoms(profile)
+    tol = 0 if exact else ABS_TOL
     # the least atom of each cardinality t, and the prefix atom of size t,
     # the entry at mask 2^t - 1, read from the block that holds it
     level_min = np.full(n + 1, math.inf, dtype=low.dtype)
@@ -255,21 +250,6 @@ def verify_extremal_atoms(profile: MarginalProfile) -> bool:
     return close(odd_min, prefixes.item(2 * iv.p + 1), exact=exact) and close(
         even_min, prefixes.item(2 * iv.m), exact=exact
     )
-
-
-def _grid_pass(profile: MarginalProfile, iv, points: int, read: Callable):
-    """Yield ``(s, count, read(measure))`` for each distinct s among
-    ``points`` evenly spaced s over the feasible interval ``iv``, endpoints
-    included: ``s`` a ``Fraction`` or a Python float, ``count`` the grid
-    points at s, each measure built once and freed before the next build."""
-    if profile.exact:
-        width = iv.s_max - iv.s_min
-        grid = [iv.s_min + width * Fraction(i, points - 1) for i in range(points)]
-    else:
-        grid = np.linspace(float(iv.s_min), float(iv.s_max), points).tolist()
-    # the grid ascends, so equal s are neighbours
-    for s, same in itertools.groupby(grid):
-        yield s, len(list(same)), read(build_measure(profile, s))
 
 
 def random_profiles(count: int, max_n: int, seed: int, *, exact: bool = False):
@@ -313,6 +293,12 @@ class _OracleReport:
         return out
 
 
+#: The statistics of a check, in :class:`ProfileCheck`'s field order, which
+#: :class:`SuiteReport` folds over its profiles and ``nearwise verify`` prints.
+STATISTICS = ("measures_checked", "worst_normalization", "worst_marginal", "worst_product",
+              "min_atom_seen", "tail_match_gap", "sharpness_gap")
+
+
 @dataclass(frozen=True)
 class ProfileCheck(_OracleReport):
     """Every oracle check applied to one profile, aggregated.
@@ -343,12 +329,13 @@ def check_profile(
     """Run the full oracle battery against one profile.
 
     Builds the measure at ``s_points`` evenly spaced parameter values
-    including both endpoints, once per distinct value, and reads three
-    checks from it and its enumerated tails: verification; the tail against
-    the linear-in-s formula for every k; and, for each k in ``scan_ks``
-    (default: 1, a middle k, and n), the running extremes of the tail over
-    the grid, which must match the closed-form bounds — exactly in rational
-    mode, to tolerance in float.  Also checks the extremal-atom claims.
+    including both endpoints (``measures_checked``), once per distinct value
+    and freed before the next build, and reads from it and its enumerated
+    tails verification and the tail against the linear-in-s formula for
+    every k.  For each k in ``scan_ks`` (default: 1, a middle k, and n) the
+    least and greatest scanned tail, taken once after the scan, must match
+    the closed-form bounds — exactly in rational mode, to tolerance in
+    float.  Also checks the extremal-atom claims.
     """
     n = profile.n
     exact = profile.exact
@@ -356,29 +343,31 @@ def check_profile(
         raise ValueError(f"s_points must be >= 2, got {s_points}")
     scan_ks = tuple(sorted({1, (n + 1) // 2, n}) if scan_ks is None else scan_ks)
     for k in scan_ks:
-        _check_k(k, n, high=n)
+        _check_k(k, n)
     failures = []
     zero = mode_scalar(0, profile.sorted_values)
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
     min_atom_seen = mode_scalar(1, profile.sorted_values)
-    measures_checked = 0
     # the reports that bound --all-k prints, for every k, and from them the
     # linear formula mutual + (-1)^k C(n-1, k-1) s, held as numerators: the
     # mutual tails over their common denominator, the signed slopes as they are
     reports = bound_reports(profile, range(n + 1))
     mutual, mutual_scale = as_numerators([r.exact_mutual for r in reports])
     slopes = np.array([(-1) ** r.k * r.coefficient for r in reports], dtype=mutual.dtype)
-    # running extremes of the tail at each scan k over the grid
-    lows = highs = None
-
-    def read(measure):
-        return verify_measure(measure, profile), _tail_vector(measure), measure.scale
-
     iv = s_interval(profile)
-    distinct = 0
-    for s, count, (report, tails, scale) in _grid_pass(profile, iv, s_points, read):
-        measures_checked += count
-        distinct += 1
+    if exact:
+        width = iv.s_max - iv.s_min
+        grid = [iv.s_min + width * Fraction(i, s_points - 1) for i in range(s_points)]
+    else:
+        grid = np.linspace(float(iv.s_min), float(iv.s_max), s_points).tolist()
+    # the tails at the scan ks, one row per distinct s
+    scanned = []
+    # the grid ascends, so equal s are neighbours
+    for s, _ in itertools.groupby(grid):
+        measure = build_measure(profile, s)
+        report, tails = verify_measure(measure, profile), _tail_vector(measure)
+        scale = measure.scale
+        del measure  # one 2^n table at a time
         if not report.passed:
             failures.append(
                 f"{label}: verify_measure failed at s = {s}: "
@@ -410,21 +399,20 @@ def check_profile(
                 )
                 break
         tail_gap = max(tail_gap, over(max(gaps), scale))
-        values = [over(tails.item(k), scale) for k in scan_ks]
-        lows = values if lows is None else list(map(min, lows, values))
-        highs = values if highs is None else list(map(max, highs, values))
+        scanned.append([over(tails.item(k), scale) for k in scan_ks])
 
-    if distinct < s_points and iv.s_min != iv.s_max:
+    if len(scanned) < s_points and iv.s_min != iv.s_max:
         failures.append(
             f"{label}: the float grid over [{format_scientific(iv.s_min)}, "
-            f"{format_scientific(iv.s_max)}] has {distinct} distinct s, not "
+            f"{format_scientific(iv.s_max)}] has {len(scanned)} distinct s, not "
             f"{s_points}; float mode cannot resolve this interval"
         )
     if not verify_extremal_atoms(profile):
         failures.append(f"{label}: extremal-atom check failed")
 
-    for k, empirical_min, empirical_max in zip(scan_ks, lows, highs):
+    for k, values in zip(scan_ks, zip(*scanned)):
         report = reports[k]
+        empirical_min, empirical_max = min(values), max(values)
         lo_gap = abs(empirical_min - report.sharp_lower)
         hi_gap = abs(empirical_max - report.sharp_upper)
         sharp_gap = max(sharp_gap, lo_gap, hi_gap)
@@ -435,7 +423,7 @@ def check_profile(
             failures.append(f"{label}: sharpness scan extremes off at k = {k}")
 
     return ProfileCheck(
-        measures_checked=measures_checked,
+        measures_checked=s_points,
         worst_normalization=worst_norm,
         worst_marginal=worst_marg,
         worst_product=worst_prod,
@@ -485,13 +473,8 @@ def run_random_suite(
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     worst = {
         name: max([zero, *(getattr(check, name) for check in checks)])
-        for name in (
-            "worst_normalization",
-            "worst_marginal",
-            "worst_product",
-            "tail_match_gap",
-            "sharpness_gap",
-        )
+        for name in STATISTICS
+        if name not in ("measures_checked", "min_atom_seen")
     }
     return SuiteReport(
         seed=seed,

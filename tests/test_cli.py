@@ -681,6 +681,19 @@ def test_verify_grid_sets_the_suite_grid(capsys):
         assert json.loads(out)["measures_checked"] == checked
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_exits_one_on_a_failing_profile(capsys, fmt):
+    """Float mode cannot resolve an interval below the least double: the
+    check fails, and the exit status says so."""
+    argv = ["verify", "--marginals", "1e-200,1e-200,0.5", "--grid", "11", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[-1] == "result: FAIL"
+    else:
+        assert json.loads(out)["passed"] is False
+
+
 def test_verify_seed_refuses_a_profile(capsys):
     code, out, err = run_exit(capsys, "verify", "--marginals", "0.1,0.2", "--seed", "5")
     assert (code, out) == (2, "")
@@ -777,6 +790,21 @@ def test_profile_input_errors(capsys):
     code, _, err = run_exit(capsys, "bound", "--k", "1")
     assert code == 2
     assert "--marginals or --input" in err
+
+
+def test_empty_profile_inputs_are_bad_usage(tmp_path, capsys):
+    code, out, err = run(capsys, "bound", "--marginals", ",", "--k", "1")
+    assert (code, out, err) == (2, "", "error: empty marginals\n")
+
+    code, out, err = run_exit(capsys, "table", "--n", "3", "--levels", ",", "--k-range", "1", "2")
+    assert (code, out) == (2, "")
+    assert "--levels must list at least one probability" in err
+
+    not_an_array = tmp_path / "m.json"
+    not_an_array.write_text(json.dumps({"marginals": 3}))
+    code, out, err = run(capsys, "interval", "--input", str(not_an_array))
+    assert (code, out) == (2, "")
+    assert '"marginals" must be an array of numbers' in err
 
 
 def test_rational_fraction_tokens(capsys):

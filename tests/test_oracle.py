@@ -576,6 +576,54 @@ def test_check_profile_tail_gap_covers_every_k(monkeypatch):
     assert check.tail_match_gap == Fraction(1, 10)
 
 
+def test_check_profile_reports_a_measure_that_fails_verification(monkeypatch):
+    """Moving mass from one atom to another breaks a marginal: each grid
+    measure fails verification and falls short of its independence order."""
+    original = oracle.build_measure
+
+    def shifted(profile, s):
+        measure = original(profile, s)
+        atoms = measure.numerators.copy()
+        atoms[0] += 1e-6
+        atoms[1] -= 1e-6
+        return AtomicMeasure(measure.n, atoms, s, scale=measure.scale)
+
+    monkeypatch.setattr(oracle, "build_measure", shifted)
+    check = check_profile(from_raw([0.2, 0.3, 0.4]), s_points=3)
+    verify_failures = [f for f in check.failures if "verify_measure failed" in f]
+    order_failures = [f for f in check.failures if "independence order 0 <" in f]
+    assert len(verify_failures) == len(order_failures) == 3
+    assert all("'marginal'" in failure for failure in verify_failures)
+    assert check.worst_marginal >= 1e-6
+
+
+def test_check_profile_wants_full_independence_at_s_zero(monkeypatch):
+    """The measure at s = 0 is the product measure, independent of order n;
+    an (n-1)-wise measure in its place passes verification but fails the
+    order check."""
+    profile = from_raw([0.5] * 4)
+    iv = s_interval(profile)
+    original = oracle.build_measure
+    monkeypatch.setattr(
+        oracle, "build_measure", lambda p, s: original(p, float(iv.s_max) if s == 0 else s)
+    )
+    check = check_profile(profile, s_points=11)
+    assert "profile: independence order 3 < 4 at s = 0.0" in check.failures
+    assert not [f for f in check.failures if "verify_measure failed" in f]
+
+
+def test_check_profile_reports_a_failed_extremal_atom_check(monkeypatch):
+    """A product atom below the prefix atom of its cardinality fails the
+    profile."""
+    profile = from_raw([0.1, 0.2, 0.3, 0.4])
+    table, scale = product_atoms(profile)
+    table = table.copy()
+    table[0b0110] = 0
+    monkeypatch.setattr(oracle, "product_atoms", lambda p: (table, scale))
+    check = check_profile(profile)
+    assert check.failures == ("profile: extremal-atom check failed",)
+
+
 def test_run_random_suite_small():
     suite = run_random_suite(count=12, max_n=8, seed=1234)
     assert suite.passed, suite.failures
