@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .marginals import MarginalProfile
-from .measures import _coerce_s, check_feasible, s_interval
+from .measures import _coerce_s, check_feasible, endpoint_numerators, s_interval
 from .numeric import (
     binom_or_zero,
     held_float,
@@ -37,8 +37,14 @@ from .numeric import (
     over,
     poisson_binomial_pmf,
     prefix_atom,
+    ratio,
     suffix_sums,
 )
+
+
+#: The three probabilities of a :class:`BoundReport`, in the order of its
+#: private numerators.
+_BOUND_FIELDS = ("exact_mutual", "sharp_lower", "sharp_upper")
 
 
 @dataclass(frozen=True, init=False)
@@ -53,6 +59,15 @@ class BoundReport:
     Its ``__init__`` stores the fields straight into the instance
     ``__dict__`` (0.5 µs), where a frozen dataclass's own makes seven
     ``object.__setattr__`` calls (1.5 µs); all else is the generated class's.
+
+    An exact report that :func:`bound_reports` or :func:`sharp_bounds`
+    builds holds its three probabilities as integer numerators over the
+    mass vector's scale, in a private ``_numerators`` entry of its
+    ``__dict__``, and no ``Fraction`` of them.  The first read of any one
+    of the three forms all three ``Fraction``s and drops the numerators,
+    so from then on the report holds its seven fields alone, as one built
+    from seven values does.  A renderer that only prints a bound reads the
+    numerators instead (:func:`_bound_numerators`) and reduces nothing.
     """
 
     k: int
@@ -72,6 +87,44 @@ class BoundReport:
         fields["s_at_lower"] = s_at_lower
         fields["s_at_upper"] = s_at_upper
         fields["coefficient"] = coefficient
+
+    @classmethod
+    def _over_scale(cls, k, scale, numerators, s_at_lower, s_at_upper, coefficient):
+        """The report whose three probabilities are ``numerators`` over
+        ``scale``, in the order of ``_BOUND_FIELDS``, each formed on first read."""
+        report = cls.__new__(cls)
+        report.__dict__.update(
+            k=k, _numerators=(scale, *numerators), s_at_lower=s_at_lower,
+            s_at_upper=s_at_upper, coefficient=coefficient,
+        )
+        return report
+
+    def __getattr__(self, name):
+        # reached only for a name the __dict__ lacks, as a probability not
+        # yet formed is.  The fields are set before the numerators are
+        # dropped, so a second reader that misses the numerators finds them.
+        fields = self.__dict__
+        numerators = fields.get("_numerators")
+        if numerators is not None and name in _BOUND_FIELDS:
+            scale, *nums = numerators
+            fields.update(zip(_BOUND_FIELDS, (Fraction(num, scale) for num in nums)))
+            fields.pop("_numerators", None)
+        try:
+            return fields[name]
+        except KeyError:
+            raise AttributeError(f"'BoundReport' object has no attribute {name!r}") from None
+
+
+def _bound_numerators(report: BoundReport) -> list[tuple]:
+    """``(numerator, scale)`` of ``exact_mutual``, ``sharp_lower`` and
+    ``sharp_upper``, in that order, with no ``Fraction`` formed: an exact
+    report's own numerators over the mass vector's scale, or a formed
+    field's :func:`numeric.ratio`, a float over 1 in floating mode."""
+    numerators = report.__dict__.get("_numerators")
+    if numerators is None:
+        return [ratio(getattr(report, name)) for name in _BOUND_FIELDS]
+    scale, *nums = numerators
+    return [(num, scale) for num in nums]
 
 
 @dataclass(frozen=True)
@@ -159,7 +212,10 @@ def _shifted(profile: MarginalProfile, k: int, slope: int, tail, scale: int, s):
 
     ``tail`` over ``scale`` is the mutual-independence tail ``P_0(k)``,
     ``slope`` is C(n-1, k-1).  Exact mode forms the one ``Fraction``
-    ``(tail * d +- slope * c * scale) / (scale * d)`` for ``s = c / d``.
+    ``(tail * d +- slope * c * scale) / (scale * d)`` for ``s = c / d``;
+    it serves an arbitrary ``s`` (:func:`probability_at_s`), while
+    :func:`_report` shifts by the endpoints' numerators over the scale and
+    forms nothing.  Floating mode is the route of every float bound.
     ``k = 0`` returns exactly 1 and ignores ``tail``.
     """
     if k == 0:
@@ -194,9 +250,24 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
 def _report(profile: MarginalProfile, iv, tails, scale: int, k: int, slope: int) -> BoundReport:
     """The report of :func:`bound_reports` at ``k``, the one place a
     :class:`BoundReport` is built: ``iv`` is the profile's interval,
-    ``tails`` over ``scale`` its tails and ``slope`` C(n-1, k-1)."""
-    s_lo, s_hi = (iv.s_max, iv.s_min) if k % 2 else (iv.s_min, iv.s_max)
+    ``tails`` over ``scale`` its tails and ``slope`` C(n-1, k-1).
+
+    Floating mode shifts each tail by :func:`_shifted`.  Exact mode holds
+    each bound as ``tail +- slope * c`` over ``scale``, ``c`` an endpoint's
+    numerator over that same scale (:func:`measures.endpoint_numerators`):
+    one multiply-add per bound and no gcd.  The report forms its
+    ``Fraction``s when a caller reads them.  At ``k = 0`` the slope is 0
+    and the tail is the scale itself, so every bound is exactly 1.
+    """
+    odd = k % 2
+    s_lo, s_hi = (iv.s_max, iv.s_min) if odd else (iv.s_min, iv.s_max)
     tail = tails.item(k)
+    if profile.exact:
+        c_min, c_max = endpoint_numerators(profile)
+        term, c_lo, c_hi = (-slope, c_max, c_min) if odd else (slope, c_min, c_max)
+        return BoundReport._over_scale(
+            k, scale, (tail, tail + term * c_lo, tail + term * c_hi), s_lo, s_hi, slope
+        )
     return BoundReport(
         k,
         over(tail, scale),
@@ -219,6 +290,9 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
     interval and the mass vector are read once for all of ``ks``, and the
     slopes C(n-1, k-1) run by ``C(n-1, k) = C(n-1, k-1) * (n-k) // k`` from
     one ``math.comb``, so every k costs one O(n^2) convolution together.
+    An exact report holds integer numerators over the mass vector's scale
+    and forms its ``Fraction``s when a field is read (:class:`BoundReport`),
+    so the sweep itself adds and multiplies integers and reduces nothing.
     """
     n = profile.n
     _check_ks(ks, n)
@@ -237,12 +311,13 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
 def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     """The one report of :func:`bound_reports` at ``k``, with the same bits.
 
-    It checks k once and builds that report alone.  A float profile keeps
-    its tails between calls, so a per-k loop costs one convolution in all,
-    but each call computes its slope with a fresh ``math.comb`` (1.46 ms at
-    n = 10,000).  An exact profile convolves the mass vector again on every
-    call.  A caller that wants several k asks :func:`bound_reports` for all
-    of them at once.
+    It checks k once and builds that report alone, exact numerators
+    included, so its fields form on first read as theirs do.  A float
+    profile keeps its tails between calls, so a per-k loop costs one
+    convolution in all, but each call computes its slope with a fresh
+    ``math.comb`` (1.46 ms at n = 10,000).  An exact profile convolves the
+    mass vector again on every call.  A caller that wants several k asks
+    :func:`bound_reports` for all of them at once.
     """
     n = profile.n
     _check_k(k, n)
@@ -345,12 +420,17 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
 
 def report_to_dict(report: BoundReport) -> dict:
     """JSON-ready form of a bound report; an endpoint no double holds stays a
-    ``Fraction`` (:func:`numeric.held_float`), which the CLI writes as a number."""
+    ``Fraction`` (:func:`numeric.held_float`), which the CLI writes as a number.
+
+    Each bound is its numerator over its scale by int true division, the
+    correctly rounded double that ``float`` of the reduced ``Fraction``
+    gives, so an exact report forms no ``Fraction`` here."""
+    (mutual, mutual_scale), (lower, lower_scale), (upper, upper_scale) = _bound_numerators(report)
     return {
         "k": report.k,
-        "exact": float(report.exact_mutual),
-        "lower": float(report.sharp_lower),
-        "upper": float(report.sharp_upper),
+        "exact": mutual / mutual_scale,
+        "lower": lower / lower_scale,
+        "upper": upper / upper_scale,
         "s_at_lower": held_float(report.s_at_lower),
         "s_at_upper": held_float(report.s_at_upper),
         "coefficient": report.coefficient,

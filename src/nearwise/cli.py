@@ -31,10 +31,10 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .bounds import _makarov_range, bound_reports, report_to_dict, sharp_bounds
+from .bounds import _bound_numerators, _makarov_range, bound_reports, report_to_dict, sharp_bounds
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
-from .numeric import _SCRATCH, format_scaled, format_scientific, held_float
+from .numeric import _SCRATCH, format_scaled, format_scientific, held_float, ratio
 from .oracle import DEFAULT_SEED, STATISTICS, check_profile, run_random_suite
 
 
@@ -189,20 +189,30 @@ def cmd_bound(args, parser) -> Output:
         reports = [sharp_bounds(profile, args.k)]
     else:
         parser.error("one of --k or --all-k is required")
-    rows = [(r.k, r.exact_mutual, r.sharp_lower, r.sharp_upper) for r in reports]
-    fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
-    fmt_s = lambda v: fmt(_endpoint(v, args.rational))  # noqa: E731
+    fmt_s = lambda v: format_scientific(_endpoint(v, args.rational), args.precision)  # noqa: E731
+
+    def rows():
+        """(k, exact, lower, upper), each bound formatted from its numerator
+        over its scale (:func:`bounds._bound_numerators`), so an exact
+        report forms no ``Fraction`` to be printed."""
+        return [
+            (r.k, *(format_scaled(*pair, args.precision) for pair in _bound_numerators(r)))
+            for r in reports
+        ]
 
     if not args.all_k:
         (r,) = reports
         payload = lambda: {"n": profile.n, **report_to_dict(r)}  # noqa: E731
-        text = lambda: [  # noqa: E731
-            f"n = {profile.n}  k = {r.k}",
-            f"sharp lower  {fmt(r.sharp_lower)}  (at s = {fmt_s(r.s_at_lower)})",
-            f"exact        {fmt(r.exact_mutual)}",
-            f"sharp upper  {fmt(r.sharp_upper)}  (at s = {fmt_s(r.s_at_upper)})",
-            f"coefficient  {r.coefficient}",
-        ]
+
+        def text():
+            ((_, exact, lower, upper),) = rows()
+            return [
+                f"n = {profile.n}  k = {r.k}",
+                f"sharp lower  {lower}  (at s = {fmt_s(r.s_at_lower)})",
+                f"exact        {exact}",
+                f"sharp upper  {upper}  (at s = {fmt_s(r.s_at_upper)})",
+                f"coefficient  {r.coefficient}",
+            ]
     else:
         payload = lambda: {  # noqa: E731
             "n": profile.n, "reports": [report_to_dict(r) for r in reports]
@@ -212,11 +222,11 @@ def cmd_bound(args, parser) -> Output:
             width = args.precision + 6
             header = f"{'k':>4}  {'exact':>{width}}  {'lower':>{width}}  {'upper':>{width}}"
             return [f"n = {profile.n}", header] + [
-                f"{k:>4}" + "".join(f"  {fmt(v):>{width}}" for v in values)
-                for k, *values in rows
+                f"{k:>4}" + "".join(f"  {cell:>{width}}" for cell in cells)
+                for k, *cells in rows()
             ]
 
-    return Output(payload, ("k", "exact", "lower", "upper"), lambda: rows, text)
+    return Output(payload, ("k", "exact", "lower", "upper"), rows, text)
 
 
 def cmd_interval(args, parser) -> Output:
@@ -328,17 +338,19 @@ def _level_profile(label: str, n: int):
 def cmd_table(args, parser) -> Output:
     spec = _table_spec_from_args(args, parser)
     ks = range(spec.k_lo, spec.k_hi + 1)
-    rows = []  # (level, kind, k, value), grouped by level, then kind in ROW_KINDS order
+    # (level, kind, k, (numerator, scale)), grouped by level, then kind in
+    # ROW_KINDS order; a bound is read from its report's numerators
+    rows = []
     for label in spec.level_labels:
         profile = _level_profile(label, spec.n)
-        per_k = [
-            (m.lower, r.sharp_lower, r.exact_mutual, r.sharp_upper, m.upper)  # ROW_KINDS
-            for r, m in zip(bound_reports(profile, ks), _makarov_range(profile, ks))
-        ]
+        per_k = []
+        for r, m in zip(bound_reports(profile, ks), _makarov_range(profile, ks)):
+            mutual, lower, upper = _bound_numerators(r)
+            per_k.append((ratio(m.lower), lower, mutual, upper, ratio(m.upper)))  # ROW_KINDS
         for kind, values in zip(ROW_KINDS, zip(*per_k)):
             rows += [(label, kind, k, value) for k, value in zip(ks, values)]
 
-    fmt = lambda v: format_scientific(v, args.precision)  # noqa: E731
+    fmt = lambda pair: format_scaled(*pair, args.precision)  # noqa: E731
 
     def payload():
         by_level = itertools.groupby(rows, key=itemgetter(0))
@@ -370,7 +382,12 @@ def cmd_table(args, parser) -> Output:
             lines.append(line.rstrip())
         return lines
 
-    return Output(payload, ("level", "kind", "k", "value"), lambda: rows, text)
+    return Output(
+        payload,
+        ("level", "kind", "k", "value"),
+        lambda: [(label, kind, k, fmt(value)) for label, kind, k, value in rows],
+        text,
+    )
 
 
 def cmd_verify(args, parser) -> Output:

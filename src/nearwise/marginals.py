@@ -94,9 +94,19 @@ def _coerce(value, index: int, exact: bool):
     if exact and x.denominator > MAX_DENOMINATOR:
         raise MarginalError(
             f"exact mode needs denominators <= {MAX_DENOMINATOR}, "
-            f"got {x.denominator} at index {index}"
+            f"got a denominator of {_decimal_digits(x.denominator)} digits at index {index}"
         )
     return x
+
+
+def _decimal_digits(value: int) -> int:
+    """How many decimal digits the positive int ``value`` has, from its bit
+    length and no ``str``: a refused denominator may be far past Python's
+    int-to-str limit, and its size says what its digits would."""
+    digits = int((value.bit_length() - 1) * math.log10(2)) + 1  # true count or one less
+    if value < 10 ** (digits - 1):  # the float estimate rounded up past an integer
+        return digits - 1
+    return digits + (value >= 10**digits)
 
 
 def from_raw(values: Iterable, *, exact: bool | None = None) -> MarginalProfile:

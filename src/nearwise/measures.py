@@ -276,6 +276,21 @@ def s_interval(profile: MarginalProfile) -> SInterval:
 
 
 @per_profile
+def endpoint_numerators(profile: MarginalProfile) -> tuple[int, int]:
+    """``(s_min, s_max)`` of an exact profile as ``int`` numerators over
+    :func:`table_scale`, computed once per profile.
+
+    Each endpoint is a signed prefix atom, whose reduced denominator divides
+    that product of the marginals' denominators, the scale of the mass
+    vector too (:func:`numeric.poisson_binomial_pmf`).  So an exact bound
+    at any k is its tail plus the slope times one of these, over that
+    scale, with no division.
+    """
+    iv, scale = s_interval(profile), table_scale(profile)
+    return tuple(s.numerator * (scale // s.denominator) for s in (iv.s_min, iv.s_max))
+
+
+@per_profile
 def product_atoms(profile: MarginalProfile) -> tuple[np.ndarray, int]:
     """Product-measure atom table of the first min(n, 17) sorted events
     (``numeric._CACHE_BITS``) as (numerators, scale), built once and

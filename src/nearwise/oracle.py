@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _check_k, bound_reports
+from .bounds import _check_k, _tail_numerators, bound_reports
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -46,7 +46,6 @@ from .measures import (
 from .numeric import (
     _CACHE_BITS,
     ABS_TOL,
-    as_numerators,
     close,
     dense_blocks,
     format_scientific,
@@ -348,11 +347,11 @@ def check_profile(
     zero = mode_scalar(0, profile.sorted_values)
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero
     min_atom_seen = mode_scalar(1, profile.sorted_values)
-    # the reports that bound --all-k prints, for every k, and from them the
-    # linear formula mutual + (-1)^k C(n-1, k-1) s, held as numerators: the
-    # mutual tails over their common denominator, the signed slopes as they are
+    # the reports that bound --all-k prints, for every k, and the linear
+    # formula mutual + (-1)^k C(n-1, k-1) s, held as numerators: the mutual
+    # tails over the mass vector's scale, the signed slopes as they are
     reports = bound_reports(profile, range(n + 1))
-    mutual, mutual_scale = as_numerators([r.exact_mutual for r in reports])
+    mutual, mutual_scale = _tail_numerators(profile)
     slopes = np.array([(-1) ** r.k * r.coefficient for r in reports], dtype=mutual.dtype)
     iv = s_interval(profile)
     if exact:

@@ -769,3 +769,79 @@ def test_exact_shifted_bound_is_one_fraction_of_the_numerators():
             value = bounds._shifted(profile, k, slope, tails.item(k), scale, s)
             expected = 1 if k == 0 else Fraction(tails.item(k), scale) + (-1) ** k * slope * s
             assert type(value) is Fraction and value == expected
+
+
+def _integer_bounds(values):
+    """Every k's sharp bounds from integers alone, sharing no step with the
+    package: each atom of the sorted events is a product of numerators
+    ``p`` and complements ``d - p`` over D, the product of the
+    denominators; the interval ends at the least odd atom and minus the
+    least even one (at 0 for one event); each tail sums the atoms of at
+    least k events; and the bounds are the tail shifted by
+    ``(-1)^k C(n-1, k-1) s`` at either end, the lesser first.
+    Yields (k, mutual, lower, upper, s at lower, s at upper, slope)."""
+    fracs = sorted(map(Fraction, values))
+    n, scale = len(fracs), math.prod(f.denominator for f in fracs)
+    by_count = [0] * (n + 1)
+    least = {0: None, 1: None}
+    for mask in range(1 << n):
+        atom = 1
+        for j, f in enumerate(fracs):
+            atom *= f.numerator if mask >> j & 1 else f.denominator - f.numerator
+        count = bin(mask).count("1")
+        by_count[count] += atom
+        if least[count % 2] is None or atom < least[count % 2]:
+            least[count % 2] = atom
+    ends = (0, 0) if n == 1 else (-least[0], least[1])
+    for k in range(n + 1):
+        tail = sum(by_count[k:])
+        slope = math.comb(n - 1, k - 1) if k else 0
+        shifted = [(Fraction(tail + (-1) ** k * slope * c, scale), Fraction(c, scale)) for c in ends]
+        (lower, s_lo), (upper, s_hi) = min(shifted), max(shifted)
+        yield k, Fraction(tail, scale), lower, upper, s_lo, s_hi, slope
+
+
+@pytest.mark.parametrize("values", [
+    [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)],
+    [Fraction(5, 11), Fraction(1, 3), Fraction(3, 13), Fraction(2, 7), Fraction(1, 2), Fraction(4, 9)],
+    [Fraction(0), Fraction(1, 3), Fraction(2, 5)],
+    [Fraction(1, 3), Fraction(1), Fraction(2, 7), Fraction(3, 5)],
+    [Fraction(0), Fraction(1)],
+    [Fraction(2, 7)],
+    [Fraction(0)],
+    [Fraction(1)],
+    [Fraction(random.Random(9).randint(0, 10**6), 10**6) for _ in range(9)],
+])
+def test_exact_bound_reports_equal_an_integer_reference(values):
+    """Exact reports over every k, and over a range from mid-range, equal
+    the integer reference field by field, each a ``Fraction`` when read;
+    a single-k ``sharp_bounds`` equals its ``bound_reports`` entry."""
+    profile = from_raw(values, exact=True)
+    n = profile.n
+    reference = list(_integer_bounds(values))
+    names = [field.name for field in dataclasses.fields(BoundReport)]
+    for ks in (range(n + 1), range(1, n + 1), range(n // 2, n // 2 + 2)):
+        ks = range(ks.start, min(ks.stop, n + 1))
+        reports = bound_reports(profile, ks)
+        assert [r.k for r in reports] == list(ks)
+        for report in reports:
+            got = tuple(getattr(report, name) for name in names)
+            assert got == reference[report.k], report.k
+            assert all(type(value) is Fraction for value in got[1:6]), report.k
+            assert sharp_bounds(profile, report.k) == report
+
+
+def test_exact_report_forms_its_fractions_on_first_read():
+    """An exact report holds numerators until one probability is read, then
+    its seven fields alone; a copy or a pickle taken before carries the
+    numerators and equals it."""
+    report = sharp_bounds(from_raw([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]), 2)
+    fields = set(bounds._BOUND_FIELDS)
+    assert not fields & vars(report).keys()
+    twins = [copy.copy(report), pickle.loads(pickle.dumps(report))]
+    assert all("_numerators" in vars(twin) for twin in twins)
+    assert type(report.sharp_upper) is Fraction
+    assert vars(report).keys() == {field.name for field in dataclasses.fields(BoundReport)}
+    assert twins == [report, report]
+    with pytest.raises(AttributeError, match="'BoundReport' object has no attribute 'slope'"):
+        report.slope  # noqa: B018

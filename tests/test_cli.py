@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import measure_to_dict
-from nearwise import build_measure, from_raw, s_interval
+from nearwise import BoundReport, bounds, build_measure, cli, from_raw, s_interval
 from nearwise.cli import EncodedArray, _write_json, main
 from nearwise.numeric import format_scientific
 
@@ -581,6 +582,47 @@ def test_table_custom_k_zero(capsys):
     ]
     assert values and all(v == "1.0000e+00" for v in values)
     assert "*" not in out
+
+
+_RNG_60 = random.Random(60)
+_EXACT_60 = ",".join(f"{_RNG_60.randint(0, 10**6)}/1000000" for _ in range(60))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--rational", "--marginals", _EXACT_60, "--k", "31"],
+    ["bound", "--rational", "--marginals", _EXACT_60, "--all-k"],
+    ["table", "--n", "60", "--levels", "1/3,2/7,5/11", "--k-range", "1", "60"],
+])
+def test_exact_bounds_render_from_their_numerators(capsys, monkeypatch, argv, fmt):
+    """Every renderer prints an exact bound from its numerator over the mass
+    vector's scale: the bytes are those rendered from the reduced
+    ``Fraction``s, and no report has formed a bound field to be printed."""
+    built = []
+
+    def recorded(route, reduced):
+        def wrapper(*args):
+            result = route(*args)
+            reports = result if isinstance(result, list) else [result]
+            built.extend(reports)
+            if reduced:  # the same reports, every field a reduced Fraction
+                reports = [BoundReport(*dataclasses.astuple(r)) for r in reports]
+            return reports if isinstance(result, list) else reports[0]
+        return wrapper
+
+    outputs = []
+    for reduced in (False, True):
+        built.clear()
+        monkeypatch.setattr(cli, "bound_reports", recorded(bounds.bound_reports, reduced))
+        monkeypatch.setattr(cli, "sharp_bounds", recorded(bounds.sharp_bounds, reduced))
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+        outputs.append(out)
+        if not reduced:
+            assert built
+            fields = set(bounds._BOUND_FIELDS)
+            assert not any(fields & vars(report).keys() for report in built)
+    assert outputs[0] == outputs[1]
 
 
 def test_table_custom_requires_all_parts(capsys):

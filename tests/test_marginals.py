@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearwise import marginals
+from nearwise.cli import main
 from nearwise import (
     MarginalError,
     from_raw,
@@ -120,6 +121,23 @@ def test_exact_mode_denominator_cap():
         from_raw([Fraction(1, 10**6 + 1)], exact=True)
     # At the cap is fine.
     from_raw([Fraction(1, 10**6)], exact=True)
+
+
+def test_refused_denominator_is_named_by_its_size_in_one_short_line(capsys):
+    """A refused denominator is named by its digit count, not printed in
+    full, however long: 10^200 from the CLI, 10^5000 (past Python's
+    int-to-str limit) from the library."""
+    assert main(["verify", "--rational", "--marginals", "1e-200,1e-200,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: exact mode needs denominators <= 1000000, "
+        "got a denominator of 201 digits at index 1\n"
+    )
+    for value, digits in ((Fraction(1, 10**6 + 1), 7), (Fraction(1, 10**5000), 5001),
+                          (Fraction(1, 10**5000 - 1), 5000), (Fraction(1, 2**3000), 904)):
+        with pytest.raises(MarginalError) as excinfo:
+            from_raw([0.5, value], exact=True)
+        assert str(excinfo.value).endswith(f"got a denominator of {digits} digits at index 2")
 
 
 def test_load_profile_json(tmp_path):
