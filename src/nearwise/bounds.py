@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .marginals import MarginalProfile
-from .measures import _coerce_s, check_feasible, endpoint_numerators, s_interval
+from .measures import _coerce_s, _kept_operands, check_feasible, endpoint_numerators, s_interval
 from .numeric import (
     binom_or_zero,
     held_float,
@@ -184,16 +184,19 @@ def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
     A float profile keeps its tails, read-only, in its ``__dict__`` as
     :func:`measures.per_profile` does: n + 1 doubles, so a per-k loop
     convolves once.  An exact profile convolves on every call, since its
-    suffix sums grow by O(n^2) bits.
+    suffix sums grow by O(n^2) bits, but from the operands it keeps
+    (:func:`measures._kept_operands`), ``p`` and ``d - p`` per event.
     """
     cache = profile.__dict__
     if "_tail_numerators" in cache:
         return cache["_tail_numerators"]
+    if profile.exact:
+        pmf, scale = poisson_binomial_pmf(profile.sorted_values, _kept_operands(profile))
+        return suffix_sums(pmf), scale
     pmf, scale = poisson_binomial_pmf(profile.sorted_values)
     tails = suffix_sums(pmf)
-    if not profile.exact:
-        tails.setflags(write=False)
-        cache["_tail_numerators"] = tails, scale
+    tails.setflags(write=False)
+    cache["_tail_numerators"] = tails, scale
     return tails, scale
 
 
@@ -316,7 +319,8 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     profile keeps its tails between calls, so a per-k loop costs one
     convolution in all, but each call computes its slope with a fresh
     ``math.comb`` (1.46 ms at n = 10,000).  An exact profile convolves the
-    mass vector again on every call.  A caller that wants several k asks
+    mass vector again on every call, from the operands it keeps, so the
+    marginals are read once per profile.  A caller that wants several k asks
     :func:`bound_reports` for all of them at once.
     """
     n = profile.n

@@ -45,6 +45,7 @@ from .marginals import MarginalProfile
 from .numeric import (
     _CACHE_BITS,
     _SCRATCH,
+    _pmf_operands,
     ENUMERATION_CAP,
     REL_TOL,
     as_numerators,
@@ -301,10 +302,20 @@ def product_atoms(profile: MarginalProfile) -> tuple[np.ndarray, int]:
 
 
 @per_profile
+def _kept_operands(profile: MarginalProfile) -> tuple[list, int]:
+    """The Poisson-binomial kernel's operands over the sorted marginals of an
+    exact profile (:func:`numeric._pmf_operands`), built once per profile so
+    that each exact convolution reads them as they are.  A float profile
+    keeps its tails instead, and no operands: 2n array objects, which at
+    n = 30,000 would outweigh the tails."""
+    return _pmf_operands(profile.sorted_values)
+
+
 def table_scale(profile: MarginalProfile) -> int:
     """Scale of the dense tables over all n sorted events: the product of
-    the marginals' denominators, 1 in floating mode."""
-    return math.prod(ratio(a)[1] for a in profile.sorted_values)
+    the marginals' denominators, the scale of the exact profile's kept
+    operands, and 1 in floating mode."""
+    return _kept_operands(profile)[1] if profile.exact else 1
 
 
 def _signed_offsets(n: int, s, dtype) -> np.ndarray:

@@ -107,9 +107,10 @@ def ratio(a) -> tuple:
     Multiplying by 1 is exact, so a float kernel that scales by the
     denominator computes the same bits as one that does not.  The float
     test comes first: ``isinstance`` against ``Fraction``, an abstract base
-    class, costs about 0.25 µs, an eighth of a float convolution step
-    (about 2 µs per event at n = 64), where the float test costs nothing
-    measurable.
+    class, costs about 0.25 µs, and the callers that read values by the
+    thousand pass floats: ``report_to_dict`` reads three per report, and
+    ``table`` two per row.  The convolution reads each value once, when it
+    builds its operands (:func:`_pmf_operands`), not once per multiply.
     """
     return (a, 1) if isinstance(a, float) else (a.numerator, a.denominator)
 
@@ -346,7 +347,31 @@ def superset_sums(atoms, n: int) -> np.ndarray:
 _WINDOW = 32
 
 
-def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
+def _pmf_operands(values: Sequence) -> tuple[list, int]:
+    """The operands of :func:`poisson_binomial_pmf` over ``values``, as
+    (pairs, scale): per value its ``p`` and ``d - p`` (:func:`ratio`), each a
+    0-d array of the mode's dtype, and the scale the product of the ``d``.
+
+    Floating mode takes ``p`` from one ``float64`` array and ``1 - p`` from
+    ``1.0 - ps``, the IEEE subtraction of ``1 - a``, over the scale 1.
+    Exact mode reads one :func:`ratio` per value.  A 0-d array is a view of
+    its vector, cut once: a ufunc given a Python scalar converts it on every
+    call, about a third of an exact convolution step at n = 12.
+    """
+    if mode_dtype(values) is _FLOAT64:
+        ps = np.array(values, dtype=_FLOAT64)
+        qs, scale = 1.0 - ps, 1
+    else:
+        pairs = [ratio(a) for a in values]
+        ps = np.array([p for p, _ in pairs], dtype=_OBJECT)
+        qs = np.array([d - p for p, d in pairs], dtype=_OBJECT)
+        scale = math.prod(d for _, d in pairs)
+    return [(ps[i, ...], qs[i, ...]) for i in range(ps.size)], scale
+
+
+def poisson_binomial_pmf(
+    values: Sequence, operands: tuple[list, int] | None = None
+) -> tuple[np.ndarray, int]:
     """Probability mass function of a sum of independent Bernoulli variables.
 
     Returns (numerators, scale), as :func:`atom_products_dense` does: entry
@@ -358,12 +383,15 @@ def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
     It convolves the numerators of :func:`ratio`, so exact mode convolves
     integers over the product of the denominators: growing ``Fraction``
     operands would cost a gcd per multiply.  Sums of the entries, such as
-    tails, stay numerators over the same scale.
+    tails, stay numerators over the same scale.  ``operands`` are
+    :func:`_pmf_operands` of ``values``, built here when not given; an exact
+    profile keeps its own (:func:`measures._kept_operands`).
 
     Event ``i`` moves ``p`` times each entry up by one and keeps ``d - p``
     times it in place, in three ufuncs into one scratch vector, each given
-    its output by position: an ``out=`` keyword or an in-place operator
-    dispatches the same ufunc at a higher fixed cost per call.  At small n
+    its output by position and its operand as a 0-d array: an ``out=``
+    keyword or an in-place operator dispatches the same ufunc at a higher
+    fixed cost per call, and so does a Python scalar operand.  At small n
     a call costs more than its arithmetic, so the views are cut once per
     window of ``_WINDOW`` events, to the length that the last event of the
     window needs, not once per event.  Entries past ``i + 1`` are still
@@ -372,20 +400,18 @@ def poisson_binomial_pmf(values: Sequence) -> tuple[np.ndarray, int]:
     sees the same two products and one add as with views cut to ``i + 1``:
     the same float bits and the same integers.
     """
-    n = len(values)
+    pairs, scale = _pmf_operands(values) if operands is None else operands
+    n = len(pairs)
     pmf = np.zeros(n + 1, dtype=mode_dtype(values))
     pmf[0] = 1
     scratch = np.empty(n, dtype=pmf.dtype)
-    scale = 1
     for start in range(0, n, _WINDOW):
         stop = min(start + _WINDOW, n)
         low, high, moved = pmf[:stop], pmf[1 : stop + 1], scratch[:stop]
-        for a in values[start:stop]:
-            p, d = ratio(a)
+        for p, q in pairs[start:stop]:
             np.multiply(low, p, moved)
-            np.multiply(low, d - p, low)
+            np.multiply(low, q, low)
             np.add(high, moved, high)
-            scale *= d
     return pmf, scale
 
 

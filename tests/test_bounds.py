@@ -30,7 +30,7 @@ from nearwise import (
     sharp_bounds,
     tail_probabilities,
 )
-from nearwise import bounds
+from nearwise import bounds, measures, numeric
 from nearwise.numeric import close, format_scientific, prefix_atom
 
 
@@ -133,6 +133,90 @@ def test_sharp_bounds_convolves_once_and_reads_the_interval_once(monkeypatch):
     exact = from_raw([Fraction(v).limit_denominator(10) for v in values], exact=True)
     assert counted(lambda: mixed(exact, Fraction(0))) == [3, 2, 3]
     assert counted(lambda: [sharp_bounds(exact, k) for k in range(6)]) == [6, 6, 6]
+
+
+def test_an_exact_per_k_loop_builds_the_kernel_operands_once(monkeypatch):
+    """An exact loop of n + 1 ``sharp_bounds`` calls convolves n + 1 times
+    from one set of operands: one builder call and one ``ratio`` per event."""
+    counts = {"build": 0, "ratio": 0}
+    build, read = measures._pmf_operands, numeric.ratio
+
+    def counted_build(values):
+        counts["build"] += 1
+        return build(values)
+
+    def counted_ratio(a):
+        counts["ratio"] += 1
+        return read(a)
+
+    monkeypatch.setattr(measures, "_pmf_operands", counted_build)
+    monkeypatch.setattr(numeric, "ratio", counted_ratio)
+    rng = random.Random(29)
+    for n in (1, 12, 40):
+        profile = from_raw([Fraction(rng.randint(0, 10**6), 10**6) for _ in range(n)], exact=True)
+        s_interval(profile)  # its prefix atoms read each value on their own
+        counts.update(build=0, ratio=0)
+        per_k = [sharp_bounds(profile, k) for k in range(n + 1)]
+        assert counts == {"build": 1, "ratio": n}
+        assert per_k == bound_reports(profile, range(n + 1))
+
+
+def test_a_float_profile_keeps_tails_and_no_operands():
+    rng = random.Random(10_000)
+    profile = from_raw([rng.uniform(0.0, 0.5) for _ in range(10_000)])
+    bound_reports(profile, range(profile.n + 1))
+    assert "_tail_numerators" in profile.__dict__
+    assert "_kept_operands" not in profile.__dict__
+    assert measures.table_scale(profile) == 1
+    assert not any(isinstance(v, list) for v in profile.__dict__.values())
+
+
+def test_equal_float_and_exact_profiles_keep_their_own_kernel_entries():
+    floating = from_raw([0.5, 0.25, 0.75])
+    exact = from_raw([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)], exact=True)
+    assert floating == exact and hash(floating) == hash(exact)
+    # the float profile first: an equality-keyed cache would hand its entries on
+    float_reports = bound_reports(floating, range(4))
+    exact_reports = bound_reports(exact, range(4))
+    tails, scale = floating.__dict__["_tail_numerators"]
+    assert tails.dtype == np.float64 and scale == 1
+    assert "_kept_operands" not in floating.__dict__
+    pairs, exact_scale = exact.__dict__["_kept_operands"]
+    assert "_tail_numerators" not in exact.__dict__
+    assert exact_scale == measures.table_scale(exact) == 2 * 4 * 4
+    assert [(p.shape, p.dtype, q.shape, q.dtype) for p, q in pairs] == [((), object, (), object)] * 3
+    assert [(p.item(), q.item()) for p, q in pairs] == [(1, 3), (1, 1), (3, 1)]
+    assert all(type(r.sharp_lower) is float for r in float_reports)
+    assert all(type(r.sharp_lower) is Fraction for r in exact_reports)
+
+
+#: n = 1, 0/1 marginals, and the sizes at the edge of a kernel window.
+_KEPT_CASES = [
+    [Fraction(3, 7)],
+    [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1), Fraction(0), Fraction(2, 5)],
+    [Fraction(1)] * 4,
+    [Fraction(0)] * 3,
+] + [
+    [Fraction(random.Random(n).randint(0, 10**6), 10**6) for _ in range(n)]
+    for n in (numeric._WINDOW - 1, numeric._WINDOW, numeric._WINDOW + 1)
+]
+
+
+@pytest.mark.parametrize("values", _KEPT_CASES, ids=lambda v: f"n={len(v)}")
+def test_kept_operands_give_the_tails_of_a_fresh_convolution(values):
+    """Tails convolved from the kept operands equal those of a fresh
+    one-argument ``poisson_binomial_pmf``, integers and float bits alike."""
+    for exact in (True, False):
+        profile = from_raw(values if exact else [float(v) for v in values], exact=exact)
+        pmf, scale = numeric.poisson_binomial_pmf(profile.sorted_values)
+        want = numeric.suffix_sums(pmf)
+        for _ in range(2):  # the first call builds what the second reads
+            got, got_scale = bounds._tail_numerators(profile)
+            assert got_scale == scale and got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+            if not exact:
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert ("_kept_operands" in profile.__dict__) is exact
 
 
 def test_writing_into_tail_probabilities_leaves_the_bounds_unchanged():
