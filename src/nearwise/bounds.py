@@ -47,7 +47,7 @@ from .numeric import (
 _BOUND_FIELDS = ("exact_mutual", "sharp_lower", "sharp_upper")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BoundReport:
     """Sharp bounds for one threshold k, with the achieving parameters.
 
@@ -56,18 +56,13 @@ class BoundReport:
     ``s_at_lower`` / ``s_at_upper`` are the interval endpoints at which the
     bounds are attained, ``Fraction``s in both modes (:class:`SInterval`).
 
-    Its ``__init__`` stores the fields straight into the instance
-    ``__dict__`` (0.5 µs), where a frozen dataclass's own makes seven
-    ``object.__setattr__`` calls (1.5 µs); all else is the generated class's.
-
-    An exact report that :func:`bound_reports` or :func:`sharp_bounds`
-    builds holds its three probabilities as integer numerators over the
-    mass vector's scale, in a private ``_numerators`` entry of its
-    ``__dict__``, and no ``Fraction`` of them.  The first read of any one
-    of the three forms all three ``Fraction``s and drops the numerators,
-    so from then on the report holds its seven fields alone, as one built
-    from seven values does.  A renderer that only prints a bound reads the
-    numerators instead (:func:`_bound_numerators`) and reduces nothing.
+    Every report the package builds, in both modes, holds its three
+    probabilities as numerators over the tails' scale (ints over the mass
+    vector's scale, or floats over 1) in a private ``_numerators`` entry of
+    its ``__dict__``.  The first read of any one of the three forms all
+    three by :func:`numeric.over` and drops the numerators, so from then on
+    the report holds its seven fields alone, as one built from seven values
+    does.  A renderer reads the numerators instead (:func:`_bound_numerators`).
     """
 
     k: int
@@ -77,16 +72,6 @@ class BoundReport:
     s_at_lower: object
     s_at_upper: object
     coefficient: int
-
-    def __init__(self, k, exact_mutual, sharp_lower, sharp_upper, s_at_lower, s_at_upper, coefficient):
-        fields = self.__dict__
-        fields["k"] = k
-        fields["exact_mutual"] = exact_mutual
-        fields["sharp_lower"] = sharp_lower
-        fields["sharp_upper"] = sharp_upper
-        fields["s_at_lower"] = s_at_lower
-        fields["s_at_upper"] = s_at_upper
-        fields["coefficient"] = coefficient
 
     @classmethod
     def _over_scale(cls, k, scale, numerators, s_at_lower, s_at_upper, coefficient):
@@ -107,7 +92,7 @@ class BoundReport:
         numerators = fields.get("_numerators")
         if numerators is not None and name in _BOUND_FIELDS:
             scale, *nums = numerators
-            fields.update(zip(_BOUND_FIELDS, (Fraction(num, scale) for num in nums)))
+            fields.update(zip(_BOUND_FIELDS, (over(num, scale) for num in nums)))
             fields.pop("_numerators", None)
         try:
             return fields[name]
@@ -117,9 +102,10 @@ class BoundReport:
 
 def _bound_numerators(report: BoundReport) -> list[tuple]:
     """``(numerator, scale)`` of ``exact_mutual``, ``sharp_lower`` and
-    ``sharp_upper``, in that order, with no ``Fraction`` formed: an exact
-    report's own numerators over the mass vector's scale, or a formed
-    field's :func:`numeric.ratio`, a float over 1 in floating mode."""
+    ``sharp_upper``, in that order, with no field formed: the report's own
+    numerators over the tails' scale while it holds them, as every report
+    the package builds does until first read, else each formed field's
+    :func:`numeric.ratio`."""
     numerators = report.__dict__.get("_numerators")
     if numerators is None:
         return [ratio(getattr(report, name)) for name in _BOUND_FIELDS]
@@ -161,11 +147,15 @@ class MakarovBounds:
     upper: object
 
 
-def _check_k(k: int, n: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
+def _check_k(k, n: int) -> int:
+    """``k`` as an ``int`` in 0..n; a numpy integer is one, a bool is not."""
+    if type(k) is not int:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        k = int(k)
     if k < 0 or k > n:
         raise ValueError(f"k out of range: expected 0 <= k <= {n} for n = {n}, got {k}")
+    return k
 
 
 def _check_ks(ks: range, n: int) -> None:
@@ -243,7 +233,7 @@ def probability_at_s(profile: MarginalProfile, k: int, s):
     endpoint below the least double this is the bound that
     :func:`bound_reports` gives.
     """
-    _check_k(k, profile.n)
+    k = _check_k(k, profile.n)
     s = s if isinstance(s, Fraction) else _coerce_s(s, profile.exact)
     check_feasible(profile, s)
     tails, scale = _tail_numerators(profile)
@@ -255,12 +245,12 @@ def _report(profile: MarginalProfile, iv, tails, scale: int, k: int, slope: int)
     :class:`BoundReport` is built: ``iv`` is the profile's interval,
     ``tails`` over ``scale`` its tails and ``slope`` C(n-1, k-1).
 
-    Floating mode shifts each tail by :func:`_shifted`.  Exact mode holds
-    each bound as ``tail +- slope * c`` over ``scale``, ``c`` an endpoint's
-    numerator over that same scale (:func:`measures.endpoint_numerators`):
-    one multiply-add per bound and no gcd.  The report forms its
-    ``Fraction``s when a caller reads them.  At ``k = 0`` the slope is 0
-    and the tail is the scale itself, so every bound is exactly 1.
+    The report holds the tail and its two shifts over ``scale``, formed on
+    first read.  Floating mode shifts by :func:`_shifted`, over the scale 1.
+    Exact mode shifts by ``+- slope * c``, ``c`` an endpoint's numerator over
+    the same scale (:func:`measures.endpoint_numerators`): one multiply-add
+    per bound and no gcd.  At ``k = 0`` the slope is 0 and the exact tail is
+    the scale itself, so every bound is exactly 1.
     """
     odd = k % 2
     s_lo, s_hi = (iv.s_max, iv.s_min) if odd else (iv.s_min, iv.s_max)
@@ -268,18 +258,11 @@ def _report(profile: MarginalProfile, iv, tails, scale: int, k: int, slope: int)
     if profile.exact:
         c_min, c_max = endpoint_numerators(profile)
         term, c_lo, c_hi = (-slope, c_max, c_min) if odd else (slope, c_min, c_max)
-        return BoundReport._over_scale(
-            k, scale, (tail, tail + term * c_lo, tail + term * c_hi), s_lo, s_hi, slope
-        )
-    return BoundReport(
-        k,
-        over(tail, scale),
-        _shifted(profile, k, slope, tail, scale, s_lo),
-        _shifted(profile, k, slope, tail, scale, s_hi),
-        s_lo,
-        s_hi,
-        slope,
-    )
+        lower, upper = tail + term * c_lo, tail + term * c_hi
+    else:
+        lower = _shifted(profile, k, slope, tail, scale, s_lo)
+        upper = _shifted(profile, k, slope, tail, scale, s_hi)
+    return BoundReport._over_scale(k, scale, (tail, lower, upper), s_lo, s_hi, slope)
 
 
 def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
@@ -293,9 +276,9 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
     interval and the mass vector are read once for all of ``ks``, and the
     slopes C(n-1, k-1) run by ``C(n-1, k) = C(n-1, k-1) * (n-k) // k`` from
     one ``math.comb``, so every k costs one O(n^2) convolution together.
-    An exact report holds integer numerators over the mass vector's scale
-    and forms its ``Fraction``s when a field is read (:class:`BoundReport`),
-    so the sweep itself adds and multiplies integers and reduces nothing.
+    Each report holds numerators over the tails' scale and forms its fields
+    when one is read (:class:`BoundReport`), so the sweep itself forms no
+    field and, in exact mode, reduces nothing.
     """
     n = profile.n
     _check_ks(ks, n)
@@ -314,17 +297,17 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
 def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
     """The one report of :func:`bound_reports` at ``k``, with the same bits.
 
-    It checks k once and builds that report alone, exact numerators
-    included, so its fields form on first read as theirs do.  A float
-    profile keeps its tails between calls, so a per-k loop costs one
-    convolution in all, but each call computes its slope with a fresh
-    ``math.comb`` (1.46 ms at n = 10,000).  An exact profile convolves the
-    mass vector again on every call, from the operands it keeps, so the
-    marginals are read once per profile.  A caller that wants several k asks
-    :func:`bound_reports` for all of them at once.
+    It checks k once and builds that report alone, numerators included,
+    so its fields form on first read as theirs do.  A float profile keeps
+    its tails between calls, so a per-k loop costs one convolution in all,
+    but each call computes its slope with a fresh ``math.comb`` (1.46 ms
+    at n = 10,000).  An exact profile convolves the mass vector again on
+    every call, from the operands it keeps, so the marginals are read once
+    per profile.  A caller that wants several k asks :func:`bound_reports`
+    for all of them at once.
     """
     n = profile.n
-    _check_k(k, n)
+    k = _check_k(k, n)
     iv = s_interval(profile)
     tails, scale = _tail_numerators(profile)
     return _report(profile, iv, tails, scale, k, binom_or_zero(n - 1, k - 1))
@@ -418,7 +401,7 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     convolves the n-1 smallest marginals, and ``table`` reads every k of a
     level from one convolution.
     """
-    _check_k(k, profile.n)
+    k = _check_k(k, profile.n)
     return _makarov_range(profile, range(k, k + 1))[0]
 
 
@@ -426,9 +409,9 @@ def report_to_dict(report: BoundReport) -> dict:
     """JSON-ready form of a bound report; an endpoint no double holds stays a
     ``Fraction`` (:func:`numeric.held_float`), which the CLI writes as a number.
 
-    Each bound is its numerator over its scale by int true division, the
-    correctly rounded double that ``float`` of the reduced ``Fraction``
-    gives, so an exact report forms no ``Fraction`` here."""
+    Each bound is its numerator over its scale (:func:`_bound_numerators`),
+    by true division: a float over 1 keeps its bits, and an int gives the
+    correctly rounded double, so a report forms no field here."""
     (mutual, mutual_scale), (lower, lower_scale), (upper, upper_scale) = _bound_numerators(report)
     return {
         "k": report.k,

@@ -78,7 +78,13 @@ def _check_cap(n: int) -> None:
 
 
 def _coerce_s(s, exact: bool):
-    """``s`` in the given arithmetic: a ``Fraction`` or a finite float."""
+    """``s`` in the given arithmetic: a ``Fraction`` or a finite float.  A
+    numpy integer is an ``int`` and a bool is refused, as in :func:`marginals.from_raw`."""
+    if type(s) is not float and type(s) is not int:
+        if isinstance(s, (bool, np.bool_)):
+            raise TypeError(f"s must be a number, not a bool, got {s!r}")
+        if isinstance(s, np.integer):
+            s = int(s)
     if not exact:
         s = float(s)
         if not math.isfinite(s):

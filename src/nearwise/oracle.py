@@ -340,9 +340,8 @@ def check_profile(
     exact = profile.exact
     if s_points < 2:
         raise ValueError(f"s_points must be >= 2, got {s_points}")
-    scan_ks = tuple(sorted({1, (n + 1) // 2, n}) if scan_ks is None else scan_ks)
-    for k in scan_ks:
-        _check_k(k, n)
+    ks = sorted({1, (n + 1) // 2, n}) if scan_ks is None else scan_ks
+    scan_ks = tuple(_check_k(k, n) for k in ks)
     failures = []
     zero = mode_scalar(0, profile.sorted_values)
     worst_norm = worst_marg = worst_prod = tail_gap = sharp_gap = zero

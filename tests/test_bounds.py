@@ -21,6 +21,8 @@ from nearwise import (
     FeasibilityError,
     bonferroni_applicable,
     bound_reports,
+    build_measure,
+    check_profile,
     from_raw,
     lll_comparison,
     makarov_bounds,
@@ -711,7 +713,8 @@ def test_report_to_dict_schema():
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_bound_report_is_still_a_frozen_dataclass(exact):
-    """The written-out ``__init__`` gives the record of the generated one."""
+    """A report built on numerators, once read, is the record that the
+    generated ``__init__`` builds from its seven values."""
     report = sharp_bounds(from_raw([0.1, 0.2, 0.3, 0.4], exact=exact), 2)
     names = [field.name for field in dataclasses.fields(BoundReport)]
     assert names == [
@@ -915,17 +918,47 @@ def test_exact_bound_reports_equal_an_integer_reference(values):
             assert sharp_bounds(profile, report.k) == report
 
 
-def test_exact_report_forms_its_fractions_on_first_read():
-    """An exact report holds numerators until one probability is read, then
-    its seven fields alone; a copy or a pickle taken before carries the
-    numerators and equals it."""
-    report = sharp_bounds(from_raw([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]), 2)
+@pytest.mark.parametrize("build", [
+    lambda profile: sharp_bounds(profile, 2),
+    lambda profile: bound_reports(profile, range(profile.n + 1))[2],
+], ids=["sharp_bounds", "bound_reports"])
+@pytest.mark.parametrize("raw, kind", [
+    ([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)], Fraction),
+    ([1 / 3, 2 / 7, 5 / 11], float),
+], ids=["exact", "float"])
+def test_exact_report_forms_its_fractions_on_first_read(raw, kind, build):
+    """A report, exact or float, holds numerators until one probability is
+    read, then its seven fields alone; a copy or a pickle taken before
+    carries the numerators and equals it."""
+    report = build(from_raw(raw))
     fields = set(bounds._BOUND_FIELDS)
     assert not fields & vars(report).keys()
     twins = [copy.copy(report), pickle.loads(pickle.dumps(report))]
     assert all("_numerators" in vars(twin) for twin in twins)
-    assert type(report.sharp_upper) is Fraction
+    assert type(report.sharp_upper) is kind
     assert vars(report).keys() == {field.name for field in dataclasses.fields(BoundReport)}
     assert twins == [report, report]
     with pytest.raises(AttributeError, match="'BoundReport' object has no attribute 'slope'"):
         report.slope  # noqa: B018
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_k_and_s_are_read_as_marginals_are(exact):
+    """A numpy integer k, or s, is taken as an ``int``, and the report holds
+    a Python ``int`` k; a bool s, numpy's too, is refused in both modes."""
+    profile = from_raw([0.3, 0.4, 0.6], exact=exact)
+    report = sharp_bounds(profile, np.int64(2))
+    assert type(report.k) is int and repr(report) == repr(sharp_bounds(profile, 2))
+    assert makarov_bounds(profile, np.uint8(2)) == makarov_bounds(profile, 2)
+    at_zero = probability_at_s(profile, np.int64(1), np.int64(0))
+    assert (at_zero, type(at_zero)) == (probability_at_s(profile, 1, 0), Fraction if exact else float)
+    checked = check_profile(profile, s_points=2, scan_ks=[np.int32(1), np.int64(3)])
+    assert all(type(k) is int for k in checked.scanned_ks) and checked.scanned_ks == (1, 3)
+    for s in (False, True, np.False_, np.True_):
+        with pytest.raises(TypeError, match="not a bool"):
+            probability_at_s(profile, 2, s)
+        with pytest.raises(TypeError, match="not a bool"):
+            build_measure(profile, s)
+    for k in (True, np.True_, np.float64(2.0)):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            sharp_bounds(profile, k)

@@ -586,6 +586,7 @@ def test_table_custom_k_zero(capsys):
 
 _RNG_60 = random.Random(60)
 _EXACT_60 = ",".join(f"{_RNG_60.randint(0, 10**6)}/1000000" for _ in range(60))
+_FLOAT_60 = ",".join(repr(_RNG_60.random()) for _ in range(60))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -593,6 +594,11 @@ _EXACT_60 = ",".join(f"{_RNG_60.randint(0, 10**6)}/1000000" for _ in range(60))
     ["bound", "--rational", "--marginals", _EXACT_60, "--k", "31"],
     ["bound", "--rational", "--marginals", _EXACT_60, "--all-k"],
     ["table", "--n", "60", "--levels", "1/3,2/7,5/11", "--k-range", "1", "60"],
+    # float reports hold numerators over 1 alike; 0.12345678 has a
+    # denominator past 10^6, so the table reads that level as a float
+    ["bound", "--marginals", _FLOAT_60, "--k", "31"],
+    ["bound", "--marginals", _FLOAT_60, "--all-k"],
+    ["table", "--n", "60", "--levels", "0.12345678", "--k-range", "1", "60"],
 ])
 def test_exact_bounds_render_from_their_numerators(capsys, monkeypatch, argv, fmt):
     """Every renderer prints an exact bound from its numerator over the mass
