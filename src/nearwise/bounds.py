@@ -30,9 +30,9 @@ import numpy as np
 from .marginals import MarginalProfile
 from .measures import _coerce_s, _kept_operands, check_feasible, endpoint_numerators, s_interval
 from .numeric import (
+    _pmf_operands,
     binom_or_zero,
     held_float,
-    mode_dtype,
     mode_scalar,
     over,
     poisson_binomial_pmf,
@@ -166,10 +166,24 @@ def _check_ks(ks: range, n: int) -> None:
         _check_k(ks[-1], n)
 
 
+def _convolve(profile: MarginalProfile) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """The tails P(at least k occur), k = 0..n, over the scale D, and the mass
+    vector of the n - 1 smallest events over D' = D / d_n: the kernel steps
+    those, and the largest moves their vector into a fresh one with the
+    kernel's own two products and one add, the bits of one pass over all n."""
+    a = profile.sorted_values
+    pairs, scale = _kept_operands(profile) if profile.exact else _pmf_operands(a)
+    # all n values, so that the kernel reads the mode off them at n = 1 too
+    head, head_scale = poisson_binomial_pmf(a, (pairs[:-1], scale // ratio(a[-1])[1]))
+    p, q = pairs[-1]
+    pmf = np.zeros(len(a) + 1, dtype=head.dtype)
+    np.multiply(head, q, pmf[:-1])
+    np.add(pmf[1:], np.multiply(head, p), pmf[1:])
+    return suffix_sums(pmf), scale, head, head_scale
+
+
 def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
-    """Every tail P(at least k occur), k = 0..n, as (numerators, scale): the
-    suffix sums of the Poisson-binomial mass vector of the sorted marginals,
-    added from k = n down.
+    """The (tails, scale) of :func:`_convolve`: P(at least k occur) at k = 0..n.
 
     A float profile keeps its tails, read-only, in its ``__dict__`` as
     :func:`measures.per_profile` does: n + 1 doubles, so a per-k loop
@@ -180,13 +194,10 @@ def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
     cache = profile.__dict__
     if "_tail_numerators" in cache:
         return cache["_tail_numerators"]
-    if profile.exact:
-        pmf, scale = poisson_binomial_pmf(profile.sorted_values, _kept_operands(profile))
-        return suffix_sums(pmf), scale
-    pmf, scale = poisson_binomial_pmf(profile.sorted_values)
-    tails = suffix_sums(pmf)
-    tails.setflags(write=False)
-    cache["_tail_numerators"] = tails, scale
+    tails, scale, _, _ = _convolve(profile)
+    if not profile.exact:
+        tails.setflags(write=False)
+        cache["_tail_numerators"] = tails, scale
     return tails, scale
 
 
@@ -280,13 +291,16 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
     when one is read (:class:`BoundReport`), so the sweep itself forms no
     field and, in exact mode, reduces nothing.
     """
+    _check_ks(ks, profile.n)
+    return _reports(profile, ks, *_tail_numerators(profile)) if ks else []
+
+
+def _reports(profile: MarginalProfile, ks: range, tails, scale: int) -> list[BoundReport]:
+    """The reports of :func:`bound_reports` at ``ks``, already checked, from
+    ``tails`` over ``scale``."""
     n = profile.n
-    _check_ks(ks, n)
-    if not ks:
-        return []
     iv = s_interval(profile)
-    tails, scale = _tail_numerators(profile)
-    slope = binom_or_zero(n - 1, ks[0] - 1)
+    slope = binom_or_zero(n - 1, ks.start - 1)
     reports = []
     for k in ks:
         reports.append(_report(profile, iv, tails, scale, k, slope))
@@ -356,32 +370,29 @@ def lll_comparison(profile: MarginalProfile) -> LllComparison:
     )
 
 
-def _makarov_range(profile: MarginalProfile, ks: range) -> list[MakarovBounds]:
-    """:func:`makarov_bounds` at every k in ``ks``, a range of consecutive
-    thresholds in 0..n, from one mass vector and its suffix sums."""
-    n = profile.n
-    _check_ks(ks, n)
-    a = profile.sorted_values
-    one = mode_scalar(1, a)
-    zero, a_n = one - one, a[-1]
-    # k = 0 needs no mass vector, so a range of it alone convolves nothing
-    pairs = [MakarovBounds(one, one)] if ks and ks[0] == 0 else []
-    ks = ks[len(pairs):]
-    if not ks:
-        return pairs
-    # an array, so that at n = 1 the empty vector keeps the profile's mode
-    pmf, scale = poisson_binomial_pmf(np.array(a[:-1], dtype=mode_dtype(a)))
-    tails = suffix_sums(pmf)
-    for k in ks:
-        at_least = over(tails.item(k), scale) if k < n else zero
-        exactly = over(pmf.item(k - 1), scale)
-        pairs.append(MakarovBounds(
-            # 1 - a_n is exact in float once a_n >= 1/2 (Sterbenz's lemma), so
-            # there the term rounds once, as exact mode's equal term would
-            lower=at_least + max(zero, exactly - (one - a_n)),
-            upper=at_least + min(exactly, a_n),
-        ))
-    return pairs
+def _makarov_numerators(profile: MarginalProfile, ks: range) -> tuple[np.ndarray, int, list, list]:
+    """``(tails, scale, lower, upper)``: the tails of :func:`_convolve` over D,
+    and :func:`makarov_bounds` at every k in ``ks`` over D, from its mass
+    vector of the n-1 smallest events: with ``a_n = c / d``, T' = P(X >= k)
+    and E = P(X = k-1) over D', ``T'·d + max(0, E·d - (d - c)·D')`` and
+    ``T'·d + min(E·d, c·D')``, with no gcd.  In float d = D' = 1, so every
+    product is exact.
+    """
+    _check_ks(ks, profile.n)
+    tails, scale, head, head_scale = _convolve(profile)
+    c, d = ratio(profile.sorted_values[-1])
+    # P(X = k-1) at k = 0..n+1: X, a count of n - 1 events, is never -1 or n
+    mass = np.zeros(profile.n + 2, dtype=head.dtype)
+    mass[1:-1] = head
+    # P(X >= k) at k = 0..n: P(X >= 0) is the scale, which a float sum may miss
+    at_least = suffix_sums(mass)[1:]
+    at_least[0] = head_scale
+    tail, exactly = at_least[ks.start : ks.stop] * d, mass[ks.start : ks.stop] * d
+    # 1 - a_n is exact in float once a_n >= 1/2 (Sterbenz's lemma), so
+    # there the term rounds once, as exact mode's equal term would
+    lower = tail + np.maximum(0, exactly - (d - c) * head_scale)
+    upper = tail + np.minimum(exactly, c * head_scale)
+    return tails, scale, lower.tolist(), upper.tolist()
 
 
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
@@ -397,12 +408,12 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
 
     Some coupling attains each, so they are sharp given the two laws; they
     hold under any dependence, so they envelop the sharp family bounds.
-    ``k = 0`` returns 1 for both, with no convolution; every other k
-    convolves the n-1 smallest marginals, and ``table`` reads every k of a
-    level from one convolution.
+    The law of X is a by-product of the family's own convolution
+    (:func:`_convolve`), which ``table`` reads once per level for every k.
     """
     k = _check_k(k, profile.n)
-    return _makarov_range(profile, range(k, k + 1))[0]
+    _, scale, (lower,), (upper,) = _makarov_numerators(profile, range(k, k + 1))
+    return MakarovBounds(over(lower, scale), over(upper, scale))
 
 
 def report_to_dict(report: BoundReport) -> dict:

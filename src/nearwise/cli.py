@@ -31,10 +31,12 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .bounds import _bound_numerators, _makarov_range, bound_reports, report_to_dict, sharp_bounds
+from .bounds import (
+    _bound_numerators, _makarov_numerators, _reports, bound_reports, report_to_dict, sharp_bounds
+)
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
-from .numeric import _SCRATCH, format_scaled, format_scientific, held_float, ratio
+from .numeric import _SCRATCH, format_scaled, format_scientific, held_float
 from .oracle import DEFAULT_SEED, STATISTICS, check_profile, run_random_suite
 
 
@@ -313,6 +315,8 @@ def _table_spec_from_args(args, parser) -> TableSpec:
     labels = tuple(t.strip() for t in args.levels.split(",") if t.strip())
     if not labels:
         parser.error("--levels must list at least one probability")
+    if len(set(labels)) < len(labels):  # the JSON rows are keyed by label
+        parser.error(f"--levels lists a label more than once: {args.levels!r}")
     lo, hi = args.k_range
     if lo > hi:
         parser.error(f"--k-range low {lo} exceeds high {hi}")
@@ -325,13 +329,18 @@ def _level_profile(label: str, n: int):
     Exact when the label allows it, so cells that land exactly half way
     between two renderings round from the true decimal value rather than
     from its float approximation; falls back to floats otherwise.  A label
-    that is no probability raises a ``ValueError`` that names the flag.
+    that is no probability, or whose nonzero value underflows to a double
+    of 0, raises a ``ValueError`` that names the flag.
     """
     for parse in (Fraction, float):
         try:
-            return from_raw([parse(label)] * n)
+            value = parse(label)
+            profile = from_raw([value] * n)
         except (ValueError, ZeroDivisionError):
-            pass
+            continue
+        if value == 0 and Fraction(label) != 0:
+            raise ValueError(f"--levels: {label!r} is not a probability a double holds")
+        return profile
     raise ValueError(f"--levels: {label!r} is not a probability in [0, 1]")
 
 
@@ -339,14 +348,15 @@ def cmd_table(args, parser) -> Output:
     spec = _table_spec_from_args(args, parser)
     ks = range(spec.k_lo, spec.k_hi + 1)
     # (level, kind, k, (numerator, scale)), grouped by level, then kind in
-    # ROW_KINDS order; a bound is read from its report's numerators
+    # ROW_KINDS order; every cell is read from numerators
     rows = []
     for label in spec.level_labels:
         profile = _level_profile(label, spec.n)
+        tails, scale, lower, upper = _makarov_numerators(profile, ks)
         per_k = []
-        for r, m in zip(bound_reports(profile, ks), _makarov_range(profile, ks)):
-            mutual, lower, upper = _bound_numerators(r)
-            per_k.append((ratio(m.lower), lower, mutual, upper, ratio(m.upper)))  # ROW_KINDS
+        for r, low, high in zip(_reports(profile, ks, tails, scale), lower, upper):
+            mutual, lower_num, upper_num = _bound_numerators(r)
+            per_k.append(((low, scale), lower_num, mutual, upper_num, (high, scale)))  # ROW_KINDS
         for kind, values in zip(ROW_KINDS, zip(*per_k)):
             rows += [(label, kind, k, value) for k, value in zip(ks, values)]
 

@@ -108,9 +108,9 @@ def ratio(a) -> tuple:
     denominator computes the same bits as one that does not.  The float
     test comes first: ``isinstance`` against ``Fraction``, an abstract base
     class, costs about 0.25 µs, and the callers that read values by the
-    thousand pass floats: ``report_to_dict`` reads three per report, and
-    ``table`` two per row.  The convolution reads each value once, when it
-    builds its operands (:func:`_pmf_operands`), not once per multiply.
+    thousand pass floats: ``report_to_dict`` reads three per formed report.
+    The convolution reads each value once, when it builds its operands
+    (:func:`_pmf_operands`), not once per multiply.
     """
     return (a, 1) if isinstance(a, float) else (a.numerator, a.denominator)
 
@@ -384,7 +384,8 @@ def poisson_binomial_pmf(
     integers over the product of the denominators: growing ``Fraction``
     operands would cost a gcd per multiply.  Sums of the entries, such as
     tails, stay numerators over the same scale.  ``operands`` are
-    :func:`_pmf_operands` of ``values``, built here when not given; an exact
+    :func:`_pmf_operands` of ``values``, or of their first events alone, in
+    the mode of ``values``; they are built here when not given, and an exact
     profile keeps its own (:func:`measures._kept_operands`).
 
     Event ``i`` moves ``p`` times each entry up by one and keeps ``d - p``

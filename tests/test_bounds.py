@@ -32,7 +32,7 @@ from nearwise import (
     sharp_bounds,
     tail_probabilities,
 )
-from nearwise import bounds, measures, numeric
+from nearwise import bounds, cli, measures, numeric
 from nearwise.numeric import close, format_scientific, prefix_atom
 
 
@@ -626,39 +626,98 @@ def test_makarov_bounds_are_the_frechet_pair(frechet_pair):
     assert above_half >= 100
 
 
-def test_makarov_range_equals_makarov_bounds_at_every_k(monkeypatch):
-    """``table``'s one convolution per level gives every k's pair with the
-    bits of a ``makarov_bounds`` call at that k, in both modes."""
+def test_table_levels_equal_makarov_bounds_and_bound_reports_at_every_k(monkeypatch, capsys):
+    """Each ``table`` level gives every k's five cells with the bits of a
+    ``makarov_bounds`` call and of ``bound_reports`` at that k, in both
+    modes, from one kernel call per level."""
     rng = random.Random(1612)
     profiles = [from_raw([rng.random() for _ in range(200)])]
     for _ in range(30):
         values = [Fraction(rng.randint(0, 1000), 1000) for _ in range(rng.randint(1, 12))]
         profiles += [from_raw(values, exact=True), from_raw([float(v) for v in values])]
-    pmf_calls = []
-    convolve = bounds.poisson_binomial_pmf
-    monkeypatch.setattr(bounds, "poisson_binomial_pmf", lambda a: pmf_calls.append(len(a)) or convolve(a))
+    pmf_calls, cells = [], []
+    convolve, render = bounds.poisson_binomial_pmf, cli.format_scaled
+
+    def counted(values, operands=None):
+        pmf_calls.append(len(values))
+        return convolve(values, operands)
+
+    def recorded(num, scale, *args):
+        cells.append(numeric.over(num, scale))
+        return render(num, scale, *args)
+
+    monkeypatch.setattr(bounds, "poisson_binomial_pmf", counted)
+    monkeypatch.setattr(cli, "format_scaled", recorded)
     for profile in profiles:
         n = profile.n
-        per_k = [_bits(makarov_bounds(profile, k)) for k in range(n + 1)]
-        pmf_calls.clear()
-        swept = bounds._makarov_range(profile, range(n + 1))
-        assert pmf_calls == [n - 1]
-        assert list(map(_bits, swept)) == per_k
-        # k = 0 alone needs no mass vector
-        pmf_calls.clear()
-        assert _bits(makarov_bounds(profile, 0)) == per_k[0]
-        assert list(map(_bits, bounds._makarov_range(profile, range(0, 1)))) == per_k[:1]
-        assert pmf_calls == []
-        assert list(map(_bits, bounds._makarov_range(profile, range(0, 2)))) == per_k[:2]
-        assert pmf_calls == [n - 1]
-        for lo, hi in ((1, n), (n // 2, n // 2 + 1), (n, n + 1)):
-            assert list(map(_bits, bounds._makarov_range(profile, range(lo, hi)))) == per_k[lo:hi]
-        assert bounds._makarov_range(profile, range(3, 3)) == []
+        makarov = [makarov_bounds(profile, k) for k in range(n + 1)]
+        reports = bound_reports(profile, range(n + 1))
+        want = [
+            [m.lower, r.sharp_lower, r.exact_mutual, r.sharp_upper, m.upper]
+            for m, r in zip(makarov, reports)
+        ]
+        # every level of a table is this profile, under its own label
+        monkeypatch.setattr(cli, "_level_profile", lambda label, n, profile=profile: profile)
+        ranges = [(0, n + 1), (1, n), (n // 2, n // 2 + 1), (n, n + 1)]
+        for lo, hi in [(lo, hi) for lo, hi in ranges if lo < hi]:
+            for levels in ("a", "a,b"):
+                pmf_calls.clear()
+                cells.clear()
+                argv = ["--n", str(n), "--levels", levels, "--k-range", str(lo), str(hi - 1)]
+                assert cli.main(["table", *argv, "--format", "csv"]) == 0
+                assert len(pmf_calls) == levels.count(",") + 1
+                # CSV rows run by level, then kind, then k
+                got = [cells[i : i + hi - lo] for i in range(0, len(cells), hi - lo)]
+                per_level = [list(row) for row in zip(*want[lo:hi])]
+                assert list(map(_cell_bits, got)) == list(map(_cell_bits, per_level * len(pmf_calls)))
+        capsys.readouterr()
+        assert bounds._makarov_numerators(profile, range(3, 3))[2:] == ([], [])
         for ks in (range(-1, 1), range(0, n + 2)):
             with pytest.raises(ValueError, match="k out of range"):
-                bounds._makarov_range(profile, ks)
+                bounds._makarov_numerators(profile, ks)
         with pytest.raises(ValueError, match="consecutive"):
-            bounds._makarov_range(profile, range(0, n + 1, 2))
+            bounds._makarov_numerators(profile, range(0, n + 1, 2))
+
+
+def _cell_bits(values):
+    """Floats by their bits, the rest as they are."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@pytest.mark.parametrize("values", _KEPT_CASES, ids=lambda v: f"n={len(v)}")
+def test_exact_makarov_pairs_are_the_frechet_pair_with_no_fraction_on_the_table_route(
+    values, frechet_pair, monkeypatch
+):
+    """At every k, at n = 1, at the kernel window's edges and on 0/1
+    marginals (``a_n = 1`` makes ``d - c`` zero, ``a_n = 0`` makes ``c``
+    zero), exact ``makarov_bounds`` and ``table``'s numerators over their
+    scale give the Fréchet pair, and ``table``'s route reaches no
+    ``math.gcd``, so it forms no ``Fraction``."""
+    profile = from_raw(values, exact=True)
+    n = profile.n
+    want = [frechet_pair(values, k) for k in range(n + 1)]
+    pairs = [makarov_bounds(profile, k) for k in range(n + 1)]
+    assert [(m.lower, m.upper) for m in pairs] == want
+    gcd_calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: gcd_calls.append(args) or gcd(*args))
+    _, scale, lower, upper = bounds._makarov_numerators(profile, range(n + 1))
+    assert gcd_calls == []
+    assert Fraction(1, 2) + Fraction(1, 3) and gcd_calls  # the counter sees a Fraction formed
+    assert [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(lower, upper)] == want
+
+
+def test_table_builds_no_makarov_bounds(monkeypatch, capsys):
+    """``table`` prints its Makarov rows from numerators: no record is built."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("MakarovBounds built on the table route")
+
+    monkeypatch.setattr(bounds, "MakarovBounds", refused)
+    for level in ("1/3", "0.1234567"):  # an exact level and a float one
+        assert cli.main(["table", "--n", "40", "--levels", level, "--k-range", "0", "40"]) == 0
+    with pytest.raises(AssertionError, match="table route"):
+        makarov_bounds(from_raw([0.2, 0.3]), 1)
 
 
 def _dual_cells(values, ks, exact):

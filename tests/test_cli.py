@@ -619,7 +619,9 @@ def test_exact_bounds_render_from_their_numerators(capsys, monkeypatch, argv, fm
     outputs = []
     for reduced in (False, True):
         built.clear()
-        monkeypatch.setattr(cli, "bound_reports", recorded(bounds.bound_reports, reduced))
+        # table reads its reports from the tails of its one convolution
+        route = "_reports" if argv[0] == "table" else "bound_reports"
+        monkeypatch.setattr(cli, route, recorded(getattr(bounds, route), reduced))
         monkeypatch.setattr(cli, "sharp_bounds", recorded(bounds.sharp_bounds, reduced))
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0 and out
@@ -657,6 +659,29 @@ def test_table_level_errors_name_the_flag_and_the_token(capsys, level):
     )
     assert (code, out) == (2, "")
     assert err == f"error: --levels: {level!r} is not a probability in [0, 1]\n"
+
+
+@pytest.mark.parametrize("level", ["1e-400", "-1e-400"])
+def test_table_refuses_a_level_whose_double_underflows(capsys, level):
+    """A nonzero label whose double is 0.0 would print every cell as a = 0."""
+    code, out, err = run(capsys, "table", "--n", "3", "--levels", f"0.2,{level}", "--k-range", "1", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: --levels: {level!r} is not a probability a double holds\n"
+    code, out, _ = run(capsys, "table", "--n", "3", "--levels", "0e-400", "--k-range", "1", "1")
+    assert code == 0 and "0.0000e+00" in out
+
+
+def test_table_refuses_a_repeated_level_label(capsys):
+    """JSON keys its rows by label, so a repeated one would lose a level."""
+    argv = ["table", "--n", "3", "--k-range", "1", "2", "--format", "json"]
+    code, out, err = run_exit(capsys, *argv, "--levels", "0.5,0.2,0.5")
+    assert (code, out) == (2, "")
+    assert "--levels lists a label more than once: '0.5,0.2,0.5'" in err
+    # the same value under two labels is two levels
+    code, out, _ = run(capsys, *argv, "--levels", "0.5,1/2")
+    payload = json.loads(out)
+    assert code == 0 and list(payload["rows"]) == payload["levels"] == ["0.5", "1/2"]
+    assert payload["rows"]["0.5"] == payload["rows"]["1/2"]
 
 
 def test_table_preset_refuses_custom_parts(capsys):
