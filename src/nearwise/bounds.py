@@ -56,13 +56,14 @@ class BoundReport:
     ``s_at_lower`` / ``s_at_upper`` are the interval endpoints at which the
     bounds are attained, ``Fraction``s in both modes (:class:`SInterval`).
 
-    Every report the package builds, in both modes, holds its three
-    probabilities as numerators over the tails' scale (ints over the mass
-    vector's scale, or floats over 1) in a private ``_numerators`` entry of
-    its ``__dict__``.  The first read of any one of the three forms all
-    three by :func:`numeric.over` and drops the numerators, so from then on
-    the report holds its seven fields alone, as one built from seven values
-    does.  A renderer reads the numerators instead (:func:`_bound_numerators`).
+    Every report the package builds (:func:`_report`), in both modes, holds
+    its three probabilities as numerators over the tails' scale (ints over
+    the mass vector's scale, or floats over 1) in a private ``_numerators``
+    entry of its ``__dict__``.  The first read of any one of the three
+    forms all three by :func:`numeric.over` and drops the numerators, so
+    from then on the report holds its seven fields alone, as one built from
+    seven values does.  A renderer reads the numerators instead
+    (:func:`_bound_numerators`).
     """
 
     k: int
@@ -72,17 +73,6 @@ class BoundReport:
     s_at_lower: object
     s_at_upper: object
     coefficient: int
-
-    @classmethod
-    def _over_scale(cls, k, scale, numerators, s_at_lower, s_at_upper, coefficient):
-        """The report whose three probabilities are ``numerators`` over
-        ``scale``, in the order of ``_BOUND_FIELDS``, each formed on first read."""
-        report = cls.__new__(cls)
-        report.__dict__.update(
-            k=k, _numerators=(scale, *numerators), s_at_lower=s_at_lower,
-            s_at_upper=s_at_upper, coefficient=coefficient,
-        )
-        return report
 
     def __getattr__(self, name):
         # reached only for a name the __dict__ lacks, as a probability not
@@ -166,11 +156,23 @@ def _check_ks(ks: range, n: int) -> None:
         _check_k(ks[-1], n)
 
 
-def _convolve(profile: MarginalProfile) -> tuple[np.ndarray, int, np.ndarray, int]:
-    """The tails P(at least k occur), k = 0..n, over the scale D, and the mass
-    vector of the n - 1 smallest events over D' = D / d_n: the kernel steps
-    those, and the largest moves their vector into a fresh one with the
-    kernel's own two products and one add, the bits of one pass over all n."""
+def _law(profile: MarginalProfile) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """``(tails, scale, head, head_scale)``, the record every tail, bound
+    and Makarov pair is read from: P(at least k occur) at k = 0..n over D,
+    and the mass vector of the n - 1 smallest events over D' = D / d_n.
+
+    The kernel steps those events, and the largest moves their vector into
+    a fresh one with the kernel's own two products and one add, the bits of
+    one pass over all n.  ``tails[0]`` is D itself, as P(at least 0 occur)
+    = 1, which a float sum may miss.  A float profile keeps the record, both
+    vectors read-only, in its ``__dict__`` as :func:`measures.per_profile`
+    does: 2n + 1 doubles, so a per-k loop convolves once.  An exact profile
+    convolves on every call, since its sums grow by O(n^2) bits, but from
+    the operands it keeps (:func:`measures._kept_operands`).
+    """
+    cache = profile.__dict__
+    if "_law" in cache:
+        return cache["_law"]
     a = profile.sorted_values
     pairs, scale = _kept_operands(profile) if profile.exact else _pmf_operands(a)
     # all n values, so that the kernel reads the mode off them at n = 1 too
@@ -179,101 +181,82 @@ def _convolve(profile: MarginalProfile) -> tuple[np.ndarray, int, np.ndarray, in
     pmf = np.zeros(len(a) + 1, dtype=head.dtype)
     np.multiply(head, q, pmf[:-1])
     np.add(pmf[1:], np.multiply(head, p), pmf[1:])
-    return suffix_sums(pmf), scale, head, head_scale
-
-
-def _tail_numerators(profile: MarginalProfile) -> tuple[np.ndarray, int]:
-    """The (tails, scale) of :func:`_convolve`: P(at least k occur) at k = 0..n.
-
-    A float profile keeps its tails, read-only, in its ``__dict__`` as
-    :func:`measures.per_profile` does: n + 1 doubles, so a per-k loop
-    convolves once.  An exact profile convolves on every call, since its
-    suffix sums grow by O(n^2) bits, but from the operands it keeps
-    (:func:`measures._kept_operands`), ``p`` and ``d - p`` per event.
-    """
-    cache = profile.__dict__
-    if "_tail_numerators" in cache:
-        return cache["_tail_numerators"]
-    tails, scale, _, _ = _convolve(profile)
+    tails = suffix_sums(pmf)
+    tails[0] = scale
+    record = tails, scale, head, head_scale
     if not profile.exact:
         tails.setflags(write=False)
-        cache["_tail_numerators"] = tails, scale
-    return tails, scale
+        head.setflags(write=False)
+        cache["_law"] = record
+    return record
 
 
 def tail_probabilities(profile: MarginalProfile):
     """All tails P(at least k occur) for k = 0..n from one O(n^2) pass.
 
     Returns a fresh vector indexed by k, which the caller may write into.
-    Every tail in the package is read from the same suffix sums, so a bound
-    and the mutual tail it shifts agree to the last bit.
+    Every tail in the package is read from the same record (:func:`_law`),
+    so a bound and the mutual tail it shifts agree to the last bit, and
+    entry 0 is exactly 1 in both modes.
     """
-    return np.array(over(*_tail_numerators(profile)))
+    tails, scale, _, _ = _law(profile)
+    return np.array(over(tails, scale))
 
 
-def _shifted(profile: MarginalProfile, k: int, slope: int, tail, scale: int, s):
-    """``P_0(k) + (-1)^k * slope * s``: the family tail at ``s``.
+def _shift(tail, c: int, s_num: int, s_den: int) -> tuple:
+    """``(numerator, factor)`` of the family tail ``P_0(k) + c * s``, the one
+    place a bound is formed: ``tail`` is ``P_0(k)`` over the tails' scale D,
+    ``c`` the signed slope (-1)^k C(n-1, k-1) and ``s_num / s_den`` is s·D.
 
-    ``tail`` over ``scale`` is the mutual-independence tail ``P_0(k)``,
-    ``slope`` is C(n-1, k-1).  Exact mode forms the one ``Fraction``
-    ``(tail * d +- slope * c * scale) / (scale * d)`` for ``s = c / d``;
-    it serves an arbitrary ``s`` (:func:`probability_at_s`), while
-    :func:`_report` shifts by the endpoints' numerators over the scale and
-    forms nothing.  Floating mode is the route of every float bound.
-    ``k = 0`` returns exactly 1 and ignores ``tail``.
+    Exact mode (an ``int`` tail) adds integers, over D times the factor
+    ``s_den``.  Floating mode (D = 1) gives a float over 1: int true division
+    rounds the exact product once, as ``float(Fraction(c) * Fraction(s))``
+    does, even where the slope exceeds float range at large n while the
+    product stays a probability difference; a negative ``c`` negates its bits.
     """
-    if k == 0:
-        return mode_scalar(1, profile.sorted_values)
-    sign = -1 if k % 2 else 1
-    s_num, s_den = s.as_integer_ratio()
-    if profile.exact:
-        return Fraction(tail * s_den + sign * slope * s_num * scale, scale * s_den)
-    # int true division rounds the exact product once, as
-    # float(Fraction(slope) * Fraction(s)) does, even where the slope exceeds
-    # float range at large n while the product stays a probability difference
-    term = slope * s_num / s_den
-    return tail + term if sign > 0 else tail - term
+    if isinstance(tail, float):
+        return tail + c * s_num / s_den, 1
+    return tail * s_den + c * s_num, s_den
 
 
 def probability_at_s(profile: MarginalProfile, k: int, s):
     """P(at least k occur) under the family measure with parameter ``s``.
 
-    Linear in s with integer slope magnitude C(n-1, k-1); the coefficient
-    convention C(n-1, -1) = 0 makes ``k = 0`` return exactly 1 for every
-    feasible s.  A ``Fraction`` s stays exact in floating mode too, so at an
-    endpoint below the least double this is the bound that
-    :func:`bound_reports` gives.
+    Linear in s with integer slope magnitude C(n-1, k-1), formed by the
+    shift every bound takes (:func:`_shift`); the convention C(n-1, -1) = 0
+    makes ``k = 0`` return exactly 1 for every feasible s.  A ``Fraction``
+    s stays exact in floating mode too, so at an endpoint, even one below
+    the least double, this is the bound that :func:`bound_reports` gives.
     """
     k = _check_k(k, profile.n)
     s = s if isinstance(s, Fraction) else _coerce_s(s, profile.exact)
     check_feasible(profile, s)
-    tails, scale = _tail_numerators(profile)
-    return _shifted(profile, k, binom_or_zero(profile.n - 1, k - 1), tails.item(k), scale, s)
+    tails, scale, _, _ = _law(profile)
+    slope, (s_num, s_den) = binom_or_zero(profile.n - 1, k - 1), s.as_integer_ratio()
+    num, factor = _shift(tails.item(k), -slope if k % 2 else slope, s_num * scale, s_den)
+    return over(num, scale * factor)
 
 
-def _report(profile: MarginalProfile, iv, tails, scale: int, k: int, slope: int) -> BoundReport:
-    """The report of :func:`bound_reports` at ``k``, the one place a
-    :class:`BoundReport` is built: ``iv`` is the profile's interval,
-    ``tails`` over ``scale`` its tails and ``slope`` C(n-1, k-1).
+def _report(iv, ends, scale: int, k: int, tail, c: int) -> BoundReport:
+    """The report at ``k`` of ``tail`` over ``scale`` and the signed slope
+    ``c``, the one place a :class:`BoundReport` is built: ``iv`` is the
+    profile's interval and ``ends`` its endpoints times the scale
+    (:func:`measures.endpoint_numerators`).
 
-    The report holds the tail and its two shifts over ``scale``, formed on
-    first read.  Floating mode shifts by :func:`_shifted`, over the scale 1.
-    Exact mode shifts by ``+- slope * c``, ``c`` an endpoint's numerator over
-    the same scale (:func:`measures.endpoint_numerators`): one multiply-add
-    per bound and no gcd.  At ``k = 0`` the slope is 0 and the exact tail is
-    the scale itself, so every bound is exactly 1.
+    The lower bound is at ``s_max`` for ``c < 0``, else at ``s_min``.  The
+    report holds the tail and its two shifts (:func:`_shift`) over
+    ``scale``, formed on first read: in exact mode one multiply-add per
+    bound and no gcd.  At ``k = 0`` the slope is 0 and the tail is the
+    scale, so every bound is exactly 1.
     """
-    odd = k % 2
-    s_lo, s_hi = (iv.s_max, iv.s_min) if odd else (iv.s_min, iv.s_max)
-    tail = tails.item(k)
-    if profile.exact:
-        c_min, c_max = endpoint_numerators(profile)
-        term, c_lo, c_hi = (-slope, c_max, c_min) if odd else (slope, c_min, c_max)
-        lower, upper = tail + term * c_lo, tail + term * c_hi
-    else:
-        lower = _shifted(profile, k, slope, tail, scale, s_lo)
-        upper = _shifted(profile, k, slope, tail, scale, s_hi)
-    return BoundReport._over_scale(k, scale, (tail, lower, upper), s_lo, s_hi, slope)
+    (lo, hi), s_lo, s_hi = ends, iv.s_min, iv.s_max
+    if c < 0:
+        lo, hi, s_lo, s_hi = hi, lo, s_hi, s_lo
+    (lower, _), (upper, _) = _shift(tail, c, *lo), _shift(tail, c, *hi)
+    report = BoundReport.__new__(BoundReport)
+    report.__dict__.update(k=k, _numerators=(scale, tail, lower, upper), s_at_lower=s_lo,
+                           s_at_upper=s_hi, coefficient=abs(c))
+    return report
 
 
 def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
@@ -284,26 +267,26 @@ def bound_reports(profile: MarginalProfile, ks: range) -> list[BoundReport]:
     assigns them by the parity of k: odd k attains its minimum at ``s_max``
     and its maximum at ``s_min``; even k the reverse.  The results are
     feasible probabilities by construction and are never clamped.  The
-    interval and the mass vector are read once for all of ``ks``, and the
-    slopes C(n-1, k-1) run by ``C(n-1, k) = C(n-1, k-1) * (n-k) // k`` from
-    one ``math.comb``, so every k costs one O(n^2) convolution together.
+    interval and the tails (:func:`_law`) are read once for all of ``ks``,
+    and the slopes C(n-1, k-1) run by ``C(n-1, k) = C(n-1, k-1) * (n-k) // k``
+    from one ``math.comb``, so every k costs one O(n^2) convolution together.
     Each report holds numerators over the tails' scale and forms its fields
     when one is read (:class:`BoundReport`), so the sweep itself forms no
     field and, in exact mode, reduces nothing.
     """
     _check_ks(ks, profile.n)
-    return _reports(profile, ks, *_tail_numerators(profile)) if ks else []
+    return _reports(profile, ks, *_law(profile)[:2]) if ks else []
 
 
 def _reports(profile: MarginalProfile, ks: range, tails, scale: int) -> list[BoundReport]:
     """The reports of :func:`bound_reports` at ``ks``, already checked, from
     ``tails`` over ``scale``."""
     n = profile.n
-    iv = s_interval(profile)
+    iv, ends = s_interval(profile), endpoint_numerators(profile)
     slope = binom_or_zero(n - 1, ks.start - 1)
     reports = []
     for k in ks:
-        reports.append(_report(profile, iv, tails, scale, k, slope))
+        reports.append(_report(iv, ends, scale, k, tails.item(k), -slope if k % 2 else slope))
         slope = slope * (n - k) // k if k else 1
     return reports
 
@@ -313,18 +296,18 @@ def sharp_bounds(profile: MarginalProfile, k: int) -> BoundReport:
 
     It checks k once and builds that report alone, numerators included,
     so its fields form on first read as theirs do.  A float profile keeps
-    its tails between calls, so a per-k loop costs one convolution in all,
-    but each call computes its slope with a fresh ``math.comb`` (1.46 ms
-    at n = 10,000).  An exact profile convolves the mass vector again on
-    every call, from the operands it keeps, so the marginals are read once
-    per profile.  A caller that wants several k asks :func:`bound_reports`
-    for all of them at once.
+    its record (:func:`_law`) between calls, so a per-k loop costs one
+    convolution in all, but each call computes its slope with a fresh
+    ``math.comb`` (1.46 ms at n = 10,000).  An exact profile convolves the
+    mass vector again on every call, from the operands it keeps, so the
+    marginals are read once per profile.  A caller that wants several k
+    asks :func:`bound_reports` for all of them at once.
     """
-    n = profile.n
-    k = _check_k(k, n)
-    iv = s_interval(profile)
-    tails, scale = _tail_numerators(profile)
-    return _report(profile, iv, tails, scale, k, binom_or_zero(n - 1, k - 1))
+    k = _check_k(k, profile.n)
+    tails, scale, _, _ = _law(profile)
+    slope = binom_or_zero(profile.n - 1, k - 1)
+    iv, ends = s_interval(profile), endpoint_numerators(profile)
+    return _report(iv, ends, scale, k, tails.item(k), -slope if k % 2 else slope)
 
 
 def bonferroni_applicable(profile: MarginalProfile) -> BonferroniStatus:
@@ -370,16 +353,15 @@ def lll_comparison(profile: MarginalProfile) -> LllComparison:
     )
 
 
-def _makarov_numerators(profile: MarginalProfile, ks: range) -> tuple[np.ndarray, int, list, list]:
-    """``(tails, scale, lower, upper)``: the tails of :func:`_convolve` over D,
-    and :func:`makarov_bounds` at every k in ``ks`` over D, from its mass
-    vector of the n-1 smallest events: with ``a_n = c / d``, T' = P(X >= k)
-    and E = P(X = k-1) over D', ``T'·d + max(0, E·d - (d - c)·D')`` and
-    ``T'·d + min(E·d, c·D')``, with no gcd.  In float d = D' = 1, so every
-    product is exact.
+def _makarov_numerators(profile: MarginalProfile, ks: range, head, head_scale: int) -> tuple:
+    """``(lower, upper)``: :func:`makarov_bounds` at every k in ``ks`` over
+    the tails' scale D, from ``head`` over ``head_scale`` = D', the mass
+    vector of the n-1 smallest events (:func:`_law`): with ``a_n = c / d``,
+    T' = P(X >= k) and E = P(X = k-1) over D',
+    ``T'·d + max(0, E·d - (d - c)·D')`` and ``T'·d + min(E·d, c·D')``, with
+    no gcd.  In float d = D' = 1, so every product is exact.
     """
     _check_ks(ks, profile.n)
-    tails, scale, head, head_scale = _convolve(profile)
     c, d = ratio(profile.sorted_values[-1])
     # P(X = k-1) at k = 0..n+1: X, a count of n - 1 events, is never -1 or n
     mass = np.zeros(profile.n + 2, dtype=head.dtype)
@@ -392,7 +374,7 @@ def _makarov_numerators(profile: MarginalProfile, ks: range) -> tuple[np.ndarray
     # there the term rounds once, as exact mode's equal term would
     lower = tail + np.maximum(0, exactly - (d - c) * head_scale)
     upper = tail + np.minimum(exactly, c * head_scale)
-    return tails, scale, lower.tolist(), upper.tolist()
+    return lower.tolist(), upper.tolist()
 
 
 def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
@@ -409,10 +391,14 @@ def makarov_bounds(profile: MarginalProfile, k: int) -> MakarovBounds:
     Some coupling attains each, so they are sharp given the two laws; they
     hold under any dependence, so they envelop the sharp family bounds.
     The law of X is a by-product of the family's own convolution
-    (:func:`_convolve`), which ``table`` reads once per level for every k.
+    (:func:`_law`), which ``table`` reads once per level for every k.  A
+    float profile keeps that record, so a per-k loop convolves once and
+    costs O(n) per call after it; an exact profile convolves on every call,
+    as :func:`sharp_bounds` does.
     """
     k = _check_k(k, profile.n)
-    _, scale, (lower,), (upper,) = _makarov_numerators(profile, range(k, k + 1))
+    _, scale, head, head_scale = _law(profile)
+    (lower,), (upper,) = _makarov_numerators(profile, range(k, k + 1), head, head_scale)
     return MakarovBounds(over(lower, scale), over(upper, scale))
 
 

@@ -32,7 +32,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .bounds import (
-    _bound_numerators, _makarov_numerators, _reports, bound_reports, report_to_dict, sharp_bounds
+    _bound_numerators, _law, _makarov_numerators, _reports, bound_reports, report_to_dict,
+    sharp_bounds,
 )
 from .marginals import MarginalError, _fraction_hint, from_raw, load_profile
 from .measures import build_measure, s_interval, subset_labels
@@ -352,7 +353,8 @@ def cmd_table(args, parser) -> Output:
     rows = []
     for label in spec.level_labels:
         profile = _level_profile(label, spec.n)
-        tails, scale, lower, upper = _makarov_numerators(profile, ks)
+        tails, scale, head, head_scale = _law(profile)
+        lower, upper = _makarov_numerators(profile, ks, head, head_scale)
         per_k = []
         for r, low, high in zip(_reports(profile, ks, tails, scale), lower, upper):
             mutual, lower_num, upper_num = _bound_numerators(r)

@@ -283,18 +283,18 @@ def s_interval(profile: MarginalProfile) -> SInterval:
 
 
 @per_profile
-def endpoint_numerators(profile: MarginalProfile) -> tuple[int, int]:
-    """``(s_min, s_max)`` of an exact profile as ``int`` numerators over
-    :func:`table_scale`, computed once per profile.
+def endpoint_numerators(profile: MarginalProfile) -> tuple[tuple, tuple]:
+    """``s_min`` and ``s_max`` times :func:`table_scale`, each as an integer
+    ratio ``(num, den)``, computed once per profile.
 
-    Each endpoint is a signed prefix atom, whose reduced denominator divides
-    that product of the marginals' denominators, the scale of the mass
-    vector too (:func:`numeric.poisson_binomial_pmf`).  So an exact bound
-    at any k is its tail plus the slope times one of these, over that
-    scale, with no division.
+    An exact endpoint is a signed prefix atom, whose reduced denominator
+    divides that product of the marginals' denominators, the scale of the
+    mass vector too (:func:`numeric.poisson_binomial_pmf`), so its ratio is
+    ``(c, 1)``: an exact bound is its tail plus the slope times ``c``, over
+    that scale, with no division.  A float one is its ``Fraction``'s ratio.
     """
     iv, scale = s_interval(profile), table_scale(profile)
-    return tuple(s.numerator * (scale // s.denominator) for s in (iv.s_min, iv.s_max))
+    return tuple((s * scale).as_integer_ratio() for s in (iv.s_min, iv.s_max))
 
 
 @per_profile

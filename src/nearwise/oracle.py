@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _check_k, _tail_numerators, bound_reports
+from .bounds import _check_k, _law, _reports
 from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
@@ -349,8 +349,8 @@ def check_profile(
     # the reports that bound --all-k prints, for every k, and the linear
     # formula mutual + (-1)^k C(n-1, k-1) s, held as numerators: the mutual
     # tails over the mass vector's scale, the signed slopes as they are
-    reports = bound_reports(profile, range(n + 1))
-    mutual, mutual_scale = _tail_numerators(profile)
+    mutual, mutual_scale, _, _ = _law(profile)
+    reports = _reports(profile, range(n + 1), mutual, mutual_scale)
     slopes = np.array([(-1) ** r.k * r.coefficient for r in reports], dtype=mutual.dtype)
     iv = s_interval(profile)
     if exact:
@@ -386,8 +386,8 @@ def check_profile(
         # tails and formula as numerators over the measure's scale, which
         # both the mutual tails' and the denominator of s divide
         s_num, s_den = ratio(s)
+        # P(at least 0 occur) = 1 for every s: the mutual tail at 0 is its scale
         linear = rescaled(mutual, scale // mutual_scale) + slopes * (s_num * (scale // s_den))
-        linear[0] = scale  # P(at least 0 occur) = 1 for every s
         gaps = np.abs(tails - linear).tolist()
         for k, (tail, formula) in enumerate(zip(tails.tolist(), linear.tolist())):
             if not close(tail, formula, exact=exact):

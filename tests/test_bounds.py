@@ -46,8 +46,8 @@ def _product(values, one):
 def test_tail_dp_known_values():
     profile = from_raw([0.1] * 8)
     assert format_scientific(sharp_bounds(profile, 3).exact_mutual) == "3.8092e-02"
-    # the float pmf sums to 1 only up to rounding; rational mode is exact
-    assert close(sharp_bounds(profile, 0).exact_mutual, 1.0, exact=False)
+    # the float pmf sums to 1 only up to rounding, but the tail at 0 is the scale
+    assert sharp_bounds(profile, 0).exact_mutual == 1.0
     assert math.isclose(sharp_bounds(profile, 8).exact_mutual, 0.1**8, rel_tol=1e-14)
 
 
@@ -167,7 +167,7 @@ def test_a_float_profile_keeps_tails_and_no_operands():
     rng = random.Random(10_000)
     profile = from_raw([rng.uniform(0.0, 0.5) for _ in range(10_000)])
     bound_reports(profile, range(profile.n + 1))
-    assert "_tail_numerators" in profile.__dict__
+    assert "_law" in profile.__dict__
     assert "_kept_operands" not in profile.__dict__
     assert measures.table_scale(profile) == 1
     assert not any(isinstance(v, list) for v in profile.__dict__.values())
@@ -180,11 +180,11 @@ def test_equal_float_and_exact_profiles_keep_their_own_kernel_entries():
     # the float profile first: an equality-keyed cache would hand its entries on
     float_reports = bound_reports(floating, range(4))
     exact_reports = bound_reports(exact, range(4))
-    tails, scale = floating.__dict__["_tail_numerators"]
-    assert tails.dtype == np.float64 and scale == 1
+    tails, scale, head, head_scale = floating.__dict__["_law"]
+    assert tails.dtype == head.dtype == np.float64 and scale == head_scale == 1
     assert "_kept_operands" not in floating.__dict__
     pairs, exact_scale = exact.__dict__["_kept_operands"]
-    assert "_tail_numerators" not in exact.__dict__
+    assert "_law" not in exact.__dict__
     assert exact_scale == measures.table_scale(exact) == 2 * 4 * 4
     assert [(p.shape, p.dtype, q.shape, q.dtype) for p, q in pairs] == [((), object, (), object)] * 3
     assert [(p.item(), q.item()) for p, q in pairs] == [(1, 3), (1, 1), (3, 1)]
@@ -206,19 +206,28 @@ _KEPT_CASES = [
 
 @pytest.mark.parametrize("values", _KEPT_CASES, ids=lambda v: f"n={len(v)}")
 def test_kept_operands_give_the_tails_of_a_fresh_convolution(values):
-    """Tails convolved from the kept operands equal those of a fresh
-    one-argument ``poisson_binomial_pmf``, integers and float bits alike."""
+    """The record's tails, convolved from the kept operands, equal those of
+    a fresh one-argument ``poisson_binomial_pmf`` at every k >= 1, and its
+    mass vector that of the n - 1 smallest events, integers and float bits
+    alike; its tail at 0 is the scale itself.  A float profile keeps the
+    record, read-only; an exact one keeps none."""
     for exact in (True, False):
         profile = from_raw(values if exact else [float(v) for v in values], exact=exact)
         pmf, scale = numeric.poisson_binomial_pmf(profile.sorted_values)
         want = numeric.suffix_sums(pmf)
+        want_head, want_head_scale = numeric.poisson_binomial_pmf(profile.sorted_values[:-1])
         for _ in range(2):  # the first call builds what the second reads
-            got, got_scale = bounds._tail_numerators(profile)
-            assert got_scale == scale and got.dtype == want.dtype
-            assert got.tolist() == want.tolist()
+            got, got_scale, head, head_scale = bounds._law(profile)
+            assert got_scale == scale and got.dtype == head.dtype == want.dtype
+            assert got.tolist()[1:] == want.tolist()[1:]
+            assert got.item(0) == scale and type(got.item(0)) is type(want.item(0))
+            assert head_scale == want_head_scale and head.tolist() == want_head.tolist()
             if not exact:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert np.array_equal(np.signbit(head), np.signbit(want_head))
+                assert not got.flags.writeable and not head.flags.writeable
         assert ("_kept_operands" in profile.__dict__) is exact
+        assert ("_law" in profile.__dict__) is not exact
 
 
 def test_writing_into_tail_probabilities_leaves_the_bounds_unchanged():
@@ -230,9 +239,10 @@ def test_writing_into_tail_probabilities_leaves_the_bounds_unchanged():
         tails[:] = 0
         assert sharp_bounds(profile, 2) == before
         assert list(tail_probabilities(profile)) == want
-    cached, _ = bounds._tail_numerators(from_raw([0.1, 0.4]))
-    with pytest.raises(ValueError, match="read-only"):
-        cached[1] = 0.0
+    cached, _, head, _ = bounds._law(from_raw([0.1, 0.4]))
+    for kept in (cached, head):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[1] = 0.0
 
 
 def _sweep_profiles():
@@ -421,9 +431,25 @@ def test_sharp_bounds_endpoint_parity():
 
 
 def test_sharp_bounds_k_zero():
-    report = sharp_bounds(from_raw([0.3, 0.7]), 0)
-    assert report.sharp_lower == 1.0 == report.sharp_upper == report.exact_mutual
-    assert report.coefficient == 0
+    """P(at least 0 occur) is exactly 1 in every report and tail vector, in
+    float mode too, where the sum of the mass vector may miss 1 in its last
+    bits (it reads 1.0000000000000002 for seven events at 0.1234567)."""
+    rng = random.Random(3200)
+    raws = [[0.3, 0.7], [0.1234567] * 7]
+    raws += [[rng.random() for _ in range(rng.randint(2, 1000))] for _ in range(20)]
+    missed = 0
+    for raw in raws:
+        pmf, _ = numeric.poisson_binomial_pmf(raw)
+        missed += numeric.suffix_sums(pmf)[0] != 1.0
+        profile = from_raw(raw)
+        assert report_to_dict(sharp_bounds(profile, 0))["exact"] == 1.0
+        report = sharp_bounds(profile, 0)
+        assert report.sharp_lower == 1.0 == report.sharp_upper == report.exact_mutual
+        assert report.coefficient == 0
+        assert tail_probabilities(profile)[0] == 1.0
+        assert bound_reports(profile, range(2))[0] == report
+        assert probability_at_s(profile, 0, s_interval(profile).s_max) == 1.0
+    assert missed >= 2
 
 
 def test_sharp_bounds_ordering_and_monotonicity():
@@ -656,8 +682,12 @@ def test_table_levels_equal_makarov_bounds_and_bound_reports_at_every_k(monkeypa
             [m.lower, r.sharp_lower, r.exact_mutual, r.sharp_upper, m.upper]
             for m, r in zip(makarov, reports)
         ]
-        # every level of a table is this profile, under its own label
-        monkeypatch.setattr(cli, "_level_profile", lambda label, n, profile=profile: profile)
+        # every level of a table is a fresh copy of this profile, under its
+        # own label, as a float profile keeps its record once convolved
+        monkeypatch.setattr(
+            cli, "_level_profile",
+            lambda label, n, profile=profile: from_raw(profile.sorted_values, exact=profile.exact),
+        )
         ranges = [(0, n + 1), (1, n), (n // 2, n // 2 + 1), (n, n + 1)]
         for lo, hi in [(lo, hi) for lo, hi in ranges if lo < hi]:
             for levels in ("a", "a,b"):
@@ -671,12 +701,41 @@ def test_table_levels_equal_makarov_bounds_and_bound_reports_at_every_k(monkeypa
                 per_level = [list(row) for row in zip(*want[lo:hi])]
                 assert list(map(_cell_bits, got)) == list(map(_cell_bits, per_level * len(pmf_calls)))
         capsys.readouterr()
-        assert bounds._makarov_numerators(profile, range(3, 3))[2:] == ([], [])
+        _, _, head, head_scale = bounds._law(profile)
+        assert bounds._makarov_numerators(profile, range(3, 3), head, head_scale) == ([], [])
         for ks in (range(-1, 1), range(0, n + 2)):
             with pytest.raises(ValueError, match="k out of range"):
-                bounds._makarov_numerators(profile, ks)
+                bounds._makarov_numerators(profile, ks, head, head_scale)
         with pytest.raises(ValueError, match="consecutive"):
-            bounds._makarov_numerators(profile, range(0, n + 1, 2))
+            bounds._makarov_numerators(profile, range(0, n + 1, 2), head, head_scale)
+
+
+def test_a_per_k_makarov_loop_reads_the_kept_record(monkeypatch):
+    """A float per-k ``makarov_bounds`` loop makes one kernel call in all, as
+    a ``sharp_bounds`` loop does, from the record they share, with the bits
+    of a fresh profile's call; an exact profile convolves once per call."""
+    calls = []
+    convolve = bounds.poisson_binomial_pmf
+
+    def counted(values, operands=None):
+        calls.append(len(values))
+        return convolve(values, operands)
+
+    monkeypatch.setattr(bounds, "poisson_binomial_pmf", counted)
+    rng = random.Random(3201)
+    raw = [rng.random() for _ in range(400)]
+    profile = from_raw(raw)
+    pairs = [makarov_bounds(profile, k) for k in range(profile.n + 1)]
+    sharp_bounds(profile, 7)
+    assert len(calls) == 1
+    for k in (0, 1, 200, 399, 400):
+        fresh = makarov_bounds(from_raw(raw), k)
+        assert (pairs[k].lower.hex(), pairs[k].upper.hex()) == (fresh.lower.hex(), fresh.upper.hex())
+    exact = from_raw([Fraction(v).limit_denominator(1000) for v in raw[:12]], exact=True)
+    calls.clear()
+    for k in range(exact.n + 1):
+        makarov_bounds(exact, k)
+    assert len(calls) == exact.n + 1
 
 
 def _cell_bits(values):
@@ -701,7 +760,8 @@ def test_exact_makarov_pairs_are_the_frechet_pair_with_no_fraction_on_the_table_
     gcd_calls = []
     gcd = math.gcd
     monkeypatch.setattr(math, "gcd", lambda *args: gcd_calls.append(args) or gcd(*args))
-    _, scale, lower, upper = bounds._makarov_numerators(profile, range(n + 1))
+    _, scale, head, head_scale = bounds._law(profile)
+    lower, upper = bounds._makarov_numerators(profile, range(n + 1), head, head_scale)
     assert gcd_calls == []
     assert Fraction(1, 2) + Fraction(1, 3) and gcd_calls  # the counter sees a Fraction formed
     assert [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(lower, upper)] == want
@@ -894,27 +954,37 @@ def test_large_slope_term_keeps_the_fraction_route_bits():
         for e in exponents:
             for s in (math.ldexp(rng.random(), e), -math.ldexp(rng.random(), e), 5e-324, -5e-324, 0.0, -0.0):
                 tail = rng.random()
+                s_num, s_den = s.as_integer_ratio()
                 try:
                     term = float(Fraction(slope) * Fraction(s))
                 except OverflowError:
                     with pytest.raises(OverflowError):
-                        bounds._shifted(profile, 2, slope, tail, 1, s)
+                        bounds._shift(tail, slope, s_num, s_den)
                     continue
-                assert bounds._shifted(profile, 2, slope, tail, 1, s).hex() == (tail + term).hex()
-                assert bounds._shifted(profile, 3, slope, tail, 1, s).hex() == (tail - term).hex()
-                assert bounds._shifted(profile, 3, slope, 0.0, 1, s).hex() == (0.0 - term).hex()
+                # an even k's slope is +slope, an odd k's -slope
+                cases = [(tail, slope, tail + term), (tail, -slope, tail - term), (0.0, -slope, 0.0 - term)]
+                for t, c, want in cases:
+                    value, factor = bounds._shift(t, c, s_num, s_den)
+                    assert value.hex() == want.hex() and factor == 1
 
 
 def test_exact_shifted_bound_is_one_fraction_of_the_numerators():
+    """An exact shift is one integer over the tails' scale times the
+    denominator of s, which ``probability_at_s`` forms as one ``Fraction``."""
     profile = from_raw([Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)])
-    tails, scale = bounds._tail_numerators(profile)
+    tails, scale, _, _ = bounds._law(profile)
     iv = s_interval(profile)
     for k in range(profile.n + 1):
         slope = math.comb(profile.n - 1, k - 1) if k else 0
-        for s in (iv.s_min, Fraction(0), iv.s_max):
-            value = bounds._shifted(profile, k, slope, tails.item(k), scale, s)
-            expected = 1 if k == 0 else Fraction(tails.item(k), scale) + (-1) ** k * slope * s
-            assert type(value) is Fraction and value == expected
+        for s in (iv.s_min, Fraction(0), iv.s_max, Fraction(1, 7)):
+            c = (-1) ** k * slope
+            num, factor = bounds._shift(tails.item(k), c, s.numerator * scale, s.denominator)
+            assert type(num) is int and factor == s.denominator
+            expected = 1 if k == 0 else Fraction(tails.item(k), scale) + c * s
+            assert Fraction(num, scale * factor) == expected
+            if s != Fraction(1, 7):  # outside the interval
+                value = probability_at_s(profile, k, s)
+                assert type(value) is Fraction and value == expected
 
 
 def _integer_bounds(values):

@@ -584,6 +584,21 @@ def test_table_custom_k_zero(capsys):
     assert "*" not in out
 
 
+def test_bound_and_table_at_k_zero_read_exactly_one_in_float(capsys):
+    """Seven events at 0.1234567, whose float mass vector sums to 1 plus an
+    ulp: P(at least 0 occur) is printed as exactly 1 beside its bounds."""
+    marginals = ",".join(["0.1234567"] * 7)
+    code, out, _ = run(capsys, "bound", "--k", "0", "--marginals", marginals, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] == doc["lower"] == doc["upper"] == 1.0
+    argv = ["table", "--n", "7", "--levels", "0.1234567", "--k-range", "0", "0", "--precision", "17"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]["0.1234567"]
+    assert {cell for cells in rows.values() for cell in cells} == {"1.0000000000000000e+00"}
+
+
 _RNG_60 = random.Random(60)
 _EXACT_60 = ",".join(f"{_RNG_60.randint(0, 10**6)}/1000000" for _ in range(60))
 _FLOAT_60 = ",".join(repr(_RNG_60.random()) for _ in range(60))

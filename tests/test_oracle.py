@@ -519,11 +519,16 @@ def test_check_profile_builds_each_measure_once(monkeypatch):
     counting(bounds, "poisson_binomial_pmf")
     counting(bounds, "probability_at_s")
     counting(bounds, "binom_or_zero")
-    check = check_profile(from_raw([0.15, 0.3, 0.45, 0.6, 0.75]), s_points=9, scan_ks=[1, 2, 5, 4])
-    assert check.passed, check.failures
-    assert check.measures_checked == 9
-    # one bound_reports for every k: the grid's formula and the scan's bounds
-    assert calls == {"build_measure": 9, "poisson_binomial_pmf": 1, "binom_or_zero": 1}
+    values = [0.15, 0.3, 0.45, 0.6, 0.75]
+    # an exact profile keeps no tails, so one record must serve both reads
+    for profile in (from_raw(values), from_raw([Fraction(v).limit_denominator(20) for v in values])):
+        calls.clear()
+        check = check_profile(profile, s_points=9, scan_ks=[1, 2, 5, 4])
+        assert check.passed, check.failures
+        assert check.measures_checked == 9
+        # one record and one report sweep for every k: the grid's formula
+        # and the scan's bounds
+        assert calls == {"build_measure": 9, "poisson_binomial_pmf": 1, "binom_or_zero": 1}
 
 
 @pytest.mark.parametrize("exact", [False, True])
