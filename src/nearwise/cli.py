@@ -252,9 +252,8 @@ def cmd_interval(args, parser) -> Output:
     )
 
 
-#: One atom of ``measure``'s JSON at ``indent=2``: its subset's items, then
-#: its probability, which ``json`` writes as ``repr(float(p))``.
-_JSON_ATOM = '    {\n      "subset": [%s],\n      "prob": %r\n    }'
+#: What closes a nonempty subset's items in ``measure``'s JSON at ``indent=2``.
+_SUBSET_END = "\n      "
 
 
 def _numerators(measure) -> Iterator:
@@ -281,11 +280,16 @@ def cmd_measure(args, parser) -> Output:
     atom_text = lambda num: format_scaled(num, scale, args.precision)  # noqa: E731
 
     def payload():
-        """The JSON document, atoms in mask order, each from one template."""
+        """The JSON document, atoms in mask order, each from one f-string at
+        ``indent=2``: its subset's items, then its probability, which
+        ``json`` writes as ``repr(float(p))``."""
         labels = subset_labels(profile, ",", "\n        {}".format)
+        probs = _numerators(measure)
+        if measure.exact:  # an int numerator is divided even over the scale 1
+            probs = (num / scale for num in probs)
         atoms = (
-            _JSON_ATOM % (f"{label}\n      " if label else "", num / scale)
-            for label, num in zip(labels, _numerators(measure))
+            f'    {{\n      "subset": [{label}{label and _SUBSET_END}],\n      "prob": {prob}\n    }}'
+            for label, prob in zip(labels, map(repr, probs))
         )
         return {"n": measure.n, "s": held_float(s), "atoms": EncodedArray(atoms)}
 

@@ -415,5 +415,18 @@ def build_measure(profile: MarginalProfile, s, *, validate: bool = True) -> Atom
         if slack and atoms.min() < 0.0:
             atoms[(atoms > -slack) & (atoms < 0.0)] = 0.0
 
-    atoms.setflags(write=False)
-    return AtomicMeasure(n, atoms, s, scale=scale)
+    # the measure holds a read-only view; the array filled here stays
+    # writable behind it, for :func:`_writable_atoms`
+    frozen = atoms.view()
+    frozen.setflags(write=False)
+    return AtomicMeasure(n, frozen, s, scale=scale)
+
+
+def _writable_atoms(measure: AtomicMeasure) -> np.ndarray:
+    """The atoms of a measure that :func:`build_measure` returned, as the
+    writable array behind its read-only view, with no copy, for a caller
+    that built the measure and drops it; a copy for any other measure."""
+    atoms = measure.numerators.base
+    if atoms is None or not atoms.flags.writeable:
+        atoms = measure.numerators.copy()
+    return atoms

@@ -309,37 +309,43 @@ def superset_sums(atoms, n: int) -> np.ndarray:
     """Zeta transform over the superset lattice.
 
     Returns a fresh vector whose entry ``J`` is the sum of ``atoms[I]`` over
-    all masks ``I`` with ``I & J == J`` (supersets of J, J itself included).
+    all masks ``I`` with ``I & J == J`` (supersets of J, J itself included):
+    a copy of ``atoms`` taken through :func:`superset_sums_in_place`, so the
+    result is the only array it allocates.
+    """
+    out = np.array(atoms, dtype=mode_dtype(atoms))
+    superset_sums_in_place(out, n)
+    return out
+
+
+def superset_sums_in_place(out: np.ndarray, n: int) -> None:
+    """The passes of :func:`superset_sums`, over ``out`` itself.
+
     Summation order is fixed, so floating results are reproducible.  The
     sums are linear, so numerators over a scale give numerators over it.
-
     Pass ``b`` adds each block of ``2^b`` entries with bit ``b`` set into
     the block below it, in place, for b = 0..n-1.  Passes below
     ``_CACHE_BITS`` pair entries inside one block of ``2^_CACHE_BITS``, so
-    they run block by block, each block copied in and taken through all of
-    them while it is in cache; the higher passes then run over the whole
-    vector.  Every entry sees the same adds in the same order as with one
-    pass at a time over the whole vector.  numpy stages an add of two
-    interleaved views through three buffers of its buffer size, 8192
-    elements by default, so the passes run with the smallest buffer numpy
-    allows, restored afterwards, and allocate nothing.
+    they run block by block, each block taken through all of them while it
+    is in cache; the higher passes then run over the whole vector.  Every
+    entry sees the same adds in the same order as with one pass at a time
+    over the whole vector.  numpy stages an add of two interleaved views
+    through three buffers of its buffer size, 8192 elements by default, so
+    the passes run with the smallest buffer numpy allows, restored
+    afterwards, and allocate nothing.
     """
-    source = np.asarray(atoms, dtype=mode_dtype(atoms))
-    out = np.empty_like(source)
     block = 1 << min(n, _CACHE_BITS)
     bufsize = np.getbufsize()
     np.setbufsize(16)
     try:
         for start in range(0, out.size, block):
             chunk = out[start : start + block]
-            np.copyto(chunk, source[start : start + block])
             for b in range(min(n, _CACHE_BITS)):
                 _superset_pass(chunk, b)
         for b in range(_CACHE_BITS, n):
             _superset_pass(out, b)
     finally:
         np.setbufsize(bufsize)
-    return out
 
 
 #: Events per window of :func:`poisson_binomial_pmf`: of 16, 32 and 64, 32

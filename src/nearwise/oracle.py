@@ -8,16 +8,19 @@ shortcuts.  The checks:
 
 * ``verify_measure``: normalization, atom nonnegativity, marginals, and the
   product rule P(all events in J occur) = prod_{j in J} a_j for every
-  |J| <= n-1, straight from superset sums of the atom vector.
+  |J| <= n-1, straight from superset sums of the atom vector, taken over
+  a copy so the caller's measure is left as it is.
 * ``verify_extremal_atoms``: among product-measure atoms of equal
   cardinality the prefix subset is minimal, and the overall odd/even
   cardinality minima sit at the two prefix atoms that define the feasible
   interval.
-* ``check_profile``: the one scan of the family on an s-grid, running
-  ``verify_measure`` at every grid point and ``verify_extremal_atoms`` once,
-  and confirming that the claimed bounds are attained at the predicted
-  endpoints and never beaten; ``run_random_suite`` drives it over a seeded
-  cohort of random profiles, in float or exact rational arithmetic.
+* ``check_profile``: the one scan of the family on an s-grid, reading the
+  tails of each grid measure and then running ``verify_measure`` over its
+  own atoms in place, so a grid point holds one 2^n array; it runs
+  ``verify_extremal_atoms`` once, and confirms that the claimed bounds are
+  attained at the predicted endpoints and never beaten.
+  ``run_random_suite`` drives it over a seeded cohort of random profiles,
+  in float or exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .marginals import MarginalProfile, from_raw
 from .measures import (
     AtomicMeasure,
     _check_cap,
+    _writable_atoms,
     build_measure,
     feasibility_slack,
     mask_indices,
@@ -57,6 +61,7 @@ from .numeric import (
     subset_products_dense,
     suffix_sums,
     superset_sums,
+    superset_sums_in_place,
 )
 
 #: Seed used when none is supplied; any fixed value works, it just has to be
@@ -128,13 +133,29 @@ def _tail_vector(measure: AtomicMeasure) -> np.ndarray:
     return suffix_sums(by_count)
 
 
+class _GridMeasure(AtomicMeasure):
+    """A measure that :func:`check_profile` built, holds alone and drops
+    after one grid point, with its atoms writable
+    (:func:`measures._writable_atoms`): once the tails are read,
+    :func:`verify_measure` takes superset sums over them in place, not over
+    a copy, so a grid point holds one 2^n array."""
+
+    def __init__(self, measure: AtomicMeasure):
+        for name in ("n", "scale", "s"):
+            object.__setattr__(self, name, getattr(measure, name))
+        object.__setattr__(self, "numerators", _writable_atoms(measure))
+
+
 def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> VerificationReport:
     """Check one measure against its profile by dense enumeration.
 
-    Computes superset sums of the atom vector once, then reads off
-    normalization (empty subset), marginals (singletons), and every
-    product-rule residual for |J| <= n-1; also finds the minimum atom and
-    the independence order.  Failures are recorded, never raised.
+    Reads the minimum atom, then takes superset sums of the atom vector
+    once and reads off normalization (empty subset), marginals
+    (singletons), every product-rule residual for |J| <= n-1, and the
+    independence order.  Failures are recorded, never raised.  The sums
+    run over a copy of the atoms, so the caller's measure stays as it is;
+    only a :func:`check_profile` grid measure, which is dropped after its
+    check, gives up its own atoms to them.
     """
     n = measure.n
     _check_cap(n)
@@ -147,10 +168,24 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     product_scale = table_scale(profile)
     scale = math.lcm(atom_scale, product_scale)
     tol = (0 if measure.exact else ABS_TOL) * scale
-    # signed residual of every joint probability against the product rule;
-    # superset_sums returns a fresh array, so the rest works in place, the
-    # products a block at a time
-    residuals = rescaled(superset_sums(atoms, n), scale // atom_scale)
+
+    # Nonnegativity, read before the sums overwrite a grid measure's atoms,
+    # within the band s may leave its interval by: a float atom misses 0 by
+    # rounding dust of s, not by an absolute 1e-12.  A negative atom's
+    # witness is the first minimal mask.
+    band = 0 if measure.exact else feasibility_slack(profile)
+    min_atom = atoms.min(keepdims=True).item()
+    negative = None if min_atom >= -band * atom_scale else int(np.argmin(atoms))
+
+    # signed residual of every joint probability against the product rule,
+    # in place from here on, the products a block at a time
+    if isinstance(measure, _GridMeasure):
+        residuals = atoms
+        superset_sums_in_place(residuals, n)
+    else:
+        residuals = superset_sums(atoms, n)
+    if scale != atom_scale:
+        residuals *= scale // atom_scale
     low, _ = subset_products(profile)
     factor = scale // product_scale
     for start, block in dense_blocks(low, profile.sorted_values, atoms=False, factor=factor):
@@ -165,13 +200,8 @@ def verify_measure(measure: AtomicMeasure, profile: MarginalProfile) -> Verifica
     if not abs(norm_residual) <= tol:
         violations.append(("normalization", tuple(range(1, n + 1))))
 
-    # Nonnegativity, within the band s may leave its interval by: a float
-    # atom misses 0 by rounding dust of s, not by an absolute 1e-12.  A
-    # negative atom's witness is the first minimal mask.
-    band = 0 if measure.exact else feasibility_slack(profile)
-    min_atom = atoms.min(keepdims=True).item()
-    if not min_atom >= -band * atom_scale:
-        violations.append(("nonnegativity", tuple(mask_indices(int(np.argmin(atoms))))))
+    if negative is not None:
+        violations.append(("nonnegativity", tuple(mask_indices(negative))))
 
     # Marginals, reported in the caller's input order.
     sorted_residuals = [residuals.item(1 << j) for j in range(n)]
@@ -329,12 +359,14 @@ def check_profile(
 
     Builds the measure at ``s_points`` evenly spaced parameter values
     including both endpoints (``measures_checked``), once per distinct value
-    and freed before the next build, and reads from it and its enumerated
-    tails verification and the tail against the linear-in-s formula for
-    every k.  For each k in ``scan_ks`` (default: 1, a middle k, and n) the
-    least and greatest scanned tail, taken once after the scan, must match
-    the closed-form bounds — exactly in rational mode, to tolerance in
-    float.  Also checks the extremal-atom claims.
+    and freed before the next build.  From each it reads the enumerated
+    tails, checked against the linear-in-s formula for every k, and then
+    runs :func:`verify_measure`, whose superset sums overwrite the atoms in
+    place: one 2^n array per grid point.  For each k in ``scan_ks``
+    (default: 1, a middle k, and n) the least and greatest scanned tail,
+    taken once after the scan, must match the closed-form bounds — exactly
+    in rational mode, to tolerance in float.  Also checks the extremal-atom
+    claims.
     """
     n = profile.n
     exact = profile.exact
@@ -362,9 +394,11 @@ def check_profile(
     scanned = []
     # the grid ascends, so equal s are neighbours
     for s, _ in itertools.groupby(grid):
-        measure = build_measure(profile, s)
-        report, tails = verify_measure(measure, profile), _tail_vector(measure)
-        scale = measure.scale
+        # the tails first: verify_measure then overwrites the atoms with
+        # their superset sums, and the measure is dropped with them
+        measure = _GridMeasure(build_measure(profile, s))
+        tails, scale = _tail_vector(measure), measure.scale
+        report = verify_measure(measure, profile)
         del measure  # one 2^n table at a time
         if not report.passed:
             failures.append(

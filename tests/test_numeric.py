@@ -257,6 +257,15 @@ def test_superset_sums_allocate_only_their_result():
         assert peak <= 1.1 * sums.nbytes
 
 
+def test_superset_sums_in_place_allocate_nothing():
+    n = numeric._CACHE_BITS + 1
+    atoms = np.random.default_rng(5).random(1 << n)
+    want = superset_sums(atoms, n)
+    _, peak = _peak_bytes(lambda: numeric.superset_sums_in_place(atoms, n))
+    assert peak < 0.01 * atoms.nbytes
+    assert atoms.tobytes() == want.tobytes()
+
+
 def test_superset_sums_restore_numpy_buffer_size_when_a_pass_raises():
     bufsize = np.getbufsize()
     with pytest.raises(ValueError):
