@@ -89,18 +89,6 @@ def _cell(value, precision: int) -> str:
     return str(value) if isinstance(value, (int, str)) else format_scientific(value, precision)
 
 
-@dataclass(frozen=True)
-class EncodedArray:
-    """A JSON array in a payload whose items arrive already encoded.
-
-    Only a value of the payload's top-level object may be one.  Each item
-    is the text ``json.dumps(payload, indent=2)`` gives that item there,
-    four spaces in, without its separator; ``items`` is read once.
-    """
-
-    items: Iterable[str]
-
-
 def _write_batched(items: Iterable[str], sep: str, lead: str = "") -> bool:
     """Write ``lead`` and the strings ``items``, ``sep`` between two, if there
     is an item, and say whether there was.  Items are joined 2048 to a write:
@@ -108,7 +96,8 @@ def _write_batched(items: Iterable[str], sep: str, lead: str = "") -> bool:
     of every item would hold the whole output."""
     items, wrote = iter(items), False
     while batch := list(itertools.islice(items, 2048)):
-        sys.stdout.write(lead + sep.join(batch))
+        sys.stdout.write(lead)  # apart, so that a joined batch is not copied again
+        sys.stdout.write(sep.join(batch))
         lead, wrote = sep, True
     return wrote
 
@@ -117,32 +106,41 @@ def _write_batched(items: Iterable[str], sep: str, lead: str = "") -> bool:
 def _bare_number(value: Fraction) -> str:
     """``json`` hook: a ``Fraction`` as a number of 17 significant digits, led
     by a NUL (no argument, and so no payload string, holds one) that marks
-    the string for :func:`_write_json` to unquote.  Cached by value: the
+    the string for :func:`_encoded` to unquote.  Cached by value: the
     reports of ``bound --all-k`` repeat the interval's two endpoints."""
     return "\0" + format_scaled(*value.as_integer_ratio(), 17)
+
+
+_encoder = json.JSONEncoder(indent=2, default=_bare_number)
+
+
+def _encoded(value, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` with each line break written as
+    ``newline``, which indents it to where the value stands.  A ``Fraction``,
+    an endpoint no double holds (:func:`numeric.held_float`), is written as
+    the number :func:`_bare_number` gives, which ``float`` reads."""
+    text = _encoder.encode(value).replace("\n", newline)
+    if "\\u0000" in text:  # a Fraction's digits, which the encoder quoted
+        text = re.sub(r'"\\u0000([^"]*)"', r"\1", text)
+    return text
 
 
 def _write_json(payload: dict) -> None:
     """``json.dumps(payload, indent=2)`` and a newline, never held as one string.
 
-    Each top-level value goes through ``json.JSONEncoder(indent=2)``, except
-    an :class:`EncodedArray`, whose items go through :func:`_write_batched`.
-    A ``Fraction``, an endpoint no double holds (:func:`numeric.held_float`),
-    is written as the number :func:`_bare_number` gives, which ``float`` reads.
+    A top-level value that is an iterator is a JSON array whose items arrive
+    already encoded, four spaces in, and go through :func:`_write_batched`;
+    every other value is encoded whole by :func:`_encoded`.
     """
-    encode = json.JSONEncoder(indent=2, default=_bare_number).encode
     write = sys.stdout.write
     opening = "{"
     for key, value in payload.items():
-        write(f"{opening}\n  {encode(key)}: ")
+        write(f"{opening}\n  {json.dumps(key)}: ")
         opening = ","
-        if not isinstance(value, EncodedArray):
-            text = encode(value).replace("\n", "\n  ")
-            if "\\u0000" in text:  # a Fraction's digits, which the encoder quoted
-                text = re.sub(r'"\\u0000([^"]*)"', r"\1", text)
-            write(text)
+        if isinstance(value, Iterator):
+            write("\n  ]" if _write_batched(value, ",\n", "[\n") else "[]")
         else:
-            write("\n  ]" if _write_batched(value.items, ",\n", "[\n") else "[]")
+            write(_encoded(value, "\n  "))
     write("{}\n" if opening == "{" else "\n}\n")
 
 
@@ -218,7 +216,8 @@ def cmd_bound(args, parser) -> Output:
             ]
     else:
         payload = lambda: {  # noqa: E731
-            "n": profile.n, "reports": [report_to_dict(r) for r in reports]
+            "n": profile.n,
+            "reports": ("    " + _encoded(report_to_dict(r), "\n    ") for r in reports),
         }
 
         def text():
@@ -291,7 +290,7 @@ def cmd_measure(args, parser) -> Output:
             f'    {{\n      "subset": [{label}{label and _SUBSET_END}],\n      "prob": {prob}\n    }}'
             for label, prob in zip(labels, map(repr, probs))
         )
-        return {"n": measure.n, "s": held_float(s), "atoms": EncodedArray(atoms)}
+        return {"n": measure.n, "s": held_float(s), "atoms": atoms}
 
     def rows():
         """(subset in input indices joined by ';', probability as text) in mask order."""

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 
 from conftest import measure_to_dict
 from nearwise import BoundReport, bounds, build_measure, cli, from_raw, s_interval
-from nearwise.cli import EncodedArray, _write_json, main
+from nearwise.cli import _write_json, main
 from nearwise.numeric import format_scientific
 
 
@@ -103,6 +105,66 @@ def test_bound_all_k_keeps_its_layout_at_one_event(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n = 1" and lines[1].split() == ["k", "exact", "lower", "upper"]
     assert lines[2].split() == ["1"] + ["3.0000e-01"] * 3
+
+
+@pytest.mark.parametrize("n", [2048, 2049])
+@pytest.mark.parametrize("kind", ["float", "rational", "tiny"])
+def test_bound_all_k_json_streams_the_bytes_of_the_whole_array(capsys, kind, n):
+    """The reports cross ``_write_batched``'s 2,048-item batch with the bytes
+    of the document encoded whole.  Under two marginals of 1e-200 (``tiny``)
+    every report's endpoints lie below the least double, and each is written
+    as a bare number of 17 significant digits."""
+    rng = random.Random(n)
+    if kind == "rational":  # eighths keep the exact sweep's numerators short
+        values = [Fraction(rng.randint(1, 7), 8) for _ in range(n)]
+    else:
+        values = [rng.random() for _ in range(n)]
+        if kind == "tiny":
+            values[:2] = [1e-200, 1e-200]
+    rational = kind == "rational"
+    code, out, _ = run(capsys, "bound", "--all-k", "--format", "json", "--marginals",
+                       ",".join(map(str, values)), *(["--rational"] if rational else []))
+    reports = bounds.bound_reports(from_raw(values, exact=rational), range(1, n + 1))
+    doc = {"n": n, "reports": [bounds.report_to_dict(r) for r in reports]}
+    assert code == 0 and out == cli._encoded(doc, "\n") + "\n"
+    assert len(json.loads(out)["reports"]) == n
+    if kind == "tiny":
+        bare = re.findall(r'^      "s_at_(?:lower|upper)": -?\d\.\d{16}e-\d+,$', out, re.M)
+        assert len(bare) == 2 * n
+        first = json.loads(out, parse_float=Decimal)["reports"][0]
+        for key in ("s_at_lower", "s_at_upper"):
+            end = getattr(reports[0], key)
+            assert abs(Fraction(first[key]) - end) <= abs(end) / 10**16
+
+
+def test_bound_all_k_json_peak_stays_below_twice_its_output(monkeypatch, tmp_path):
+    """The reports stream: on 10,000 events, 24 MB of JSON, the traced peak of
+    ``bound --all-k --format json`` stays below twice the bytes it writes,
+    where one string of the whole array would hold all of them at once."""
+    rng = random.Random(10000)
+    path = tmp_path / "marginals.csv"
+    path.write_text("".join(f"{rng.random():.6f}\n" for _ in range(10000)), encoding="utf-8")
+
+    class ByteCounter:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text.encode())
+            return len(text)
+
+        def flush(self):  # main flushes once the output ends
+            pass
+
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["bound", "--all-k", "--format", "json", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written > 20_000_000
+    assert peak < 2 * sink.written, (peak, sink.written)
 
 
 def test_bound_json_single(capsys):
@@ -461,7 +523,7 @@ def test_measure_text_and_csv_peak_rss_stays_near_json():
 
 def test_write_json_encoded_arrays(capsys):
     items = ['    "a"', "    1"]
-    _write_json({"x": EncodedArray(iter(items)), "y": EncodedArray([]), "z": {"k": [1, {}]}})
+    _write_json({"x": iter(items), "y": iter([]), "z": {"k": [1, {}]}})
     assert capsys.readouterr().out == json.dumps(
         {"x": ["a", 1], "y": [], "z": {"k": [1, {}]}}, indent=2
     ) + "\n"
@@ -957,19 +1019,22 @@ def test_module_entry_point_in_a_subprocess(capsys, fmt):
 
 
 def test_reader_closing_the_pipe_ends_quietly():
-    """``nearwise measure ... | head -n 1``: exit 1 and nothing on stderr."""
+    """``nearwise measure ... | head -n 1``: exit 1 and nothing on stderr, also
+    when the reader leaves in the middle of ``bound --all-k``'s reports."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     marginals = ",".join(str(round(0.05 + 0.06 * i, 2)) for i in range(14))
-    # 2^14 atoms of JSON fill the pipe many times over, so the child is
-    # still writing when the reader goes
-    with subprocess.Popen(
-        [sys.executable, "-m", "nearwise.cli", "measure", "--marginals", marginals,
-         "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-    ) as child:
-        assert child.stdout.readline() == b"{\n"
-        child.stdout.close()
-        err = child.stderr.read()
-        code = child.wait(timeout=120)
-    assert (code, err) == (1, b"")
+    many = ",".join(str(round(0.05 + 0.06 * (i % 15), 2)) for i in range(3000))
+    # 2^14 atoms of JSON, or 3,000 reports, fill the pipe many times over, so
+    # the child is still writing when the reader goes
+    for argv in (["measure", "--marginals", marginals], ["bound", "--all-k", "--marginals", many]):
+        with subprocess.Popen(
+            [sys.executable, "-m", "nearwise.cli", *argv, "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        ) as child:
+            assert child.stdout.readline() == b"{\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert (argv[0], code, err) == (argv[0], 1, b"")
